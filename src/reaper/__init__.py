@@ -34,7 +34,7 @@ from .executor import (
     execute_plan,
     mock_retriever,
 )
-from .gateway import RemoteBackend, ScriptedStub, generate_plan, scripted_stub
+from .gateway import RemoteBackend, ScriptedStub, generate_plan
 from .plan import (
     ArgValue,
     ContextRef,

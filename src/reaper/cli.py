@@ -6,8 +6,9 @@ gold), ``bench`` (single-shot vs interleaved latency on simulated tools),
 and ``plan`` (generate a plan through a backend).
 
 Exit codes: 0 success, 1 domain failure (violations, metric preconditions,
-backend/plan errors), 2 usage or I/O problems. All subcommands accept
-``--seed`` (default 1729) and produce bit-identical output for equal seeds.
+backend/plan errors), 2 usage, I/O or malformed input (named by file and
+line). Only ``forge`` takes ``--seed`` (default 1729); equal seeds give it
+byte-identical output, and the other subcommands need no seed.
 
 Plan files hold one plan per block, blocks separated by blank lines. Task
 files for ``forge`` are JSONL with {"query", "context", "plan"}; gold and
@@ -23,12 +24,13 @@ import sys
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .boundary import plan_field, read_jsonl
 from .embedding import HashingEmbedder
-from .errors import ReaperError
+from .errors import ReaperError, SchemaError
 from .evaluation import evaluate, latency_bench, load_gold, load_predictions
 from .executor import Retriever
 from .forge import DqsConfig, ForgeConfig, PrimaryTask, forge_run
-from .gateway import BACKEND_URL_ENV, RemoteBackend, generate_plan, scripted_stub
+from .gateway import BACKEND_URL_ENV, RemoteBackend, ScriptedStub, generate_plan
 from .plan import PlanParseError, parse_plan, render_plan, validate_plan
 from .prompt import (
     DEFAULT_EXAMPLE_COUNT,
@@ -38,7 +40,7 @@ from .prompt import (
     QueryInput,
     load_example_pool,
 )
-from .registry import SchemaError, ToolRegistry, default_registry, load_registry
+from .registry import ToolRegistry, default_registry, load_registry
 
 DEFAULT_SEED = 1729
 
@@ -75,23 +77,14 @@ def read_plan_blocks(path: str | Path) -> list[str]:
 
 
 def load_tasks(path: str | Path) -> list[PrimaryTask]:
-    tasks = []
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        try:
-            tasks.append(
-                PrimaryTask(
-                    input=QueryInput(record["query"], record.get("context")),
-                    target=parse_plan(record["plan"]),
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(f"{path} line {line_no}: missing field {exc}") from exc
-    return tasks
+    """Task JSONL: {"query", "context", "plan"} per line."""
+    return [
+        PrimaryTask(
+            input=QueryInput.from_record(record, str(path), where),
+            target=plan_field(record, "plan", str(path), where),
+        )
+        for where, record in read_jsonl(Path(path))
+    ]
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -219,7 +212,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.backend == "remote":
         backend = RemoteBackend()
     else:
-        backend = scripted_stub(
+        backend = ScriptedStub(
             {ex.input.query: render_plan(ex.target_plan) for ex in pool},
             default="Step 1: no_retrieval()",
             latency_ms=0.0,
@@ -239,12 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--registry", help="registry YAML (default: shipped six-tool registry)")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=DEFAULT_SEED,
-            help=f"master seed for reproducible output (default {DEFAULT_SEED})",
-        )
 
     p = sub.add_parser("validate", help="parse and registry-check a plan file")
     p.add_argument("plans", help="plan file, blocks separated by blank lines")
@@ -261,6 +248,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--generic-pool", help="generic pool JSONL (default: shipped)")
     p.add_argument("--extreme-pairs", type=int, default=0)
     p.add_argument("--manifest", help="also write the mix manifest JSON here")
+    p.add_argument(
+        "--seed",
+        type=int,
+        default=DEFAULT_SEED,
+        help=f"master seed for reproducible output (default {DEFAULT_SEED})",
+    )
     add_common(p)
     p.set_defaults(func=cmd_forge)
 
@@ -300,7 +293,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, json.JSONDecodeError, ValueError) as exc:
+    except (SchemaError, ValueError) as exc:
         print(f"error: bad input: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
-import requests
 
+from .boundary import post_json
 from .errors import ReaperError
 
 
@@ -81,20 +81,9 @@ class RemoteEmbedder:
         return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+        url = f"{self.base_url}/embed"
+        body, _ = post_json(url, {"texts": list(texts)}, self.timeout_s, ProviderError)
         try:
-            response = requests.post(
-                f"{self.base_url}/embed",
-                json={"texts": list(texts)},
-                timeout=self.timeout_s,
-            )
-        except requests.RequestException as exc:
-            raise ProviderError(f"embedding endpoint unreachable: {exc}") from exc
-        if response.status_code != 200:
-            raise ProviderError(
-                f"embedding endpoint returned HTTP {response.status_code}"
-            )
-        try:
-            body = response.json()
             vectors = [np.asarray(v, dtype=np.float64) for v in body["vectors"]]
         except (ValueError, KeyError, TypeError) as exc:
             raise ProviderError(f"malformed embedding response: {exc}") from exc

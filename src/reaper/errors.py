@@ -15,3 +15,13 @@ class UnknownToolError(ReaperError):
     def __init__(self, name: str):
         super().__init__(f"unknown tool: {name!r}")
         self.name = name
+
+
+class SchemaError(ReaperError):
+    """An input file (registry YAML, JSONL records) does not match its
+    schema; ``field`` locates the defect within ``path``."""
+
+    def __init__(self, path: str, field: str, message: str):
+        super().__init__(f"{path}: {field}: {message}")
+        self.path = path
+        self.field = field

@@ -22,11 +22,11 @@ Definitions used throughout:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+from .boundary import plan_field, read_jsonl, typed_field
 from .errors import ReaperError, UnknownToolError
 from .executor import Retriever, StepStatus, execute_plan
 from .plan import Literal, Plan, PlanParseError, parse_plan, render_value
@@ -309,42 +309,24 @@ def evaluate(
 
 def load_gold(path: str | Path) -> list[GoldExample]:
     """Gold JSONL: {"query", "context", "gold_plan", "class"} per line."""
-    examples = []
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        try:
-            examples.append(
-                GoldExample(
-                    input=QueryInput(record["query"], record.get("context")),
-                    gold_plan=parse_plan(record["gold_plan"]),
-                    class_label=record["class"],
-                )
-            )
-        except KeyError as exc:
-            raise ValueError(
-                f"{path} line {line_no}: missing field {exc}"
-            ) from exc
-    return examples
+    return [
+        GoldExample(
+            input=QueryInput.from_record(record, str(path), where),
+            gold_plan=plan_field(record, "gold_plan", str(path), where),
+            class_label=typed_field(record, "class", str, str(path), where),
+        )
+        for where, record in read_jsonl(Path(path))
+    ]
 
 
 def load_predictions(path: str | Path) -> list[Plan | None]:
     """Prediction JSONL: {"plan": str} per line; unparseable plans load as
     None and score as invalid."""
     predictions: list[Plan | None] = []
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if "plan" not in record:
-            raise ValueError(f"{path} line {line_no}: missing field 'plan'")
+    for where, record in read_jsonl(Path(path)):
+        text = typed_field(record, "plan", str, str(path), where)
         try:
-            predictions.append(parse_plan(record["plan"]))
+            predictions.append(parse_plan(text))
         except PlanParseError:
             predictions.append(None)
     return predictions

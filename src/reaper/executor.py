@@ -14,14 +14,12 @@ the HTTP adapter reports measured wall-clock latencies instead.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol
 
-import requests
-
+from .boundary import post_json
 from .errors import ReaperError
 from .plan import ContextRef, Literal, Plan, PlanStep, StepRef
 from .registry import NO_RETRIEVAL_TOOL, ToolRegistry
@@ -305,29 +303,12 @@ class HttpRetriever:
     def invoke(
         self, tool: str, args: Mapping[str, str]
     ) -> tuple[Mapping[str, object], float]:
-        started = time.perf_counter()
-        try:
-            response = requests.post(
-                f"{self.base_url}/{tool}",
-                json=dict(args),
-                timeout=self.timeout_ms / 1000.0,
-            )
-        except requests.RequestException as exc:
-            raise RetrieverError(f"retriever call failed: {exc}") from exc
-        latency = (time.perf_counter() - started) * 1000.0
-        if response.status_code != 200:
+        url = f"{self.base_url}/{tool}"
+        timeout_s = self.timeout_ms / 1000.0
+        body, latency = post_json(url, dict(args), timeout_s, RetrieverError)
+        if not isinstance(body, dict) or "text" not in body:
             raise RetrieverError(
-                f"retriever returned HTTP {response.status_code} for {tool!r}"
-            )
-        try:
-            body = response.json()
-        except ValueError as exc:
-            raise RetrieverError(f"retriever returned invalid JSON: {exc}") from exc
-        if not isinstance(body, dict):
-            raise RetrieverError("retriever response must be a JSON object")
-        if "text" not in body:
-            raise RetrieverError(
-                f"retriever response for {tool!r} is missing the required "
-                "'text' field"
+                f"retriever response for {tool!r} must be a JSON object with "
+                "a 'text' field"
             )
         return body, latency

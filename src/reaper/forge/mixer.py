@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-import json
 import math
 import random
 from importlib import resources
 from pathlib import Path
 from typing import Sequence
 
+from ..boundary import read_jsonl, typed_field
+from ..errors import SchemaError
 from .records import ForgeConfig, MixManifest, TaskKind, TrainingRecord
 
 
@@ -17,22 +18,14 @@ def load_generic_pool(path: str | Path | None = None) -> list[dict]:
     optional stable ``id``); the shipped 200-record stand-in when ``path`` is
     None."""
     if path is None:
-        text = (
-            resources.files("reaper.data")
-            .joinpath("generic_pool.jsonl")
-            .read_text(encoding="utf-8")
-        )
+        source = resources.files("reaper.data").joinpath("generic_pool.jsonl")
     else:
-        text = Path(path).read_text(encoding="utf-8")
+        source = Path(path)
     pool = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if not record.get("prompt") or not record.get("target"):
-            raise ValueError(
-                f"generic pool line {line_no}: prompt and target are required"
-            )
+    for where, record in read_jsonl(source):
+        for key in ("prompt", "target"):
+            if not typed_field(record, key, str, str(source), where):
+                raise SchemaError(str(source), f"{where}.{key}", "must be non-empty")
         pool.append(record)
     return pool
 
@@ -52,10 +45,6 @@ def mix_dataset(
     """Concatenate plan-task records with a seeded sample of the generic pool
     and globally shuffle; deterministic in ``seed``."""
     take = math.floor(cfg.generic_fraction * len(generic_pool))
-    if take > len(generic_pool):
-        raise ValueError(
-            f"generic pool holds {len(generic_pool)} records, need {take}"
-        )
     rng = random.Random(seed)
     chosen = rng.sample(range(len(generic_pool)), take)
     generic_records = [

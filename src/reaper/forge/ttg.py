@@ -15,8 +15,8 @@ import hashlib
 import random
 
 from ..errors import ReaperError
-from ..plan import render_plan, render_value, tool_sequence
-from ..prompt import QueryInput
+from ..plan import render_plan, render_step, render_value, tool_sequence
+from ..prompt import input_lines
 from ..registry import ToolRegistry
 from .records import PrimaryTask, TaskKind, TrainingRecord
 
@@ -48,13 +48,6 @@ def _default_source_id(task: PrimaryTask) -> str:
     return f"q-{digest[:12]}"
 
 
-def _input_block(query_input: QueryInput) -> str:
-    block = f"Query: {query_input.query}"
-    if query_input.context is not None:
-        block += f"\nContext: {query_input.context}"
-    return block
-
-
 def _require_steps(task: PrimaryTask, kind: TaskKind) -> list[str]:
     if len(task.target) < 2:
         raise NotApplicableError(kind, "plan has a single step")
@@ -72,6 +65,7 @@ def ttg_transform(
     rng = random.Random(rng_seed)
     sid = source_id if source_id is not None else _default_source_id(task)
     plan_text = render_plan(task.target)
+    input_block = "\n".join(input_lines(task.input))
 
     if kind is TaskKind.T1:
         prompt = (
@@ -85,7 +79,7 @@ def ttg_transform(
         keep = (len(lines) + 1) // 2
         prompt = (
             "Complete the retrieval plan below by writing its remaining "
-            f"steps.\n\n{_input_block(task.input)}\n\nPartial plan:\n"
+            f"steps.\n\n{input_block}\n\nPartial plan:\n"
             + "\n".join(lines[:keep])
         )
         return TrainingRecord(prompt, "\n".join(lines[keep:]), kind, sid)
@@ -94,7 +88,7 @@ def ttg_transform(
         target = ", ".join(tool_sequence(task.target, registry))
         prompt = (
             "Name the tools needed to answer the customer question, in call "
-            "order, separated by commas.\n\n" + _input_block(task.input)
+            "order, separated by commas.\n\n" + input_block
         )
         return TrainingRecord(prompt, target, kind, sid)
 
@@ -104,7 +98,7 @@ def ttg_transform(
         shown = lines[:masked] + [MASKED_STEP_TOKEN] + lines[masked + 1 :]
         prompt = (
             f"One step of the plan below was replaced by {MASKED_STEP_TOKEN}. "
-            f"Write the missing step.\n\n{_input_block(task.input)}\n\nPlan:\n"
+            f"Write the missing step.\n\n{input_block}\n\nPlan:\n"
             + "\n".join(shown)
         )
         return TrainingRecord(prompt, lines[masked], kind, sid)
@@ -116,7 +110,7 @@ def ttg_transform(
             rng.shuffle(order)
         prompt = (
             "The steps of the plan below are out of order. Rewrite the plan "
-            f"in the correct order.\n\n{_input_block(task.input)}\n\n"
+            f"in the correct order.\n\n{input_block}\n\n"
             "Shuffled plan:\n" + "\n".join(lines[i] for i in order)
         )
         return TrainingRecord(prompt, plan_text, kind, sid)
@@ -130,24 +124,22 @@ def ttg_transform(
         if not slots:
             raise NotApplicableError(kind, "plan has no arguments")
         target_index, target_param = rng.choice(slots)
-        lines = []
-        masked_value = ""
-        for step in task.target.steps:
-            parts = []
-            for name, value in step.args:
-                rendered = render_value(value)
-                if step.index == target_index and name == target_param:
-                    masked_value = rendered
-                    parts.append(f"{name}={MASKED_PARAM_TOKEN}")
-                else:
-                    parts.append(f"{name}={rendered}")
-            lines.append(
-                f"Step {step.index}: {step.tool_name}({', '.join(parts)})"
-            )
+        masked_step = task.target.steps[target_index - 1]
+        masked_value = render_value(dict(masked_step.args)[target_param])
+        masked_args = ", ".join(
+            f"{name}={MASKED_PARAM_TOKEN}"
+            if name == target_param
+            else f"{name}={render_value(value)}"
+            for name, value in masked_step.args
+        )
+        lines = [render_step(step) for step in task.target.steps]
+        lines[target_index - 1] = (
+            f"Step {target_index}: {masked_step.tool_name}({masked_args})"
+        )
         prompt = (
             f"One argument value in the plan below was replaced by "
             f"{MASKED_PARAM_TOKEN}. Write the missing value.\n\n"
-            f"{_input_block(task.input)}\n\nPlan:\n" + "\n".join(lines)
+            f"{input_block}\n\nPlan:\n" + "\n".join(lines)
         )
         return TrainingRecord(prompt, masked_value, kind, sid)
 
@@ -165,7 +157,7 @@ def ttg_transform(
             "Using only the tools listed below, write a retrieval plan for "
             f"the customer question, or answer {NO_VALID_PLAN} if the listed "
             f"tools cannot answer it.\n\nTools:\n" + "\n".join(tool_lines)
-            + f"\n\n{_input_block(task.input)}"
+            + f"\n\n{input_block}"
         )
         return TrainingRecord(prompt, NO_VALID_PLAN, kind, sid)
 

@@ -6,7 +6,9 @@ their fixtures. The remote backend speaks a one-endpoint JSON protocol
 (``POST /complete {"prompt", "max_tokens"} -> {"text"}``); the endpoint is
 taken from the ``REAPER_BACKEND_URL`` environment variable unless given.
 
-``generate_plan`` composes prompt building, completion, and parsing. Backend
+``generate_plan`` composes prompt building, completion, and parsing. It
+turns CRLF and CR line endings into LF and strips surrounding whitespace
+from the completion first, since ``parse_plan`` itself is strict. Backend
 failures (network, bad endpoint) raise :class:`BackendError`; model output
 that fails to parse raises :class:`PlanParseError` with the measured latency
 attached, so callers can still account for the spent time.
@@ -18,8 +20,7 @@ import os
 import time
 from typing import Mapping, Protocol
 
-import requests
-
+from .boundary import post_json
 from .errors import ReaperError
 from .plan import Plan, PlanParseError, parse_plan
 from .prompt import PromptSpec, build_prompt
@@ -73,12 +74,6 @@ class ScriptedStub:
         return self._default, self.latency_ms
 
 
-def scripted_stub(
-    table: Mapping[str, str], default: str, latency_ms: float = 0.0
-) -> ScriptedStub:
-    return ScriptedStub(table, default, latency_ms)
-
-
 class RemoteBackend:
     def __init__(
         self,
@@ -96,24 +91,13 @@ class RemoteBackend:
         self.timeout_s = timeout_s
 
     def complete(self, prompt: str) -> tuple[str, float]:
-        started = time.perf_counter()
-        try:
-            response = requests.post(
-                f"{self.base_url}/complete",
-                json={"prompt": prompt, "max_tokens": self.max_tokens},
-                timeout=self.timeout_s,
-            )
-        except requests.RequestException as exc:
-            raise BackendError(f"completion call failed: {exc}") from exc
-        latency = (time.perf_counter() - started) * 1000.0
-        if response.status_code != 200:
-            raise BackendError(
-                f"completion backend returned HTTP {response.status_code}"
-            )
-        try:
-            text = response.json()["text"]
-        except (ValueError, KeyError) as exc:
-            raise BackendError(f"malformed completion response: {exc}") from exc
+        body, latency = post_json(
+            f"{self.base_url}/complete",
+            {"prompt": prompt, "max_tokens": self.max_tokens},
+            self.timeout_s,
+            BackendError,
+        )
+        text = body.get("text") if isinstance(body, dict) else None
         if not isinstance(text, str):
             raise BackendError("completion response 'text' must be a string")
         return text, latency
@@ -128,6 +112,7 @@ def generate_plan(
     text, backend_latency = backend.complete(build_prompt(spec))
     overhead = (time.perf_counter() - started) * 1000.0
     latency = max(backend_latency, overhead)
+    text = text.replace("\r\n", "\n").replace("\r", "\n").strip()
     try:
         plan = parse_plan(text)
     except PlanParseError as exc:

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import yaml
 
+from .boundary import typed_field
+from .errors import SchemaError
 from .plan import Plan, parse_plan, render_plan
 from .registry import ToolRegistry, ToolSpec
 
@@ -50,6 +52,15 @@ class QueryInput:
     def __post_init__(self):
         if not self.query:
             raise ValueError("query must be non-empty")
+
+    @classmethod
+    def from_record(cls, record: dict, path: str, where: str) -> "QueryInput":
+        """The ``query`` and optional ``context`` fields of a JSONL record."""
+        query = typed_field(record, "query", str, path, where)
+        if not query:
+            raise SchemaError(path, f"{where}.query", "must be non-empty")
+        context = typed_field(record, "context", str, path, where, optional=True)
+        return cls(query, context)
 
 
 @dataclass(frozen=True)
@@ -86,7 +97,7 @@ def _tool_entry(number: int, spec: ToolSpec) -> str:
     )
 
 
-def _input_lines(query_input: QueryInput) -> list[str]:
+def input_lines(query_input: QueryInput) -> list[str]:
     lines = [f"Query: {query_input.query}"]
     if query_input.context is not None:
         lines.append(f"Context: {query_input.context}")
@@ -103,12 +114,12 @@ def build_prompt(spec: PromptSpec) -> str:
     lines += ["", "### Examples:", ""]
     for number, example in enumerate(spec.examples, start=1):
         lines.append(f"Example {number}:")
-        lines += _input_lines(example.input)
+        lines += input_lines(example.input)
         lines.append("Plan:")
         lines.append(render_plan(example.target_plan))
         lines.append("")
     lines.append("### Input:")
-    lines += _input_lines(spec.input)
+    lines += input_lines(spec.input)
     return "\n".join(lines)
 
 

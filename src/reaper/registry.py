@@ -28,7 +28,8 @@ from typing import Iterable, Iterator
 
 import yaml
 
-from .errors import ReaperError, UnknownToolError
+from .boundary import typed_field
+from .errors import ReaperError, SchemaError, UnknownToolError
 from .plan import IDENT_RE, parse_plan
 
 NO_RETRIEVAL_TOOL = "no_retrieval"
@@ -42,15 +43,6 @@ CLASS_LABELS = (
     "no_retrieval",
     "extension",
 )
-
-
-class SchemaError(ReaperError):
-    """Registry config file does not match the schema."""
-
-    def __init__(self, path: str, field: str, message: str):
-        super().__init__(f"{path}: {field}: {message}")
-        self.path = path
-        self.field = field
 
 
 class AmbiguousVariantError(ReaperError):
@@ -203,19 +195,6 @@ def subset_with(
     return registry.subset(wanted | extras)
 
 
-def _field(mapping: dict, key: str, kind: type, path: str, where: str):
-    if key not in mapping:
-        raise SchemaError(path, f"{where}.{key}", "missing field")
-    value = mapping[key]
-    if kind is bool and not isinstance(value, bool):
-        raise SchemaError(path, f"{where}.{key}", "expected a boolean")
-    if kind is str and not isinstance(value, str):
-        raise SchemaError(path, f"{where}.{key}", "expected a string")
-    if kind is list and not isinstance(value, list):
-        raise SchemaError(path, f"{where}.{key}", "expected a list")
-    return value
-
-
 def _load_registry_data(data: object, path: str) -> ToolRegistry:
     if not isinstance(data, dict) or "tools" not in data:
         raise SchemaError(path, "tools", "document must be a mapping with 'tools'")
@@ -228,31 +207,31 @@ def _load_registry_data(data: object, path: str) -> ToolRegistry:
         if not isinstance(block, dict):
             raise SchemaError(path, where, "expected a mapping")
         params = []
-        for j, p in enumerate(_field(block, "params", list, path, where)):
+        for j, p in enumerate(typed_field(block, "params", list, path, where)):
             pwhere = f"{where}.params[{j}]"
             if not isinstance(p, dict):
                 raise SchemaError(path, pwhere, "expected a mapping")
             params.append(
                 ParamSpec(
-                    name=_field(p, "name", str, path, pwhere),
-                    required=_field(p, "required", bool, path, pwhere),
-                    description=_field(p, "description", str, path, pwhere),
+                    name=typed_field(p, "name", str, path, pwhere),
+                    required=typed_field(p, "required", bool, path, pwhere),
+                    description=typed_field(p, "description", str, path, pwhere),
                 )
             )
         try:
             spec = ToolSpec(
-                canonical_name=_field(block, "canonical_name", str, path, where),
+                canonical_name=typed_field(block, "canonical_name", str, path, where),
                 params=tuple(params),
-                description=_field(block, "description", str, path, where),
-                example_usage=_field(block, "example_usage", str, path, where),
-                class_label=_field(block, "class_label", str, path, where),
+                description=typed_field(block, "description", str, path, where),
+                example_usage=typed_field(block, "example_usage", str, path, where),
+                class_label=typed_field(block, "class_label", str, path, where),
             )
             pool = VariantPool(
                 name_variants=tuple(
-                    _field(block, "name_variants", list, path, where)
+                    typed_field(block, "name_variants", list, path, where)
                 ),
                 description_paraphrases=tuple(
-                    _field(block, "description_paraphrases", list, path, where)
+                    typed_field(block, "description_paraphrases", list, path, where)
                 ),
             )
         except (ValueError, ReaperError) as exc:

@@ -32,7 +32,7 @@ from reaper.forge import (
     forge_run,
     tevo_evolve,
 )
-from reaper.gateway import generate_plan, scripted_stub
+from reaper.gateway import ScriptedStub, generate_plan
 from reaper.plan import parse_plan, render_plan, tool_sequence
 from reaper.prompt import (
     DEFAULT_ROLE,
@@ -312,7 +312,7 @@ def test_c5_instruction_following_metric():
                     if i < violations
                     else clean_plan
                 )
-            stub = scripted_stub(table, default=clean_plan)
+            stub = ScriptedStub(table, default=clean_plan)
             predictions = []
             for query in queries:
                 spec = adversarial_omit(

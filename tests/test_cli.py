@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reaper
 from reaper.cli import main
 
 from .conftest import GALAXY_PLAN_TEXT
@@ -104,6 +109,9 @@ class TestForge:
         tasks.write_text("{not json\n")
         assert main(["forge", "--tasks", str(tasks),
                      "--out", str(tmp_path / "t.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tasks}: line 1: not valid JSON" in err
+        assert "Traceback" not in err
 
     def test_missing_record_field_is_usage_error(self, tmp_path, capsys):
         tasks = tmp_path / "tasks.jsonl"
@@ -165,6 +173,54 @@ class TestEval:
         out = tmp_path / "report.json"
         main(["eval", "--pred", str(pred), "--gold", str(gold), "--out", str(out)])
         assert json.loads(out.read_text())["tool_accuracy"] == 1.0
+
+
+MALFORMED_LINES = {
+    "task-not-an-object": ("tasks", "[1,2]"),
+    "task-context-not-a-string": (
+        "tasks",
+        json.dumps({"query": "q", "context": 5, "plan": "Step 1: no_retrieval()"}),
+    ),
+    "prediction-plan-not-a-string": ("pred", json.dumps({"plan": 5})),
+    "gold-plan-unparseable": (
+        "gold",
+        json.dumps({"query": "q", "context": None,
+                    "gold_plan": "Step 1 no_retrieval", "class": "no_retrieval"}),
+    ),
+    "generic-record-not-an-object": ("generic", "[1]"),
+}
+
+
+@pytest.mark.parametrize(
+    "target, bad_line", MALFORMED_LINES.values(), ids=MALFORMED_LINES.keys()
+)
+def test_malformed_jsonl_line_is_usage_error_naming_file_and_line(
+    tmp_path, capsys, target, bad_line
+):
+    tasks = tmp_path / "tasks.jsonl"
+    write_tasks(tasks, 2)
+    gold, pred = write_gold_and_pred(tmp_path)
+    generic = tmp_path / "generic.jsonl"
+    generic.write_text(json.dumps({"prompt": "p", "target": "t"}) + "\n")
+    bad = {"tasks": tasks, "gold": gold, "pred": pred, "generic": generic}[target]
+    lines = bad.read_text().splitlines() + [bad_line]
+    bad.write_text("\n".join(lines) + "\n")
+    if target in ("gold", "pred"):
+        argv = ["eval", "--pred", str(pred), "--gold", str(gold)]
+    else:
+        argv = ["forge", "--tasks", str(tasks), "--out", str(tmp_path / "t.jsonl"),
+                "--generic-pool", str(generic)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}: line {len(lines)}" in err
+    assert "Traceback" not in err
+
+
+def test_importing_the_cli_does_not_load_requests():
+    source_root = Path(reaper.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(source_root)}
+    code = "import sys, reaper.cli; sys.exit('requests' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestBench:

@@ -5,10 +5,10 @@ from reaper.gateway import (
     BackendError,
     InvalidFixtureError,
     RemoteBackend,
+    ScriptedStub,
     generate_plan,
-    scripted_stub,
 )
-from reaper.plan import ParseErrorKind, PlanParseError, render_plan
+from reaper.plan import ParseErrorKind, PlanParseError, parse_plan, render_plan
 from reaper.prompt import (
     DEFAULT_ROLE,
     DEFAULT_SYSTEM_INSTRUCTION,
@@ -32,7 +32,7 @@ def make_spec(registry, query):
 
 class TestScriptedStub:
     def test_substring_key_selects_fixture(self, registry):
-        stub = scripted_stub(
+        stub = ScriptedStub(
             {"my galaxy": GALAXY_PLAN_TEXT}, default="Step 1: no_retrieval()"
         )
         spec = make_spec(registry, "how much memory is on my Galaxy phone")
@@ -40,7 +40,7 @@ class TestScriptedStub:
         assert render_plan(plan) == GALAXY_PLAN_TEXT
 
     def test_unmatched_query_gets_default(self, registry):
-        stub = scripted_stub(
+        stub = ScriptedStub(
             {"my galaxy": GALAXY_PLAN_TEXT}, default="Step 1: no_retrieval()"
         )
         plan, _ = generate_plan(stub, make_spec(registry, "plain question"))
@@ -48,7 +48,7 @@ class TestScriptedStub:
 
     def test_key_in_tool_block_does_not_match(self, registry):
         # a key that only occurs outside the input section must not trigger
-        stub = scripted_stub(
+        stub = ScriptedStub(
             {"Candidate tools": 'Step 1: prod_search(keywords="x")'},
             default="Step 1: no_retrieval()",
         )
@@ -56,7 +56,7 @@ class TestScriptedStub:
         assert render_plan(plan) == "Step 1: no_retrieval()"
 
     def test_first_matching_key_wins(self, registry):
-        stub = scripted_stub(
+        stub = ScriptedStub(
             {
                 "galaxy": "Step 1: no_retrieval()",
                 "memory": GALAXY_PLAN_TEXT,
@@ -68,9 +68,9 @@ class TestScriptedStub:
 
     def test_unparseable_fixture_rejected_at_construction(self):
         with pytest.raises(InvalidFixtureError):
-            scripted_stub({"q": "this is not a plan"}, default="Step 1: a()")
+            ScriptedStub({"q": "this is not a plan"}, default="Step 1: a()")
         with pytest.raises(InvalidFixtureError):
-            scripted_stub({}, default="nor is this")
+            ScriptedStub({}, default="nor is this")
 
     def test_prose_output_is_syntax_parse_error(self, registry):
         class Prosaic:
@@ -82,13 +82,33 @@ class TestScriptedStub:
         assert excinfo.value.kind is ParseErrorKind.SYNTAX
         assert excinfo.value.latency_ms == 12.0
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "Step 1: no_retrieval()\n",
+            'Step 1: shipment_status(query="order")\r\nStep 2: no_retrieval()\r\n',
+        ],
+        ids=["trailing-newline", "crlf"],
+    )
+    def test_line_endings_and_surrounding_whitespace_normalized(
+        self, registry, text
+    ):
+        class Verbatim:
+            def complete(self, prompt):
+                return text, 1.0
+
+        plan, _ = generate_plan(Verbatim(), make_spec(registry, "hi"))
+        assert render_plan(plan) == text.replace("\r\n", "\n").strip()
+        with pytest.raises(PlanParseError):
+            parse_plan(text)  # the parser itself stays strict
+
     def test_deterministic(self, registry):
-        stub = scripted_stub({"a": GALAXY_PLAN_TEXT}, "Step 1: no_retrieval()", 5.0)
+        stub = ScriptedStub({"a": GALAXY_PLAN_TEXT}, "Step 1: no_retrieval()", 5.0)
         spec = make_spec(registry, "a question")
         assert generate_plan(stub, spec) == generate_plan(stub, spec)
 
     def test_configured_latency_reported(self, registry):
-        stub = scripted_stub({}, "Step 1: no_retrieval()", latency_ms=207.0)
+        stub = ScriptedStub({}, "Step 1: no_retrieval()", latency_ms=207.0)
         _, latency = generate_plan(stub, make_spec(registry, "hi"))
         assert latency == 207.0
 
