@@ -31,7 +31,7 @@ from .evaluation import evaluate, latency_bench, load_gold, load_predictions
 from .executor import Retriever
 from .forge import DqsConfig, ForgeConfig, PrimaryTask, forge_run
 from .gateway import BACKEND_URL_ENV, RemoteBackend, ScriptedStub, generate_plan
-from .plan import PlanParseError, parse_plan, render_plan, validate_plan
+from .plan import Plan, PlanParseError, parse_plan, render_plan, validate_plan
 from .prompt import (
     DEFAULT_EXAMPLE_COUNT,
     DEFAULT_ROLE,
@@ -87,23 +87,33 @@ def load_tasks(path: str | Path) -> list[PrimaryTask]:
     ]
 
 
-def cmd_validate(args: argparse.Namespace) -> int:
-    _check_paths([args.plans, args.registry], [])
-    registry = _load_registry(args.registry)
-    blocks = read_plan_blocks(args.plans)
-    clean = True
+def _check_plan_file(
+    path: str | Path, registry: ToolRegistry
+) -> tuple[list[tuple[int, Plan]], int]:
+    """Parse and registry-check every block of a plan file, printing
+    ``plan N: parse error: ...`` or each violation of a bad block. Returns
+    the numbered plans that are clean and the number of blocks."""
+    blocks = read_plan_blocks(path)
+    clean: list[tuple[int, Plan]] = []
     for number, block in enumerate(blocks, start=1):
         try:
             plan = parse_plan(block)
         except PlanParseError as exc:
             print(f"plan {number}: parse error: {exc}")
-            clean = False
             continue
         violations = validate_plan(plan, registry)
         for violation in violations:
             print(f"plan {number}: {violation.kind}: {violation.message}")
-        clean = clean and not violations
-    print(f"checked {len(blocks)} plan(s): {'clean' if clean else 'violations found'}")
+        if not violations:
+            clean.append((number, plan))
+    return clean, len(blocks)
+
+
+def cmd_validate(args: argparse.Namespace) -> int:
+    _check_paths([args.plans, args.registry], [])
+    plans, count = _check_plan_file(args.plans, _load_registry(args.registry))
+    clean = len(plans) == count
+    print(f"checked {count} plan(s): {'clean' if clean else 'violations found'}")
     return 0 if clean else 1
 
 
@@ -173,17 +183,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     _check_paths([args.plans, args.registry], [])
     registry = _load_registry(args.registry)
     retriever: Retriever = _BenchRetriever(args.tool_latency)
+    plans, count = _check_plan_file(args.plans, registry)
+    if len(plans) != count:
+        return 1
     rows = []
-    for number, block in enumerate(read_plan_blocks(args.plans), start=1):
-        plan = parse_plan(block)
-        violations = validate_plan(plan, registry)
-        if violations:
-            for violation in violations:
-                print(f"plan {number}: {violation.kind}: {violation.message}")
-            return 1
-        stats = latency_bench(
-            plan, args.llm_single, args.llm_step, retriever, registry
-        )
+    for number, plan in plans:
+        stats = latency_bench(plan, args.llm_single, args.llm_step, retriever, registry)
         rows.append((number, len(plan), stats))
     print(f"{'plan':>4}  {'steps':>5}  {'single_shot_ms':>14}  "
           f"{'interleaved_ms':>14}  {'speedup':>8}")

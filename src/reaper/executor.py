@@ -14,7 +14,8 @@ the HTTP adapter reports measured wall-clock latencies instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import json
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol
@@ -68,14 +69,14 @@ class ExecutionTrace:
         return self.steps[index - 1]
 
 
+def _dependencies(step: PlanStep) -> tuple[int, ...]:
+    """Indices of the steps ``step`` references, ascending, each once."""
+    return tuple(sorted({v.step for _, v in step.args if isinstance(v, StepRef)}))
+
+
 def dependency_graph(plan: Plan) -> list[tuple[int, int]]:
     """Edges (k, i) for every step i that references step k."""
-    edges = set()
-    for step in plan.steps:
-        for _, value in step.args:
-            if isinstance(value, StepRef):
-                edges.add((value.step, step.index))
-    return sorted(edges)
+    return sorted((k, step.index) for step in plan.steps for k in _dependencies(step))
 
 
 class _ResolutionError(ReaperError):
@@ -104,7 +105,11 @@ def _resolve_args(
             text = value.text
         elif isinstance(value, StepRef):
             found = _lookup(outputs[value.step], value.field or "text", value.step)
-            text = found if isinstance(found, str) else str(found)
+            text = (
+                found
+                if isinstance(found, str)
+                else json.dumps(found, ensure_ascii=False)
+            )
         elif isinstance(value, ContextRef):
             if context is None or value.field not in context:
                 raise _ResolutionError(
@@ -117,144 +122,77 @@ def _resolve_args(
     return tuple(resolved)
 
 
-@dataclass
-class _Outcome:
-    tool: str
-    status: StepStatus
-    resolved_args: tuple[tuple[str, str], ...] = ()
-    output: Mapping[str, object] | None = None
-    latency_ms: float = 0.0
-    error: str | None = None
-    started_ms: float | None = None
-    finished_ms: float | None = None
-
-
 def execute_plan(
     plan: Plan,
     registry: ToolRegistry,
     retriever: Retriever | None = None,
     timeout_ms: float | None = None,
     context: Mapping[str, str] | None = None,
-    max_workers: int | None = None,
 ) -> ExecutionTrace:
     """Run a validated plan; returns a complete trace, never raises for
-    per-step failures."""
-    deps: dict[int, tuple[int, ...]] = {}
-    canonical: dict[int, str] = {}
-    for step in plan.steps:
-        canonical[step.index] = registry.canonical_of(step.tool_name)
-        deps[step.index] = tuple(
-            sorted(
-                {v.step for _, v in step.args if isinstance(v, StepRef)}
-            )
-        )
+    per-step failures.
 
-    outcomes: dict[int, _Outcome] = {}
+    Every tool name is resolved before any step runs, so an unknown tool
+    raises :class:`~reaper.errors.UnknownToolError` with no retriever call.
+    A step starts the moment its last dependency finishes. ``timeout_ms`` is
+    checked after the retriever returns: a slower call fails its step with
+    ``latency_ms = timeout_ms``, but nothing stops waiting for it, so it is
+    not a wall-clock deadline. ``total_ms`` equals ``critical_path_ms``, the
+    makespan on the simulated clock, for now.
+    """
+    tools = [registry.canonical_of(step.tool_name) for step in plan.steps]
 
-    def invoke(step: PlanStep, args: tuple[tuple[str, str], ...]) -> _Outcome:
-        tool = canonical[step.index]
+    def call(
+        tool: str, args: tuple[tuple[str, str], ...]
+    ) -> tuple[Mapping[str, object] | None, float, str | None]:
+        """(output, latency_ms, error) of one retrieval."""
         if tool == NO_RETRIEVAL_TOOL:
-            return _Outcome(tool, StepStatus.OK, args, {}, 0.0)
+            return {}, 0.0, None
         if retriever is None:
-            return _Outcome(
-                tool,
-                StepStatus.FAILED,
-                args,
-                error="RetrieverError: no retriever configured",
-            )
+            return None, 0.0, "RetrieverError: no retriever configured"
         try:
             output, latency = retriever.invoke(tool, dict(args))
         except Exception as exc:
-            return _Outcome(
-                tool,
-                StepStatus.FAILED,
-                args,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return None, 0.0, f"{type(exc).__name__}: {exc}"
         if timeout_ms is not None and latency > timeout_ms:
-            return _Outcome(
-                tool,
-                StepStatus.FAILED,
-                args,
-                latency_ms=float(timeout_ms),
-                error=f"Timeout: exceeded {timeout_ms} ms "
-                f"(retriever took {latency} ms)",
+            error = f"Timeout: exceeded {timeout_ms} ms (retriever took {latency} ms)"
+            return None, float(timeout_ms), error
+        return output, float(latency), None
+
+    def run(
+        step: PlanStep, tool: str, dependencies: list[Future[StepResult]]
+    ) -> StepResult:
+        done = [dependency.result() for dependency in dependencies]
+        blocked = [d.index for d in done if d.status is not StepStatus.OK]
+        if blocked:
+            reason = f"skipped: depends on step(s) {', '.join(map(str, blocked))}"
+            return StepResult(
+                step.index, tool, (), None, 0.0, StepStatus.SKIPPED, reason
             )
-        return _Outcome(tool, StepStatus.OK, args, output, float(latency))
-
-    remaining = list(plan.steps)
-    workers = max_workers or max(1, len(plan.steps))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while remaining:
-            batch = [s for s in remaining if all(d in outcomes for d in deps[s.index])]
-            to_run: list[tuple[PlanStep, tuple[tuple[str, str], ...]]] = []
-            for step in batch:
-                blocked = [
-                    d for d in deps[step.index]
-                    if outcomes[d].status is not StepStatus.OK
-                ]
-                if blocked:
-                    outcomes[step.index] = _Outcome(
-                        canonical[step.index],
-                        StepStatus.SKIPPED,
-                        error=f"skipped: depends on step(s) "
-                        f"{', '.join(map(str, blocked))}",
-                    )
-                    continue
-                try:
-                    args = _resolve_args(
-                        step,
-                        {
-                            d: outcomes[d].output
-                            for d in deps[step.index]
-                            if outcomes[d].output is not None
-                        },
-                        context,
-                    )
-                except _ResolutionError as exc:
-                    outcomes[step.index] = _Outcome(
-                        canonical[step.index],
-                        StepStatus.FAILED,
-                        error=f"ResolutionError: {exc}",
-                    )
-                    continue
-                to_run.append((step, args))
-            futures = {
-                pool.submit(invoke, step, args): step for step, args in to_run
-            }
-            for future, step in futures.items():
-                outcomes[step.index] = future.result()
-            remaining = [s for s in remaining if s.index not in outcomes]
-
-    # Simulated clock: a step starts when its last dependency finishes.
-    for step in plan.steps:
-        outcome = outcomes[step.index]
-        if outcome.status is StepStatus.SKIPPED:
-            continue
-        start = max(
-            (outcomes[d].finished_ms or 0.0 for d in deps[step.index]),
-            default=0.0,
+        args: tuple[tuple[str, str], ...] = ()
+        try:
+            args = _resolve_args(step, {d.index: d.output for d in done}, context)
+        except _ResolutionError as exc:
+            output, latency, error = None, 0.0, f"ResolutionError: {exc}"
+        else:
+            output, latency, error = call(tool, args)
+        started = max((d.finished_ms for d in done), default=0.0)
+        status = StepStatus.OK if error is None else StepStatus.FAILED
+        return StepResult(
+            step.index, tool, args, output, latency, status, error,
+            started, started + latency,
         )
-        outcome.started_ms = start
-        outcome.finished_ms = start + outcome.latency_ms
 
+    futures: list[Future[StepResult]] = []
+    # Cannot deadlock: a step references only earlier steps, whose tasks the
+    # FIFO pool received first, and there is one worker per step.
+    with ThreadPoolExecutor(max_workers=len(plan.steps)) as pool:
+        for step, tool in zip(plan.steps, tools):
+            dependencies = [futures[k - 1] for k in _dependencies(step)]
+            futures.append(pool.submit(run, step, tool, dependencies))
+    results = tuple(future.result() for future in futures)
     makespan = max(
-        (o.finished_ms for o in outcomes.values() if o.finished_ms is not None),
-        default=0.0,
-    )
-    results = tuple(
-        StepResult(
-            index=step.index,
-            tool=outcomes[step.index].tool,
-            resolved_args=outcomes[step.index].resolved_args,
-            output=outcomes[step.index].output,
-            latency_ms=outcomes[step.index].latency_ms,
-            status=outcomes[step.index].status,
-            error=outcomes[step.index].error,
-            started_ms=outcomes[step.index].started_ms,
-            finished_ms=outcomes[step.index].finished_ms,
-        )
-        for step in plan.steps
+        (r.finished_ms for r in results if r.finished_ms is not None), default=0.0
     )
     return ExecutionTrace(results, total_ms=makespan, critical_path_ms=makespan)
 

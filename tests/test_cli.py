@@ -247,6 +247,12 @@ class TestBench:
         plans.write_text("Step 1: compare()\n")
         assert main(["bench", str(plans)]) == 1
 
+    def test_unparseable_block_is_named(self, tmp_path, capsys):
+        plans = tmp_path / "plan.txt"
+        plans.write_text(CHAIN_PLAN + "\n\nStep 1 broken\n")
+        assert main(["bench", str(plans)]) == 1
+        assert "plan 2: parse error" in capsys.readouterr().out
+
 
 class TestPlan:
     def test_stub_backend_matches_pool_query(self, capsys):

@@ -1,7 +1,9 @@
 import random
+import time
 
 import pytest
 
+from reaper.errors import UnknownToolError
 from reaper.executor import (
     CannedCall,
     HttpRetriever,
@@ -180,6 +182,42 @@ class TestExecutePlan:
         assert trace.step(2).resolved_args == ()
         assert trace.step(2).output is None
 
+    def test_non_string_fields_are_passed_as_json(self, registry):
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            "Step 2: prod_qna(product_id=$1.spec, query=$1.in_stock)\n"
+            "Step 3: review_summary(product_id=$1.sizes)"
+        )
+        output = {"text": "ok", "spec": {"b": "c"}, "in_stock": True, "sizes": [1, "é"]}
+        retriever = mock_retriever(
+            {
+                "prod_search": CannedCall(output, 1.0),
+                "prod_qna": CannedCall({"text": "x"}, 1.0),
+                "review_summary": CannedCall({"text": "y"}, 1.0),
+            }
+        )
+        trace = execute_plan(plan, registry, retriever)
+        assert trace.step(2).resolved_args == (
+            ("product_id", '{"b": "c"}'),
+            ("query", "true"),
+        )
+        assert trace.step(3).resolved_args == (("product_id", '[1, "é"]'),)
+
+    def test_unknown_tool_raises_before_any_retriever_call(self, registry):
+        calls = []
+
+        class Spy:
+            def invoke(self, tool, args):
+                calls.append(tool)
+                return {"text": "ok"}, 1.0
+
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\nStep 2: compare(query="a vs b")'
+        )
+        with pytest.raises(UnknownToolError):
+            execute_plan(plan, registry, Spy())
+        assert calls == []
+
 
 class TestTimingInvariants:
     def test_random_plans_respect_dependencies(self):
@@ -231,6 +269,28 @@ def test_independent_steps_dispatch_concurrently(registry):
     assert all(s.status is StepStatus.OK for s in trace.steps)
     # two 150 ms calls overlapping: well under the 300 ms sequential cost
     assert elapsed < 0.28, f"independent steps ran sequentially ({elapsed:.3f}s)"
+
+
+def test_ready_step_starts_when_its_last_dependency_finishes(registry):
+    plan = parse_plan(
+        'Step 1: prod_search(keywords="mug")\n'
+        'Step 2: customer_support(query="returns")\n'
+        'Step 3: prod_qna(product_id=$1, query="size")'
+    )
+    latency_ms = {"prod_search": 20.0, "customer_support": 200.0, "prod_qna": 150.0}
+
+    class SleepingRetriever:
+        def invoke(self, tool, args):
+            time.sleep(latency_ms[tool] / 1000.0)
+            return {"text": tool}, latency_ms[tool]
+
+    started = time.perf_counter()
+    trace = execute_plan(plan, registry, SleepingRetriever())
+    elapsed = time.perf_counter() - started
+    assert all(s.status is StepStatus.OK for s in trace.steps)
+    assert trace.critical_path_ms == 200.0
+    # step 3 runs alongside step 2 (20 + 150 < 200), not after it (350 ms)
+    assert elapsed < 0.30, f"step 3 waited for step 2 ({elapsed:.3f}s)"
 
 
 class TestHttpRetriever:
