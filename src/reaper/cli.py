@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .boundary import plan_field, read_jsonl
-from .embedding import HashingEmbedder
+from .embedding import HashingEmbedder, VectorError
 from .errors import ReaperError, SchemaError
 from .evaluation import evaluate, latency_bench, load_gold, load_predictions
 from .executor import Retriever
@@ -132,9 +132,16 @@ def cmd_forge(args: argparse.Namespace) -> int:
         generic_pool_path=args.generic_pool,
     )
     dqs_cfg = DqsConfig(extreme_pairs=args.extreme_pairs, seed=args.seed)
-    manifest = forge_run(
-        tasks, registry, cfg, dqs_cfg, HashingEmbedder(), args.out
-    )
+    try:
+        manifest = forge_run(
+            tasks, registry, cfg, dqs_cfg, HashingEmbedder(), args.out
+        )
+    except VectorError as exc:
+        # the task pool is its own DQS reference, so the text is a task's query
+        for where, record in read_jsonl(Path(args.tasks)):
+            if record["query"] == exc.text:
+                raise SchemaError(args.tasks, f"{where}.query", str(exc)) from exc
+        raise
     payload = json.dumps(manifest.to_dict(), indent=2)
     print(payload)
     if args.manifest:

@@ -5,8 +5,15 @@ enough for exercising the sampling machinery without any model weights, and
 a remote adapter speaking a one-endpoint JSON protocol so a real encoder can
 be swapped in (``POST /embed {"texts": [...]} -> {"vectors": [...], "dim": n}``).
 
-The similarity matrix is computed entry-by-entry with :func:`cosine` so that
-an independent double loop over the same provider reproduces it bit-exactly.
+:func:`cosine` and :func:`similarity_matrix` share one contract: the dot
+product over the product of the norms, clamped to [-1, 1], exactly 1.0 for
+equal vectors, and an error naming the text for a zero or non-finite vector.
+The matrix embeds each distinct text once and computes a block of rows per
+``np.vecdot`` call, which runs the same ``ddot`` per pair as ``np.dot``, with
+norms that equal ``np.linalg.norm``'s. So a double loop of :func:`cosine`
+over the same provider reproduces the matrix bit for bit. A BLAS matrix
+product (``V @ V.T``), ``einsum`` or ``np.linalg.norm(axis=1)`` would differ
+in the last bits and is not used.
 """
 
 from __future__ import annotations
@@ -30,7 +37,20 @@ class DimensionMismatchError(ReaperError):
     pass
 
 
-class ZeroVectorError(ReaperError):
+class VectorError(ReaperError):
+    """An embedding for which cosine similarity is undefined; ``text`` is
+    the embedded text when it is known."""
+
+    def __init__(self, message: str, text: str | None = None):
+        super().__init__(message if text is None else f"{message}: {text!r}")
+        self.text = text
+
+
+class ZeroVectorError(VectorError):
+    pass
+
+
+class NonFiniteVectorError(VectorError):
     pass
 
 
@@ -91,24 +111,81 @@ class RemoteEmbedder:
             raise ProviderError(
                 f"expected {len(texts)} vectors, got {len(vectors)}"
             )
+        for text, vector in zip(texts, vectors):
+            if not np.isfinite(np.linalg.norm(vector)):
+                raise ProviderError(
+                    f"embedding of {text!r} has a non-finite component or norm"
+                )
         return vectors
+
+
+def _norms(vectors: np.ndarray, texts: Sequence[str | None]) -> np.ndarray:
+    """The norm of each row: ``sqrt`` of the same ``ddot`` that
+    ``np.linalg.norm`` runs, so bit for bit its value. A zero or non-finite
+    norm raises, naming the row's text."""
+    with np.errstate(over="ignore"):  # an overflowed norm is reported below
+        norms = np.sqrt(np.vecdot(vectors, vectors))
+    bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
+    if bad.size:
+        k = bad[0]
+        if norms[k] == 0.0:
+            raise ZeroVectorError(
+                "cosine similarity is undefined for a zero vector", texts[k]
+            )
+        raise NonFiniteVectorError(
+            "cosine similarity is undefined for a vector with a non-finite norm",
+            texts[k],
+        )
+    return norms
+
+
+def _cosine_rule(dots, row_norms, col_norms, equal):
+    """The cosine contract on one pair or a block of pairs: the dot product
+    over the product of the norms, clamped to [-1, 1] against rounding, and
+    exactly 1.0 where the two vectors are equal."""
+    values = np.clip(dots / np.multiply.outer(row_norms, col_norms), -1.0, 1.0)
+    return np.where(equal, 1.0, values)
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, clamped to [-1, 1] against rounding; exactly 1.0
-    for equal nonzero vectors."""
+    for equal nonzero vectors. A zero vector or a non-finite norm raises."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DimensionMismatchError(f"dimensions differ: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        raise ZeroVectorError("cosine similarity is undefined for a zero vector")
-    if np.array_equal(a, b):
-        return 1.0
-    value = float(np.dot(a, b)) / (norm_a * norm_b)
-    return min(1.0, max(-1.0, value))
+    pair = np.stack([a.ravel(), b.ravel()])
+    norm_a, norm_b = _norms(pair, (None, None))
+    return float(
+        _cosine_rule(np.dot(pair[0], pair[1]), norm_a, norm_b, np.array_equal(a, b))
+    )
+
+
+_ROW_BLOCK = 16  # matrix rows per vecdot call; bounds its temporaries
+
+
+def _embed_rows(provider: EmbeddingProvider, texts: list[str]) -> np.ndarray:
+    """One row per text, from one ``provider.embed`` call each; every vector
+    must have the first one's shape."""
+    vectors = np.empty(0)
+    for k, text in enumerate(texts):
+        vector = np.asarray(provider.embed(text), dtype=np.float64)
+        if k == 0:
+            vectors = np.empty((len(texts), vector.size))
+        if vector.shape != vectors.shape[1:]:
+            raise DimensionMismatchError(
+                f"embedding of {text!r} has shape {vector.shape}, "
+                f"expected {vectors.shape[1:]}"
+            )
+        vectors[k] = vector
+    return vectors
+
+
+def _equal_groups(vectors: np.ndarray) -> np.ndarray:
+    """A group id per row; two rows share one exactly when ``np.array_equal``
+    holds for them. Adding 0.0 folds -0.0 into 0.0 in the keys."""
+    ids: dict[bytes, int] = {}
+    return np.array([ids.setdefault((v + 0.0).tobytes(), len(ids)) for v in vectors])
 
 
 @dataclass(frozen=True)
@@ -132,19 +209,36 @@ def similarity_matrix(
     q_initial: Sequence[str],
     q_large: Sequence[str],
 ) -> SimilarityMatrix:
-    """S[i, j] = cosine(embed(q_initial[i]), embed(q_large[j])), with per-run
-    memoization of embeddings."""
+    """S[i, j] = cosine(embed(q_initial[i]), embed(q_large[j])), bit for bit.
+
+    ``provider.embed`` is called once per distinct text, and each norm is
+    computed once. Each block of rows is one ``vecdot`` over broadcast views,
+    which runs the same ``ddot`` per pair as ``np.dot``, so the matrix equals
+    a double loop of :func:`cosine` bit for bit. A zero or non-finite
+    embedding raises, naming its text.
+    """
     if not q_initial or not q_large:
         raise ValueError("both query lists must be non-empty")
-    cache: dict[str, np.ndarray] = {}
+    # one slot per distinct text; q_large's come first, so the matrix's
+    # distinct columns are a leading slice of the embeddings
+    slots: dict[str, int] = {}
+    for text in q_large:
+        slots.setdefault(text, len(slots))
+    width = len(slots)
+    for text in q_initial:
+        slots.setdefault(text, len(slots))
+    texts = list(slots)
+    vectors = _embed_rows(provider, texts)
+    norms = _norms(vectors, texts)
+    group = _equal_groups(vectors)
 
-    def vector(text: str) -> np.ndarray:
-        if text not in cache:
-            cache[text] = provider.embed(text)
-        return cache[text]
-
+    rows = np.array([slots[text] for text in q_initial])
+    cols = None if width == len(q_large) else np.array([slots[text] for text in q_large])
     values = np.empty((len(q_initial), len(q_large)), dtype=np.float64)
-    for i, left in enumerate(q_initial):
-        for j, right in enumerate(q_large):
-            values[i, j] = cosine(vector(left), vector(right))
+    for start in range(0, len(rows), _ROW_BLOCK):
+        block = rows[start : start + _ROW_BLOCK]
+        dots = np.vecdot(vectors[block, None, :], vectors[None, :width, :])
+        equal = group[block, None] == group[None, :width]
+        sims = _cosine_rule(dots, norms[block], norms[:width], equal)
+        values[start : start + len(block)] = sims if cols is None else sims[:, cols]
     return SimilarityMatrix(values)

@@ -15,6 +15,8 @@ the HTTP adapter reports measured wall-clock latencies instead.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -134,11 +136,12 @@ def execute_plan(
 
     Every tool name is resolved before any step runs, so an unknown tool
     raises :class:`~reaper.errors.UnknownToolError` with no retriever call.
-    A step starts the moment its last dependency finishes. ``timeout_ms`` is
-    checked after the retriever returns: a slower call fails its step with
-    ``latency_ms = timeout_ms``, but nothing stops waiting for it, so it is
-    not a wall-clock deadline. ``total_ms`` equals ``critical_path_ms``, the
-    makespan on the simulated clock, for now.
+    A step starts the moment its last dependency finishes. A retriever
+    latency that is not a finite, non-negative number fails its step.
+    ``timeout_ms`` is checked after the retriever returns: a slower call
+    fails its step with ``latency_ms = timeout_ms``, but nothing stops
+    waiting for it, so it is not a wall-clock deadline. ``total_ms`` equals
+    ``critical_path_ms``, the makespan on the simulated clock, for now.
     """
     tools = [registry.canonical_of(step.tool_name) for step in plan.steps]
 
@@ -154,6 +157,10 @@ def execute_plan(
             output, latency = retriever.invoke(tool, dict(args))
         except Exception as exc:
             return None, 0.0, f"{type(exc).__name__}: {exc}"
+        if not (
+            isinstance(latency, numbers.Real) and math.isfinite(latency) and latency >= 0
+        ):
+            return None, 0.0, f"RetrieverError: invalid latency {latency!r}"
         if timeout_ms is not None and latency > timeout_ms:
             error = f"Timeout: exceeded {timeout_ms} ms (retriever took {latency} ms)"
             return None, float(timeout_ms), error

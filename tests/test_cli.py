@@ -120,6 +120,18 @@ class TestForge:
                      "--out", str(tmp_path / "t.jsonl")]) == 2
         assert "missing field" in capsys.readouterr().err
 
+    def test_zero_vector_query_names_its_line(self, tmp_path, capsys):
+        tasks = tmp_path / "tasks.jsonl"
+        rows = [{"query": q, "context": None, "plan": "Step 1: no_retrieval()"}
+                for q in ("red shoes", "???")]
+        tasks.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["forge", "--tasks", str(tasks),
+                     "--out", str(tmp_path / "t.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tasks}: line 2.query: " in err
+        assert "zero vector: '???'" in err
+        assert "Traceback" not in err
+
     def test_missing_output_directory_fails_fast(self, tmp_path, capsys):
         tasks = tmp_path / "tasks.jsonl"
         write_tasks(tasks, 2)

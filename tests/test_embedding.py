@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from reaper.embedding import (
     DimensionMismatchError,
     HashingEmbedder,
+    NonFiniteVectorError,
     ProviderError,
     RemoteEmbedder,
     ZeroVectorError,
@@ -21,6 +22,18 @@ from .httpserve import json_server
 @pytest.fixture(scope="module")
 def provider():
     return HashingEmbedder()
+
+
+class StubProvider:
+    """Serves fixed vectors and records every ``embed`` call."""
+
+    def __init__(self, vectors):
+        self.vectors = vectors
+        self.calls = []
+
+    def embed(self, text):
+        self.calls.append(text)
+        return np.array(self.vectors[text], dtype=np.float64)
 
 
 class TestHashingEmbedder:
@@ -125,6 +138,52 @@ class TestSimilarityMatrix:
                 expected = cosine(provider.embed(left), provider.embed(right))
                 assert matrix.values[i, j] == expected
 
+    def test_distinct_texts_with_equal_vectors_are_exactly_one(self, provider):
+        matrix = similarity_matrix(provider, ["Red shoes"], ["red shoes!", "blue hat"])
+        assert matrix.values[0, 0] == 1.0
+
+    def test_negative_zero_components_count_as_equal(self):
+        # without the equal-vector rule this pair gives 0.9999999999999998
+        stub = StubProvider({"a": [1.0, -0.0, 3.0], "b": [1.0, 0.0, 3.0]})
+        matrix = similarity_matrix(stub, ["a"], ["b"])
+        assert matrix.values[0, 0] == 1.0 == cosine(stub.embed("a"), stub.embed("b"))
+
+    def test_mixed_dimensions_rejected(self):
+        stub = StubProvider({"a": [1.0, 0.0], "b": [1.0, 0.0, 0.0]})
+        with pytest.raises(DimensionMismatchError, match="'b'"):
+            similarity_matrix(stub, ["a"], ["a", "b"])
+
+    def test_embeds_each_distinct_text_once(self):
+        stub = StubProvider({t: [1.0, float(len(t))] for t in ("a", "bb", "ccc")})
+        similarity_matrix(stub, ["a", "bb", "a"], ["bb", "ccc", "ccc", "a"])
+        assert sorted(stub.calls) == ["a", "bb", "ccc"]
+
+    def test_duplicate_columns_and_rows_match_cosine(self, provider):
+        texts = [f"query {i % 23} about item {i % 7}" for i in range(50)]
+        q_initial, q_large = texts + texts[:9], texts[5:] + texts[:3]
+        matrix = similarity_matrix(provider, q_initial, q_large)
+        for i, left in enumerate(q_initial):
+            for j, right in enumerate(q_large):
+                expected = cosine(provider.embed(left), provider.embed(right))
+                assert matrix.values[i, j] == expected
+
+    @pytest.mark.parametrize(
+        "vector, error",
+        [
+            ([0.0, 0.0], ZeroVectorError),
+            ([float("nan"), 1.0], NonFiniteVectorError),
+            ([float("inf"), 1.0], NonFiniteVectorError),
+            ([1e200, 1e200], NonFiniteVectorError),
+        ],
+    )
+    def test_degenerate_vector_names_its_text(self, vector, error):
+        stub = StubProvider({"fine": [1.0, 2.0], "bad one": vector})
+        with pytest.raises(error, match="'bad one'") as caught:
+            similarity_matrix(stub, ["fine"], ["fine", "bad one"])
+        assert caught.value.text == "bad one"
+        with pytest.raises(error):
+            cosine(np.array([1.0, 2.0]), np.array(vector))
+
     def test_empty_inputs_rejected(self, provider):
         with pytest.raises(ValueError):
             similarity_matrix(provider, [], ["a"])
@@ -153,6 +212,14 @@ class TestRemoteEmbedder:
     def test_non_200_is_provider_error(self):
         with json_server(lambda path, body: (503, {"error": "down"})) as url:
             with pytest.raises(ProviderError):
+                RemoteEmbedder(url).embed("red shoes")
+
+    def test_non_finite_vector_is_provider_error(self):
+        def handler(path, body):
+            return 200, {"vectors": [[float("nan"), 1.0]], "dim": 2}
+
+        with json_server(handler) as url:
+            with pytest.raises(ProviderError, match="'red shoes'"):
                 RemoteEmbedder(url).embed("red shoes")
 
     def test_malformed_body_is_provider_error(self):

@@ -219,6 +219,22 @@ class TestExecutePlan:
         assert calls == []
 
 
+    @pytest.mark.parametrize("timeout_ms", [None, 50])
+    @pytest.mark.parametrize("latency", [None, "5", float("nan"), float("inf"), -1.0])
+    def test_invalid_latency_fails_step_and_skips_dependents(
+        self, registry, galaxy_plan, latency, timeout_ms
+    ):
+        class BadLatency:
+            def invoke(self, tool, args):
+                return {"text": "x", "product_id": "B0GALAXY"}, latency
+
+        trace = execute_plan(galaxy_plan, registry, BadLatency(), timeout_ms=timeout_ms)
+        assert trace.step(1).status is StepStatus.FAILED
+        assert trace.step(1).error == f"RetrieverError: invalid latency {latency!r}"
+        assert trace.step(1).latency_ms == 0.0
+        assert trace.step(2).status is StepStatus.SKIPPED
+
+
 class TestTimingInvariants:
     def test_random_plans_respect_dependencies(self):
         rng = random.Random(1234)

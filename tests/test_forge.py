@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from reaper.embedding import HashingEmbedder
+from reaper.embedding import HashingEmbedder, cosine
 from reaper.forge import (
     DqsConfig,
     ForgeConfig,
@@ -269,6 +269,23 @@ class TestDqs:
     def test_infeasible_sampling_rejected(self, provider):
         with pytest.raises(ValueError):
             dqs_sample(["a", "b"], ["c", "d", "e"], provider, DqsConfig(1, seed=0))
+
+    def test_partition_over_row_blocks_matches_brute_force(self, provider):
+        # more reference queries than one row block of the similarity kernel
+        q_initial = [f"seed question {i} about {chr(97 + i % 26)}" for i in range(40)]
+        q_large = [f"candidate {j} on {chr(97 + j % 19)} item" for j in range(60)]
+        q_large[7], q_large[31] = q_initial[3], q_initial[38]
+        scores = [
+            max(cosine(provider.embed(left), provider.embed(right)) for left in q_initial)
+            for right in q_large
+        ]
+        columns = range(len(q_large))
+        extreme = set(sorted(columns, key=lambda j: (-scores[j], j))[:4])
+        extreme |= set(sorted(columns, key=lambda j: (scores[j], j))[:4])
+        assert dqs_partition(q_initial, q_large, provider, 4) == (
+            sorted(extreme),
+            [j for j in columns if j not in extreme],
+        )
 
     def test_deterministic(self, provider):
         q_initial = [f"seed question {i}" for i in range(4)]
