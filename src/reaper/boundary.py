@@ -1,7 +1,8 @@
-"""The two places where data enters the toolkit: JSON posted to a remote
-service (``post_json``) and JSONL files (``read_jsonl``). Malformed input
-raises a typed error: the caller's error class for a service,
-:class:`SchemaError` with the file and line for a file.
+"""The places where data enters the toolkit: JSON posted to a remote
+service (``post_json``), JSONL files (``read_jsonl``) and YAML documents
+(``read_yaml``). Malformed input raises a typed error: the caller's error
+class for a service, :class:`SchemaError` with the file (and the line, for
+JSONL) for a file.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ import json
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
+
+import yaml
 
 from .errors import ReaperError, SchemaError
 from .plan import Plan, PlanParseError, parse_plan
@@ -55,6 +58,20 @@ def read_jsonl(source: Path | Traversable) -> Iterator[tuple[str, dict]]:
         if not isinstance(record, dict):
             raise SchemaError(str(source), where, "expected a JSON object")
         yield where, record
+
+
+# libyaml's parser where PyYAML was built with it, else the pure-Python one;
+# both load a document to equal data, and libyaml is several times faster.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def read_yaml(text: str, path: str) -> object:
+    """The YAML document ``text`` read from ``path``, with safe tags only;
+    text that is not YAML raises."""
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
+    except yaml.YAMLError as exc:
+        raise SchemaError(path, "-", f"not valid YAML: {exc}") from exc
 
 
 def typed_field(

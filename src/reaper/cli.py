@@ -11,7 +11,10 @@ line). Only ``forge`` takes ``--seed`` (default 1729); equal seeds give it
 byte-identical output, and the other subcommands need no seed.
 
 Plan files hold one plan per block, blocks separated by blank lines. Task
-files for ``forge`` are JSONL with {"query", "context", "plan"}; gold and
+files for ``forge`` are JSONL with {"query", "context", "plan"}. ``forge``
+uses its task pool as its own diverse-sampling reference, so it drops no
+extreme pairs: a pool cannot outnumber itself once extremes are removed
+(``DqsConfig.extreme_pairs`` applies with a curated reference). Gold and
 prediction files for ``eval`` follow the formats documented in
 :mod:`reaper.evaluation`.
 """
@@ -131,7 +134,7 @@ def cmd_forge(args: argparse.Namespace) -> int:
         generic_fraction=args.generic_fraction,
         generic_pool_path=args.generic_pool,
     )
-    dqs_cfg = DqsConfig(extreme_pairs=args.extreme_pairs, seed=args.seed)
+    dqs_cfg = DqsConfig(seed=args.seed)
     try:
         manifest = forge_run(
             tasks, registry, cfg, dqs_cfg, HashingEmbedder(), args.out
@@ -258,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="distractor tools added per evolved prompt")
     p.add_argument("--generic-fraction", type=float, default=1.0)
     p.add_argument("--generic-pool", help="generic pool JSONL (default: shipped)")
-    p.add_argument("--extreme-pairs", type=int, default=0)
     p.add_argument("--manifest", help="also write the mix manifest JSON here")
     p.add_argument(
         "--seed",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace
+from functools import cache
 from typing import Iterable, Sequence
 
 from ..plan import parse_plan, rename_tools, render_plan, tool_sequence
@@ -21,8 +22,23 @@ from ..prompt import (
     PromptSpec,
     load_example_pool,
 )
-from ..registry import ToolRegistry, subset_with
+from ..registry import ToolRegistry, ToolSpec, subset_with
 from .records import ForgeConfig, PrimaryTask
+
+
+@cache
+def _presented(spec: ToolSpec, shown: str, description: str) -> ToolSpec:
+    """``spec`` shown under the variant name ``shown`` and the paraphrase
+    ``description``, its example usage renamed to match. Pure, so it is
+    memoised: a registry has few distinct (tool, name, paraphrase) keys, and
+    each costs a parse and a render of the example usage, and a second parse
+    in ``ToolSpec.__post_init__``."""
+    usage = render_plan(
+        rename_tools(parse_plan(spec.example_usage), {spec.canonical_name: shown})
+    )
+    return replace(
+        spec, canonical_name=shown, description=description, example_usage=usage
+    )
 
 
 def _present(
@@ -35,20 +51,8 @@ def _present(
     entries = []
     for canonical in registry.canonical_names:
         spec, pool = registry.entry(canonical)
-        shown = names[canonical]
-        usage = render_plan(
-            rename_tools(parse_plan(spec.example_usage), {canonical: shown})
-        )
         entries.append(
-            (
-                replace(
-                    spec,
-                    canonical_name=shown,
-                    description=descriptions[canonical],
-                    example_usage=usage,
-                ),
-                pool,
-            )
+            (_presented(spec, names[canonical], descriptions[canonical]), pool)
         )
     return ToolRegistry(entries)
 

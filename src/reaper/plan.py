@@ -31,6 +31,14 @@ if TYPE_CHECKING:
 
 IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
+# Tokens of the line lexer, matched at a position with ``Pattern.match``. The
+# classes are ASCII: ``str.isdigit`` would also accept digits such as ``²``.
+_INT_TOKEN = re.compile(r"[0-9]+")
+_IDENT_TOKEN = re.compile(r"[a-z][a-z0-9_]*")
+# A line never holds a newline, so ``.`` after a backslash takes any char.
+_STRING_TOKEN = re.compile(r'"((?:[^"\\]|\\.)*)"')
+_ESCAPE = re.compile(r"\\(.)")
+
 # Characters that may legally appear outside string literals. Anything else
 # encountered where a token is expected is a lexical error rather than a
 # structural one.
@@ -147,6 +155,10 @@ class Violation:
     message: str
 
 
+def _unescape(match: re.Match) -> str:
+    return "\n" if match.group(1) == "n" else match.group(1)
+
+
 class _LineParser:
     """Recursive-descent parser for a single ``Step N: call(...)`` line."""
 
@@ -167,49 +179,33 @@ class _LineParser:
         self.i += len(token)
 
     def take_int(self, what: str) -> int:
-        start = self.i
-        while self.peek().isdigit():
-            self.i += 1
-        if self.i == start:
+        match = _INT_TOKEN.match(self.s, self.i)
+        if match is None:
             self.fail(ParseErrorKind.SYNTAX, f"expected {what}")
-        return int(self.s[start : self.i])
+        self.i = match.end()
+        return int(match.group())
 
     def take_ident(self, what: str) -> str:
-        ch = self.peek()
-        if not ("a" <= ch <= "z"):
+        match = _IDENT_TOKEN.match(self.s, self.i)
+        if match is None:
+            ch = self.peek()
             if ch and ch not in _BARE_CHARS:
                 self.fail(ParseErrorKind.LEX, f"illegal character {ch!r}")
             self.fail(ParseErrorKind.SYNTAX, f"expected {what}")
-        start = self.i
-        while True:
-            ch = self.peek()
-            if ("a" <= ch <= "z") or ch.isdigit() or ch == "_":
-                self.i += 1
-            else:
-                break
-        return self.s[start : self.i]
+        self.i = match.end()
+        return match.group()
 
     def take_string(self) -> Literal:
-        self.i += 1  # opening quote
-        out: list[str] = []
-        while True:
-            if self.i >= len(self.s):
-                self.fail(ParseErrorKind.LEX, "unterminated string literal")
-            ch = self.s[self.i]
-            if ch == "\\":
-                if self.i + 1 >= len(self.s):
-                    self.fail(ParseErrorKind.LEX, "unterminated string literal")
-                escaped = self.s[self.i + 1]
-                # the renderer emits exactly \\, \" and \n (strings must stay
-                # on one line); any other escaped char decodes to itself
-                out.append("\n" if escaped == "n" else escaped)
-                self.i += 2
-            elif ch == '"':
-                self.i += 1
-                return Literal("".join(out))
-            else:
-                out.append(ch)
-                self.i += 1
+        match = _STRING_TOKEN.match(self.s, self.i)
+        if match is None:
+            self.fail(ParseErrorKind.LEX, "unterminated string literal")
+        self.i = match.end()
+        text = match.group(1)
+        if "\\" in text:
+            # the renderer emits exactly \\, \" and \n (strings must stay
+            # on one line); any other escaped char decodes to itself
+            text = _ESCAPE.sub(_unescape, text)
+        return Literal(text)
 
     def take_value(self, step_index: int) -> ArgValue:
         ch = self.peek()
@@ -217,7 +213,7 @@ class _LineParser:
             return self.take_string()
         if ch == "$":
             self.i += 1
-            if self.peek().isdigit():
+            if "0" <= self.peek() <= "9":
                 target = self.take_int("step number")
                 field = None
                 if self.peek() == ".":

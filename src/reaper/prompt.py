@@ -16,11 +16,9 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-import yaml
-
-from .boundary import typed_field
+from .boundary import plan_field, read_yaml, typed_field
 from .errors import SchemaError
-from .plan import Plan, parse_plan, render_plan
+from .plan import Plan, render_plan
 from .registry import ToolRegistry, ToolSpec
 
 DEFAULT_ROLE = (
@@ -55,7 +53,8 @@ class QueryInput:
 
     @classmethod
     def from_record(cls, record: dict, path: str, where: str) -> "QueryInput":
-        """The ``query`` and optional ``context`` fields of a JSONL record."""
+        """The ``query`` and optional ``context`` fields of a JSONL record or
+        a YAML mapping."""
         query = typed_field(record, "query", str, path, where)
         if not query:
             raise SchemaError(path, f"{where}.query", "must be non-empty")
@@ -140,22 +139,34 @@ def adversarial_omit(spec: PromptSpec, tool: str) -> PromptSpec:
 
 
 def load_example_pool(path: str | Path | None = None) -> list[InContextExample]:
-    """Load the demonstration pool (shipped pool when ``path`` is None)."""
+    """Load the demonstration pool (shipped pool when ``path`` is None).
+
+    YAML schema: ``examples: [{query, context?, plan}, ...]``; a malformed
+    document raises :class:`SchemaError` naming the path and the field."""
     if path is None:
+        source = "reaper/data/example_pool.yaml"
         text = (
             resources.files("reaper.data")
             .joinpath("example_pool.yaml")
             .read_text(encoding="utf-8")
         )
     else:
+        source = str(path)
         text = Path(path).read_text(encoding="utf-8")
-    data = yaml.safe_load(text)
+    data = read_yaml(text, source)
+    if not isinstance(data, dict) or not isinstance(data.get("examples"), list):
+        raise SchemaError(
+            source, "examples", "document must be a mapping with an 'examples' list"
+        )
     pool = []
-    for entry in data["examples"]:
+    for i, entry in enumerate(data["examples"]):
+        where = f"examples[{i}]"
+        if not isinstance(entry, dict):
+            raise SchemaError(source, where, "expected a mapping")
         pool.append(
             InContextExample(
-                input=QueryInput(entry["query"], entry.get("context")),
-                target_plan=parse_plan(entry["plan"]),
+                input=QueryInput.from_record(entry, source, where),
+                target_plan=plan_field(entry, "plan", source, where),
             )
         )
     return pool

@@ -26,9 +26,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import yaml
-
-from .boundary import typed_field
+from .boundary import read_yaml, typed_field
 from .errors import ReaperError, SchemaError, UnknownToolError
 from .plan import IDENT_RE, parse_plan
 
@@ -246,16 +244,13 @@ def load_registry(path: str | Path) -> ToolRegistry:
     """Load a registry config file; raises :class:`SchemaError` on malformed
     config and :class:`AmbiguousVariantError` on variant collisions."""
     text = Path(path).read_text(encoding="utf-8")
-    try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
-        raise SchemaError(str(path), "-", f"not valid YAML: {exc}") from exc
-    return _load_registry_data(data, str(path))
+    return _load_registry_data(read_yaml(text, str(path)), str(path))
 
 
 def _packaged(name: str) -> ToolRegistry:
     text = resources.files("reaper.data").joinpath(name).read_text(encoding="utf-8")
-    return _load_registry_data(yaml.safe_load(text), f"reaper/data/{name}")
+    path = f"reaper/data/{name}"
+    return _load_registry_data(read_yaml(text, path), path)
 
 
 def default_registry() -> ToolRegistry:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import reaper
 from reaper.cli import main
 
 from .conftest import GALAXY_PLAN_TEXT
+
+GOLDEN_TASKS = Path(__file__).parent / "data" / "forge_tasks.jsonl"
 
 CHAIN_PLAN = (
     'Step 1: shipment_status(query="order")\n'
@@ -132,6 +135,36 @@ class TestForge:
         assert "zero vector: '???'" in err
         assert "Traceback" not in err
 
+    def test_output_is_pinned_across_commits(self, tmp_path, capsys):
+        # sha256 of the output and manifest as first forged; a change to any
+        # stage (TEVO, TTG, DQS, mixing, the plan renderer) that moves a byte
+        # fails here. Eight records per query reach every kind T1-T7.
+        out = tmp_path / "train.jsonl"
+        manifest = tmp_path / "manifest.json"
+        code = main(["forge", "--tasks", str(GOLDEN_TASKS), "--out", str(out),
+                     "--manifest", str(manifest), "--tasks-per-query", "8",
+                     "--generic-fraction", "0.5", "--seed", "7"])
+        assert code == 0
+        kinds = {json.loads(line)["task_kind"] for line in out.read_text().splitlines()}
+        assert kinds >= {"primary", "generic", "T1", "T2", "T3", "T4", "T5", "T6", "T7"}
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0ad4eae79d3bca355841cb174fdde1e60215d29d98ac68ddd4336f44a6d302f6"
+        )
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == (
+            "eb4bca89018f125ec4051a2e0d522833545a4d1fdbe329baf45def972186fc22"
+        )
+
+    def test_extreme_pairs_is_not_an_option(self, tmp_path, capsys):
+        # with the task pool as its own reference, dropping extremes could
+        # never leave enough queries, so the CLI does not offer it
+        tasks = tmp_path / "tasks.jsonl"
+        write_tasks(tasks, 4)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["forge", "--tasks", str(tasks), "--out", str(tmp_path / "t.jsonl"),
+                  "--extreme-pairs", "1"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --extreme-pairs" in capsys.readouterr().err
+
     def test_missing_output_directory_fails_fast(self, tmp_path, capsys):
         tasks = tmp_path / "tasks.jsonl"
         write_tasks(tasks, 2)
@@ -174,6 +207,15 @@ class TestEval:
               "--omitted-tool", "prod_qna"])
         report = json.loads(capsys.readouterr().out)
         assert report["instruction_following"] == 1.0
+
+    def test_non_ascii_digit_in_prediction_scores_invalid(self, tmp_path, capsys):
+        def mutate(rows):
+            rows[1]["plan"] = 'Step 1: prod_search\u00b2(keywords="running shoes")'
+
+        gold, pred = write_gold_and_pred(tmp_path, mutate)
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["confusion"]["product_search"]["invalid"] == 1
 
     def test_length_mismatch_is_domain_error(self, tmp_path, capsys):
         gold, pred = write_gold_and_pred(tmp_path)

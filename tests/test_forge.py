@@ -3,6 +3,7 @@ import json
 import pytest
 
 from reaper.embedding import HashingEmbedder, cosine
+from reaper.forge import tevo
 from reaper.forge import (
     DqsConfig,
     ForgeConfig,
@@ -126,6 +127,31 @@ class TestTevo:
         cfg = ForgeConfig(extra_tool_count=99)
         spec = tevo_evolve(galaxy_task, registry, cfg, rng_seed=4)
         assert len(spec.tools) == len(registry)
+
+    def test_each_presented_variant_is_parsed_once(self, registry, monkeypatch):
+        # tevo parses a tool's example usage only to rename it, and the
+        # result depends on (tool, name, paraphrase) alone
+        calls = []
+
+        def counting_parse(text):
+            calls.append(text)
+            return parse_plan(text)
+
+        monkeypatch.setattr(tevo, "parse_plan", counting_parse)
+        tevo._presented.cache_clear()
+        tasks = [
+            PrimaryTask(QueryInput(f"question {i}"), parse_plan(GALAXY_PLAN_TEXT))
+            for i in range(50)
+        ]
+        cfg = ForgeConfig(extra_tool_count=2)
+        shown = set()
+        for seed, task in enumerate(tasks):
+            spec = tevo_evolve(task, registry, cfg, rng_seed=seed)
+            for tool in spec.tools:
+                shown.add((registry.canonical_of(tool.canonical_name),
+                           tool.canonical_name, tool.description))
+        assert len(shown) < 50 * 4  # tools repeat across the 50 prompts
+        assert len(calls) <= len(shown)
 
 
 class TestTtg:

@@ -65,6 +65,10 @@ class TestParse:
         plan = parse_plan("Step 01: a()")
         assert render_plan(plan) == "Step 1: a()"
 
+    def test_escapes_decode(self):
+        plan = parse_plan('Step 1: a(x="q\\"\\\\\\n\\z")')
+        assert plan.steps[0].args == (("x", Literal('q"\\\nz')),)
+
     def test_context_ref_takes_a_single_identifier(self):
         # no dotted paths after $context.<field>
         with pytest.raises(PlanParseError) as excinfo:
@@ -128,6 +132,27 @@ class TestParseErrors:
 
     def test_trailing_garbage(self):
         assert self.err("Step 1: a() and then some").kind is ParseErrorKind.SYNTAX
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("Step \u00b2: x()", 1),
+            ("Step \u0663: x()", 1),
+            ("Step \uff11: x()", 1),
+            ("Step 1: a()\nStep 2: x\u00b2()", 2),
+            ('Step 1: a()\nStep 2: b(a\u00b2="1")', 2),
+            ("Step 1: a()\nStep 2: b(x=$1.f\u00b2)", 2),
+            ("Step 1: a()\nStep 2: b(x=$\uff11)", 2),
+            ("Step 1: a()\nStep 2: b(x=$1\u0663)", 2),
+        ],
+        ids=["index-superscript", "index-arabic-indic", "index-fullwidth",
+             "tool-name", "param-name", "field-path", "ref-fullwidth",
+             "ref-trailing-arabic-indic"],
+    )
+    def test_non_ascii_digit_is_parse_error(self, text, line):
+        # str.isdigit() accepts these; the grammar's digits are ASCII only
+        error = self.err(text)
+        assert (error.kind, error.line) == (ParseErrorKind.SYNTAX, line)
 
     def test_first_error_in_document_order(self):
         # line 1 is fine, line 2 has both an index gap and a later bad arg;

@@ -1,9 +1,10 @@
 import re
+from importlib import resources
 from pathlib import Path
 
 import pytest
 
-from reaper.errors import UnknownToolError
+from reaper.errors import SchemaError, UnknownToolError
 from reaper.prompt import (
     DEFAULT_ROLE,
     DEFAULT_SYSTEM_INSTRUCTION,
@@ -143,3 +144,47 @@ def test_pool_covers_all_default_classes(registry, pool):
         for step in example.target_plan.steps
     }
     assert used == set(registry.canonical_names)
+
+
+POOL_DEFECTS = {
+    "not-yaml": ("examples: [unclosed", "-", "not valid YAML"),
+    "no-examples-list": ("examples: 3", "examples", "document must be a mapping"),
+    "entry-not-a-mapping": ("examples: [hi]", "examples[0]", "expected a mapping"),
+    "plan-missing": ("examples: [{query: hi}]", "examples[0].plan", "missing field"),
+    "query-missing": (
+        "examples:\n  - plan: 'Step 1: no_retrieval()'\n",
+        "examples[0].query",
+        "missing field",
+    ),
+    "context-not-a-string": (
+        "examples:\n  - {query: hi, context: 5, plan: 'Step 1: no_retrieval()'}\n",
+        "examples[0].context",
+        "expected a string",
+    ),
+    "plan-unparseable": (
+        "examples:\n  - {query: a, plan: 'Step 1: no_retrieval()'}\n"
+        "  - {query: b, plan: 'Step 1 no_retrieval'}\n",
+        "examples[1].plan",
+        "bad plan: line 1: Syntax",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "text, field, message", POOL_DEFECTS.values(), ids=POOL_DEFECTS.keys()
+)
+def test_malformed_example_pool_names_path_and_field(tmp_path, text, field, message):
+    path = tmp_path / "pool.yaml"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(SchemaError) as excinfo:
+        load_example_pool(path)
+    assert str(excinfo.value).startswith(f"{path}: {field}: {message}")
+
+
+def test_example_pool_from_a_path_equals_the_shipped_pool(tmp_path, pool):
+    path = tmp_path / "pool.yaml"
+    path.write_text(
+        resources.files("reaper.data").joinpath("example_pool.yaml").read_text("utf-8"),
+        encoding="utf-8",
+    )
+    assert load_example_pool(path) == pool

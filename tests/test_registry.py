@@ -1,6 +1,9 @@
+from importlib import resources
+
 import pytest
 import yaml
 
+from reaper.boundary import read_yaml
 from reaper.errors import UnknownToolError
 from reaper.registry import (
     AmbiguousVariantError,
@@ -29,8 +32,6 @@ COMPATIBLE_PRODUCTS_BLOCK = {
 
 
 def write_default_plus(tmp_path, *blocks):
-    import importlib.resources as resources
-
     data = yaml.safe_load(
         resources.files("reaper.data")
         .joinpath("default_tools.yaml")
@@ -81,8 +82,9 @@ class TestLoad:
     def test_not_yaml_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
         path.write_text("tools: [unclosed", encoding="utf-8")
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as excinfo:
             load_registry(path)
+        assert str(excinfo.value).startswith(f"{path}: -: not valid YAML: ")
 
     def test_required_param_after_optional_rejected(self, tmp_path):
         block = dict(COMPATIBLE_PRODUCTS_BLOCK)
@@ -191,3 +193,13 @@ def test_registry_order_preserved_in_subset(registry):
 
 def test_empty_registry_is_representable():
     assert len(ToolRegistry([])) == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["default_tools.yaml", "extended_tools.yaml", "example_pool.yaml"]
+)
+def test_read_yaml_equals_the_python_loader(name):
+    # read_yaml takes libyaml's parser where it is built; PyYAML's pure-Python
+    # SafeLoader is the reference for every shipped document
+    text = resources.files("reaper.data").joinpath(name).read_text(encoding="utf-8")
+    assert read_yaml(text, name) == yaml.safe_load(text)
