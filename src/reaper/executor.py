@@ -1,9 +1,10 @@
 """Dependency-aware plan execution against retriever adapters.
 
 Steps run as soon as their referenced steps have finished; independent steps
-are dispatched concurrently. Failures never abort the run: a failed step is
-recorded and everything depending on it (directly or transitively) is marked
-skipped, so the trace always has exactly one terminal entry per step.
+run concurrently on one thread pool shared by every plan in the process.
+Failures never abort the run: a failed step is recorded and everything
+depending on it (directly or transitively) is marked skipped, so the trace
+always has exactly one terminal entry per step.
 
 Timing is bookkept on a simulated clock derived from the latencies the
 retriever reports: a step starts at the latest finish time of its
@@ -17,7 +18,9 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from concurrent.futures import Future, ThreadPoolExecutor
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Protocol
@@ -81,15 +84,16 @@ def dependency_graph(plan: Plan) -> list[tuple[int, int]]:
     return sorted((k, step.index) for step in plan.steps for k in _dependencies(step))
 
 
-class _ResolutionError(ReaperError):
-    pass
+class ResolutionError(ReaperError):
+    """A step's arguments cannot be built from earlier outputs or the
+    context."""
 
 
 def _lookup(output: Mapping[str, object], path: str, producer: int) -> object:
     current: object = output
     for part in path.split("."):
         if not isinstance(current, Mapping) or part not in current:
-            raise _ResolutionError(
+            raise ResolutionError(
                 f"step {producer} output has no field {path!r}"
             )
         current = current[part]
@@ -106,15 +110,20 @@ def _resolve_args(
         if isinstance(value, Literal):
             text = value.text
         elif isinstance(value, StepRef):
-            found = _lookup(outputs[value.step], value.field or "text", value.step)
-            text = (
-                found
-                if isinstance(found, str)
-                else json.dumps(found, ensure_ascii=False)
-            )
+            path = value.field or "text"
+            found = _lookup(outputs[value.step], path, value.step)
+            if isinstance(found, str):
+                text = found
+            else:
+                try:
+                    text = json.dumps(found, ensure_ascii=False, allow_nan=False)
+                except (TypeError, ValueError) as exc:
+                    raise ResolutionError(
+                        f"step {value.step} field {path!r} is not JSON: {exc}"
+                    ) from None
         elif isinstance(value, ContextRef):
             if context is None or value.field not in context:
-                raise _ResolutionError(
+                raise ResolutionError(
                     f"no context field {value.field!r} available"
                 )
             text = context[value.field]
@@ -122,6 +131,35 @@ def _resolve_args(
             raise TypeError(f"unsupported argument value: {value!r}")
         resolved.append((name, text))
     return tuple(resolved)
+
+
+# The shared pool's ceiling, the stdlib's own default maximum. A worker
+# thread starts only when no worker is idle, so unused capacity costs nothing.
+_POOL_WORKERS = 32
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    """The pool every plan in this process submits fan-out to, made on first
+    use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_POOL_WORKERS, thread_name_prefix="reaper-step")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """After ``os.fork``: the child inherits the pool's bookkeeping but none
+    of its threads, and perhaps a lock held by a parent thread."""
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def execute_plan(
@@ -136,72 +174,134 @@ def execute_plan(
 
     Every tool name is resolved before any step runs, so an unknown tool
     raises :class:`~reaper.errors.UnknownToolError` with no retriever call.
-    A step starts the moment its last dependency finishes. A retriever
-    latency that is not a finite, non-negative number fails its step.
-    ``timeout_ms`` is checked after the retriever returns: a slower call
-    fails its step with ``latency_ms = timeout_ms``, but nothing stops
-    waiting for it, so it is not a wall-clock deadline. ``total_ms`` equals
-    ``critical_path_ms``, the makespan on the simulated clock, for now.
+    A retriever call that raises, returns an output that is not a mapping or
+    a latency that is not a finite, non-negative number fails its step, as
+    does a ``$k.field`` value that is not JSON (a set, bytes, NaN, ...).
+
+    Steps are dispatched by continuation, LLMCompiler's task-fetching unit
+    (Kim et al. 2023, arXiv 2312.04511) without a scheduler per call. The
+    caller runs the first root step itself and submits the other roots to a
+    thread pool shared by every plan in the process. The thread that records
+    a step runs the first child that step made ready, and submits only the
+    extra fan-out, so a chain runs entirely in the calling thread. The caller
+    returns once the last step is recorded. The pool is bounded but cannot
+    deadlock: a step is submitted only once its dependencies are recorded,
+    and no step ever waits for another, so every pool task runs to the end
+    without waiting for pool work. (A retriever that itself calls
+    ``execute_plan`` from a pool thread would break that premise.) Once the
+    interpreter starts to exit the pool takes no new work, and the thread at
+    hand runs what it would have submitted. A child created by ``os.fork``
+    starts a fresh pool, since it inherits none of the parent's worker
+    threads.
+
+    Timing is on the simulated clock: a step starts the moment its last
+    dependency finishes and lasts the latency its retriever reports.
+    ``timeout_ms`` is compared with that reported latency after the call
+    returns: a slower call fails its step with ``latency_ms = timeout_ms``,
+    but nothing stops waiting for it, so it is not a wall-clock deadline.
+    ``total_ms`` equals ``critical_path_ms``, the makespan on the simulated
+    clock, for now.
     """
     tools = [registry.canonical_of(step.tool_name) for step in plan.steps]
+    dependencies = [_dependencies(step) for step in plan.steps]
+    waiting = [len(needed) for needed in dependencies]
+    children: list[list[int]] = [[] for _ in plan.steps]
+    for position, needed in enumerate(dependencies):
+        for k in needed:
+            children[k - 1].append(position)
+    results: list[StepResult | None] = [None] * len(plan.steps)
+    unrecorded = len(plan.steps)
+    lock = threading.Lock()
+    finished = threading.Event()
 
     def call(
         tool: str, args: tuple[tuple[str, str], ...]
-    ) -> tuple[Mapping[str, object] | None, float, str | None]:
-        """(output, latency_ms, error) of one retrieval."""
+    ) -> tuple[Mapping[str, object], float]:
+        """(output, latency_ms) of one retrieval; raises if it failed."""
         if tool == NO_RETRIEVAL_TOOL:
-            return {}, 0.0, None
+            return {}, 0.0
         if retriever is None:
-            return None, 0.0, "RetrieverError: no retriever configured"
-        try:
-            output, latency = retriever.invoke(tool, dict(args))
-        except Exception as exc:
-            return None, 0.0, f"{type(exc).__name__}: {exc}"
+            raise RetrieverError("no retriever configured")
+        output, latency = retriever.invoke(tool, dict(args))
         if not (
             isinstance(latency, numbers.Real) and math.isfinite(latency) and latency >= 0
         ):
-            return None, 0.0, f"RetrieverError: invalid latency {latency!r}"
-        if timeout_ms is not None and latency > timeout_ms:
-            error = f"Timeout: exceeded {timeout_ms} ms (retriever took {latency} ms)"
-            return None, float(timeout_ms), error
-        return output, float(latency), None
+            raise RetrieverError(f"invalid latency {latency!r}")
+        if not isinstance(output, Mapping):
+            raise RetrieverError(
+                f"output must be a mapping, got {type(output).__name__}"
+            )
+        return output, float(latency)
 
-    def run(
-        step: PlanStep, tool: str, dependencies: list[Future[StepResult]]
-    ) -> StepResult:
-        done = [dependency.result() for dependency in dependencies]
+    def outcome(position: int) -> StepResult:
+        """The terminal entry of a step whose dependencies are recorded.
+        Total: a pool thread has no caller to raise to, and a lost entry
+        would leave the caller waiting forever."""
+        step, tool = plan.steps[position], tools[position]
+        done = [results[k - 1] for k in dependencies[position]]
         blocked = [d.index for d in done if d.status is not StepStatus.OK]
         if blocked:
             reason = f"skipped: depends on step(s) {', '.join(map(str, blocked))}"
             return StepResult(
                 step.index, tool, (), None, 0.0, StepStatus.SKIPPED, reason
             )
+        started = max((d.finished_ms for d in done), default=0.0)
         args: tuple[tuple[str, str], ...] = ()
         try:
             args = _resolve_args(step, {d.index: d.output for d in done}, context)
-        except _ResolutionError as exc:
-            output, latency, error = None, 0.0, f"ResolutionError: {exc}"
-        else:
-            output, latency, error = call(tool, args)
-        started = max((d.finished_ms for d in done), default=0.0)
-        status = StepStatus.OK if error is None else StepStatus.FAILED
+            output, latency = call(tool, args)
+            if timeout_ms is not None and latency > timeout_ms:
+                error = f"Timeout: exceeded {timeout_ms} ms (retriever took {latency} ms)"
+                return StepResult(
+                    step.index, tool, args, None, float(timeout_ms),
+                    StepStatus.FAILED, error, started, started + timeout_ms,
+                )
+        except Exception as exc:
+            return StepResult(
+                step.index, tool, args, None, 0.0, StepStatus.FAILED,
+                f"{type(exc).__name__}: {exc}", started, started,
+            )
         return StepResult(
-            step.index, tool, args, output, latency, status, error,
+            step.index, tool, args, output, latency, StepStatus.OK, None,
             started, started + latency,
         )
 
-    futures: list[Future[StepResult]] = []
-    # Cannot deadlock: a step references only earlier steps, whose tasks the
-    # FIFO pool received first, and there is one worker per step.
-    with ThreadPoolExecutor(max_workers=len(plan.steps)) as pool:
-        for step, tool in zip(plan.steps, tools):
-            dependencies = [futures[k - 1] for k in _dependencies(step)]
-            futures.append(pool.submit(run, step, tool, dependencies))
-    results = tuple(future.result() for future in futures)
+    def run(ready: list[int]) -> None:
+        """Submit all but the first ready step to the pool, record the first
+        in this thread, and go on the same way with the steps it made ready.
+        Steps the pool refuses, as it does once the interpreter starts to
+        exit, run in this thread too."""
+        nonlocal unrecorded
+        here: list[int] = []
+        while ready or here:
+            for position in ready[1:]:
+                try:
+                    _shared_pool().submit(run, [position])
+                except RuntimeError:
+                    here.append(position)
+            here.extend(ready[:1])
+            position = here.pop()
+            result = outcome(position)
+            ready = []
+            with lock:
+                if results[position] is not None:
+                    continue  # also queued by a submit whose new thread failed to start
+                results[position] = result
+                unrecorded -= 1
+                for child in children[position]:
+                    waiting[child] -= 1
+                    if not waiting[child]:
+                        ready.append(child)
+                if not unrecorded:
+                    finished.set()
+
+    run([position for position, count in enumerate(waiting) if not count])
+    finished.wait()
+    steps = tuple(results)
     makespan = max(
-        (r.finished_ms for r in results if r.finished_ms is not None), default=0.0
+        (r.finished_ms for r in steps if r.finished_ms is not None), default=0.0
     )
-    return ExecutionTrace(results, total_ms=makespan, critical_path_ms=makespan)
+    return ExecutionTrace(steps, total_ms=makespan, critical_path_ms=makespan)
 
 
 @dataclass(frozen=True)

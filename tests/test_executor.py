@@ -1,8 +1,16 @@
+import os
 import random
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
+import reaper
 from reaper.errors import UnknownToolError
 from reaper.executor import (
     CannedCall,
@@ -233,6 +241,234 @@ class TestExecutePlan:
         assert trace.step(1).error == f"RetrieverError: invalid latency {latency!r}"
         assert trace.step(1).latency_ms == 0.0
         assert trace.step(2).status is StepStatus.SKIPPED
+
+    @pytest.mark.parametrize(
+        "value", [{1, 2}, b"B0", float("nan"), float("inf")], ids=repr
+    )
+    @pytest.mark.parametrize("consumer", [2, 3], ids=["chain", "fan-out"])
+    def test_field_that_is_not_json_fails_its_consumer(
+        self, registry, value, consumer
+    ):
+        # Step 1 makes steps 2 and 3 ready: the calling thread goes on with
+        # step 2 and step 3 is fanned out to a pool thread.
+        field = {2: "product_id", 3: "text"}
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            f"Step 2: prod_qna(product_id=$1.{field[consumer]})\n"
+            f"Step 3: prod_qna(product_id=$1.{field[5 - consumer]})\n"
+            f"Step 4: review_summary(product_id=${consumer}.text)"
+        )
+        retriever = mock_retriever(
+            {
+                "prod_search": CannedCall({"text": "t", "product_id": value}),
+                "prod_qna": CannedCall({"text": "t", "product_id": "B0OK"}),
+                "review_summary": CannedCall({"text": "t"}),
+            }
+        )
+        trace = execute_plan(plan, registry, retriever)
+        bad = trace.step(consumer)
+        assert bad.status is StepStatus.FAILED
+        assert bad.error.startswith(
+            "ResolutionError: step 1 field 'product_id' is not JSON: "
+        )
+        assert bad.resolved_args == ()
+        assert trace.step(5 - consumer).status is StepStatus.OK
+        assert trace.step(4).status is StepStatus.SKIPPED
+        assert trace.step(1).status is StepStatus.OK
+
+    @pytest.mark.parametrize("output", [["a", "b"], "text"], ids=repr)
+    def test_output_that_is_not_a_mapping_fails_step(
+        self, registry, galaxy_plan, output
+    ):
+        class Unmapped:
+            def invoke(self, tool, args):
+                return output, 1.0
+
+        trace = execute_plan(galaxy_plan, registry, Unmapped())
+        assert trace.step(1).status is StepStatus.FAILED
+        assert trace.step(1).error == (
+            f"RetrieverError: output must be a mapping, got {type(output).__name__}"
+        )
+        assert trace.step(1).output is None
+        assert trace.step(2).status is StepStatus.SKIPPED
+
+
+FAN_OUT_PLAN = (
+    'Step 1: prod_search(keywords="mug")\n'
+    'Step 2: customer_support(query="returns")\n'
+    'Step 3: review_summary(product_id="B0R")\n'
+    "Step 4: prod_qna(product_id=$1, query=$2.text)\n"
+    "Step 5: shipment_status(query=$3.text)"
+)
+FAN_OUT_STATUSES = ["ok", "ok", "failed", "ok", "skipped"]
+
+
+class Sleeping:
+    """Sleeps 5-20 ms per call; ``review_summary`` fails."""
+
+    def __init__(self, seed):
+        self._rng = random.Random(seed)
+
+    def invoke(self, tool, args):
+        latency_ms = self._rng.uniform(5.0, 20.0)
+        time.sleep(latency_ms / 1000.0)
+        if tool == "review_summary":
+            raise RetrieverError("down")
+        return {"text": tool}, latency_ms
+
+
+def warm_pool(plan, registry):
+    """Run ``plan`` from several threads at once against a sleeping
+    retriever, so the shared pool ends up with more idle workers than one
+    call's fan-out needs."""
+    callers = [
+        threading.Thread(target=execute_plan, args=(plan, registry, Sleeping(seed)))
+        for seed in range(4)
+    ]
+    for caller in callers:
+        caller.start()
+    for caller in callers:
+        caller.join(timeout=10)
+        assert not caller.is_alive()
+
+
+class TestDispatch:
+    def test_chain_runs_in_the_calling_thread(self, registry):
+        threads = []
+
+        class Spy:
+            def invoke(self, tool, args):
+                threads.append(threading.get_ident())
+                return {"text": "t"}, 0.0
+
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            "Step 2: prod_qna(product_id=$1, query=$1.text)\n"
+            "Step 3: review_summary(product_id=$2)"
+        )
+        trace = execute_plan(plan, registry, Spy())
+        assert [s.status for s in trace.steps] == [StepStatus.OK] * 3
+        assert threads == [threading.get_ident()] * 3
+
+    def test_repeated_fan_out_starts_no_thread(self, registry, monkeypatch):
+        plan = parse_plan(FAN_OUT_PLAN)
+        warm_pool(plan, registry)
+        canned = {tool: CannedCall({"text": "t"}) for tool in registry.canonical_names}
+        canned["review_summary"] = CannedCall({}, error="down")
+        retriever = mock_retriever(canned)
+        started = []
+        start = threading.Thread.start
+
+        def counted_start(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted_start)
+        before = {thread.ident for thread in threading.enumerate()}
+        for _ in range(200):
+            trace = execute_plan(plan, registry, retriever)
+            assert [s.status.value for s in trace.steps] == FAN_OUT_STATUSES
+        assert started == []
+        assert {thread.ident for thread in threading.enumerate()} <= before
+
+    def test_concurrent_callers_all_finish(self, registry):
+        # More callers than cores, with up to 32 pool steps in flight, the
+        # pool's ceiling: guards the bounded pool's deadlock-freedom.
+        plan = parse_plan(FAN_OUT_PLAN)
+        traces = [[] for _ in range(16)]
+
+        def caller(slot):
+            retriever = Sleeping(slot)
+            for _ in range(20):
+                traces[slot].append(execute_plan(plan, registry, retriever))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(slot,)) for slot in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for runs in traces:
+            assert len(runs) == 20
+            for trace in runs:
+                assert [s.index for s in trace.steps] == [1, 2, 3, 4, 5]
+                assert [s.status.value for s in trace.steps] == FAN_OUT_STATUSES
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_runs_fan_out(self, registry):
+        plan = parse_plan(FAN_OUT_PLAN)
+        retriever = mock_retriever(
+            {tool: CannedCall({"text": "t"}) for tool in registry.canonical_names}
+        )
+        warm_pool(plan, registry)
+        # Idle workers at the fork are what an inherited pool would count on.
+        time.sleep(0.05)
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            try:
+                trace = execute_plan(plan, registry, retriever)
+                os.write(write_end, str(len(trace.steps)).encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            if os.waitpid(pid, os.WNOHANG)[0]:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+            pytest.fail("the forked child's plan did not finish within 5 s")
+        with os.fdopen(read_end, "rb") as pipe:
+            assert pipe.read() == b"5"
+
+    def test_plan_in_flight_at_interpreter_exit_finishes(self):
+        # The main thread returns while another thread's plan still has to
+        # fan out from a pool thread; the pool refuses new work from then on.
+        code = textwrap.dedent(
+            """
+            import threading, time
+            from reaper import default_registry, parse_plan
+            from reaper.executor import execute_plan
+
+            plan = parse_plan(
+                'Step 1: prod_search(keywords="mug")\\n'
+                'Step 2: customer_support(query="returns")\\n'
+                'Step 3: prod_qna(product_id=$2, query="size")\\n'
+                'Step 4: review_summary(product_id=$2)'
+            )
+
+            class Slow:
+                def invoke(self, tool, args):
+                    time.sleep(0.3 if tool == "customer_support" else 0.01)
+                    return {"text": tool}, 1.0
+
+            def caller():
+                trace = execute_plan(plan, default_registry(), Slow())
+                print(*(step.status.value for step in trace.steps))
+
+            threading.Thread(target=caller).start()
+            time.sleep(0.05)
+            """
+        )
+        source_root = Path(reaper.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": str(source_root)}
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, timeout=10,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["ok"] * 4
 
 
 class TestTimingInvariants:
