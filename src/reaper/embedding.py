@@ -188,6 +188,33 @@ def _equal_groups(vectors: np.ndarray) -> np.ndarray:
     return np.array([ids.setdefault((v + 0.0).tobytes(), len(ids)) for v in vectors])
 
 
+def embed_distinct(
+    provider: EmbeddingProvider,
+    q_initial: Sequence[str],
+    q_large: Sequence[str],
+) -> tuple[dict[str, int], int, np.ndarray, np.ndarray]:
+    """Embed each distinct text of both lists once and check every vector.
+
+    Returns ``(slots, width, vectors, norms)``: ``slots`` maps each distinct
+    text to its row of ``vectors`` and ``norms``. q_large's texts take the
+    first ``width`` slots and q_initial's new ones follow. A vector of the
+    wrong shape, a zero vector or a non-finite norm raises, naming its text;
+    :func:`similarity_matrix` and a DQS run that scores nothing both embed
+    through here, so the same input raises the same error in either.
+    """
+    if not q_initial or not q_large:
+        raise ValueError("both query lists must be non-empty")
+    slots: dict[str, int] = {}
+    for text in q_large:
+        slots.setdefault(text, len(slots))
+    width = len(slots)
+    for text in q_initial:
+        slots.setdefault(text, len(slots))
+    texts = list(slots)
+    vectors = _embed_rows(provider, texts)
+    return slots, width, vectors, _norms(vectors, texts)
+
+
 @dataclass(frozen=True)
 class SimilarityMatrix:
     """Pairwise cosine similarities; rows index the first query list, columns
@@ -217,19 +244,9 @@ def similarity_matrix(
     a double loop of :func:`cosine` bit for bit. A zero or non-finite
     embedding raises, naming its text.
     """
-    if not q_initial or not q_large:
-        raise ValueError("both query lists must be non-empty")
-    # one slot per distinct text; q_large's come first, so the matrix's
-    # distinct columns are a leading slice of the embeddings
-    slots: dict[str, int] = {}
-    for text in q_large:
-        slots.setdefault(text, len(slots))
-    width = len(slots)
-    for text in q_initial:
-        slots.setdefault(text, len(slots))
-    texts = list(slots)
-    vectors = _embed_rows(provider, texts)
-    norms = _norms(vectors, texts)
+    # q_large's distinct texts take the first ``width`` slots, so the
+    # matrix's distinct columns are a leading slice of the embeddings
+    slots, width, vectors, norms = embed_distinct(provider, q_initial, q_large)
     group = _equal_groups(vectors)
 
     rows = np.array([slots[text] for text in q_initial])

@@ -13,7 +13,7 @@ from .records import (
     TaskKind,
     TrainingRecord,
 )
-from .tevo import evolve_target, presentation_map, tevo_evolve
+from .tevo import evolve_target, tevo_evolve
 from .ttg import (
     MASKED_PARAM_TOKEN,
     MASKED_STEP_TOKEN,
@@ -44,7 +44,6 @@ __all__ = [
     "generate_records",
     "load_generic_pool",
     "mix_dataset",
-    "presentation_map",
     "tevo_evolve",
     "ttg_transform",
     "write_records",

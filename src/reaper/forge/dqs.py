@@ -7,6 +7,12 @@ lower index), and draw a seeded uniform sample of exactly the curated pool's
 size from what remains. Sampling is done with ``random.Random(seed).sample``
 over the refined pool in its original order, which is part of the contract
 so independent reimplementations can reproduce the output exactly.
+
+With no extremes to drop (``extreme_pairs == 0``, every ``reaper forge``
+run), the scores cannot change the refined pool, which is all of the
+candidates in order. DQS then only embeds each distinct text once and checks
+the vectors, in O(n), and scores nothing: a query with no cosine similarity,
+such as ``"???"``, still raises, naming its text.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from typing import Sequence
 
 import random
 
-from ..embedding import EmbeddingProvider, similarity_matrix
+from ..embedding import EmbeddingProvider, embed_distinct, similarity_matrix
 from .records import DqsConfig
 
 
@@ -26,6 +32,9 @@ def dqs_partition(
     extreme_pairs: int,
 ) -> tuple[list[int], list[int]]:
     """Split ``q_large`` indices into (extreme, refined)."""
+    if extreme_pairs == 0:
+        embed_distinct(provider, q_initial, q_large)
+        return [], list(range(len(q_large)))
     scores = similarity_matrix(provider, q_initial, q_large).values.max(axis=0)
     columns = range(len(q_large))
     most_similar = sorted(columns, key=lambda j: (-scores[j], j))[:extreme_pairs]

@@ -97,7 +97,9 @@ def forge_run(
 
     ``q_initial`` is the curated reference pool for diverse sampling; when
     omitted, the task pool itself is used, which makes the sampling stage an
-    order-shuffling pass-through (and requires ``extreme_pairs == 0``).
+    order-shuffling pass-through (and requires ``extreme_pairs == 0``). With
+    no extremes to drop, DQS only checks the embeddings, in O(n), and scores
+    nothing.
     """
     queries = [task.input.query for task in tasks]
     reference = list(q_initial) if q_initial is not None else queries

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from ..plan import parse_plan, rename_tools, render_plan, tool_sequence
 from ..prompt import (
@@ -55,14 +55,6 @@ def _present(
             (_presented(spec, names[canonical], descriptions[canonical]), pool)
         )
     return ToolRegistry(entries)
-
-
-def presentation_map(
-    presented: ToolRegistry, originals: Iterable[str]
-) -> dict[str, str]:
-    """Map original canonical names to the names a presented registry shows
-    them under."""
-    return {name: presented.canonical_of(name) for name in originals}
 
 
 def tevo_evolve(
@@ -115,4 +107,6 @@ def evolve_target(
 ):
     """The gold plan rewritten with the tool names an evolved prompt uses."""
     originals = set(tool_sequence(task.target, registry))
-    return rename_tools(task.target, presentation_map(spec.tools, originals))
+    return rename_tools(
+        task.target, {name: spec.tools.canonical_of(name) for name in originals}
+    )

@@ -15,7 +15,7 @@ import hashlib
 import random
 
 from ..errors import ReaperError
-from ..plan import render_plan, render_step, render_value, tool_sequence
+from ..plan import render_plan, render_value, tool_sequence
 from ..prompt import input_lines
 from ..registry import ToolRegistry
 from .records import PrimaryTask, TaskKind, TrainingRecord
@@ -48,10 +48,12 @@ def _default_source_id(task: PrimaryTask) -> str:
     return f"q-{digest[:12]}"
 
 
-def _require_steps(task: PrimaryTask, kind: TaskKind) -> list[str]:
+def _require_steps(task: PrimaryTask, kind: TaskKind, plan_text: str) -> list[str]:
+    """The lines of the task's rendered plan, one per step; a single-step
+    plan raises."""
     if len(task.target) < 2:
         raise NotApplicableError(kind, "plan has a single step")
-    return render_plan(task.target).split("\n")
+    return plan_text.split("\n")
 
 
 def ttg_transform(
@@ -75,7 +77,7 @@ def ttg_transform(
         return TrainingRecord(prompt, task.input.query, kind, sid)
 
     if kind is TaskKind.T2:
-        lines = _require_steps(task, kind)
+        lines = _require_steps(task, kind, plan_text)
         keep = (len(lines) + 1) // 2
         prompt = (
             "Complete the retrieval plan below by writing its remaining "
@@ -93,7 +95,7 @@ def ttg_transform(
         return TrainingRecord(prompt, target, kind, sid)
 
     if kind is TaskKind.T4:
-        lines = _require_steps(task, kind)
+        lines = _require_steps(task, kind, plan_text)
         masked = rng.randrange(len(lines))
         shown = lines[:masked] + [MASKED_STEP_TOKEN] + lines[masked + 1 :]
         prompt = (
@@ -104,7 +106,7 @@ def ttg_transform(
         return TrainingRecord(prompt, lines[masked], kind, sid)
 
     if kind is TaskKind.T5:
-        lines = _require_steps(task, kind)
+        lines = _require_steps(task, kind, plan_text)
         order = list(range(len(lines)))
         while order == sorted(order):
             rng.shuffle(order)
@@ -132,7 +134,7 @@ def ttg_transform(
             else f"{name}={render_value(value)}"
             for name, value in masked_step.args
         )
-        lines = [render_step(step) for step in task.target.steps]
+        lines = plan_text.split("\n")
         lines[target_index - 1] = (
             f"Step {target_index}: {masked_step.tool_name}({masked_args})"
         )

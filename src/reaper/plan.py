@@ -15,12 +15,19 @@ it, so every plan is a DAG expressed as a linear list with back-references.
 and raises :class:`PlanParseError` at the first defect in document order.
 Registry-aware checks (unknown tools, missing parameters) are not parse
 errors; they are reported as :class:`Violation` values by ``validate_plan``.
+
+``PlanStep(...)`` and ``Plan(...)`` check every invariant of a step and a
+plan, so a plan cannot be built invalid. Two callers build steps through the
+private ``PlanStep._trusted`` instead, which checks nothing: ``parse_plan``,
+whose lexer and parser enforce each step invariant before a step exists, and
+``rename_tools``, whose input steps are valid and which checks the one tool
+name it changes. Both still build the plan through ``Plan(...)``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING, Mapping, NoReturn, Union
 
@@ -123,6 +130,16 @@ class PlanStep:
                     raise ValueError(f"invalid context field: {value.field!r}")
             elif not isinstance(value, Literal):
                 raise TypeError(f"unsupported argument value: {value!r}")
+
+    @classmethod
+    def _trusted(
+        cls, index: int, tool_name: str, args: tuple[tuple[str, ArgValue], ...]
+    ) -> "PlanStep":
+        """A step from fields the caller has already checked against every
+        invariant ``__post_init__`` enforces; ``args`` must be a tuple."""
+        step = object.__new__(cls)
+        step.__dict__.update(index=index, tool_name=tool_name, args=args)
+        return step
 
 
 @dataclass(frozen=True)
@@ -278,7 +295,9 @@ class _LineParser:
                 ParseErrorKind.SYNTAX,
                 f"unexpected trailing text: {self.s[self.i:]!r}",
             )
-        return PlanStep(index, tool, tuple(args))
+        # the lexer took every name as an identifier, rejected duplicate
+        # parameters and forward references, and matched the index to the line
+        return PlanStep._trusted(index, tool, tuple(args))
 
 
 def parse_plan(text: str) -> Plan:
@@ -369,10 +388,14 @@ def tool_sequence(plan: Plan, registry: "ToolRegistry") -> list[str]:
 
 def rename_tools(plan: Plan, mapping: Mapping[str, str]) -> Plan:
     """Return a copy of ``plan`` with tool names substituted via ``mapping``;
-    names absent from the mapping are kept."""
-    return Plan(
-        tuple(
-            replace(step, tool_name=mapping.get(step.tool_name, step.tool_name))
-            for step in plan.steps
-        )
-    )
+    names absent from the mapping are kept. A new name that is not an
+    identifier raises ``ValueError``."""
+    steps = []
+    for step in plan.steps:
+        name = mapping.get(step.tool_name, step.tool_name)
+        if name != step.tool_name:
+            if not IDENT_RE.match(name):
+                raise ValueError(f"invalid tool name: {name!r}")
+            step = PlanStep._trusted(step.index, name, step.args)
+        steps.append(step)
+    return Plan(tuple(steps))

@@ -36,3 +36,4 @@ def json_server(handler):
     finally:
         server.shutdown()
         thread.join()
+        server.server_close()

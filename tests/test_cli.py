@@ -9,6 +9,7 @@ import pytest
 
 import reaper
 from reaper.cli import main
+from reaper.forge import dqs
 
 from .conftest import GALAXY_PLAN_TEXT
 
@@ -153,6 +154,15 @@ class TestForge:
         assert hashlib.sha256(manifest.read_bytes()).hexdigest() == (
             "eb4bca89018f125ec4051a2e0d522833545a4d1fdbe329baf45def972186fc22"
         )
+
+    def test_output_needs_no_similarity_scores(self, tmp_path, capsys, monkeypatch):
+        # the task pool is its own DQS reference and no extremes are dropped,
+        # so no score could change the sample and none is computed
+        def no_scores(*args):
+            raise AssertionError("similarity_matrix called")
+
+        monkeypatch.setattr(dqs, "similarity_matrix", no_scores)
+        self.test_output_is_pinned_across_commits(tmp_path, capsys)
 
     def test_extreme_pairs_is_not_an_option(self, tmp_path, capsys):
         # with the task pool as its own reference, dropping extremes could

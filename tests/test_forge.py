@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from reaper.embedding import HashingEmbedder, cosine
-from reaper.forge import tevo
+from reaper.embedding import HashingEmbedder, ZeroVectorError, cosine
+from reaper.forge import dqs, tevo
 from reaper.forge import (
     DqsConfig,
     ForgeConfig,
@@ -312,6 +312,37 @@ class TestDqs:
             sorted(extreme),
             [j for j in columns if j not in extreme],
         )
+
+    def test_no_extremes_embeds_each_distinct_text_once(self, provider, monkeypatch):
+        # with no extremes to drop the scores cannot change the partition
+        calls = []
+
+        class Counting:
+            def embed(self, text):
+                calls.append(text)
+                return provider.embed(text)
+
+        def no_scores(*args):
+            raise AssertionError("similarity_matrix called")
+
+        monkeypatch.setattr(dqs, "similarity_matrix", no_scores)
+        q_initial = ["red shoes", "blue hat", "red shoes"]
+        q_large = ["blue hat", "garden hose", "garden hose", "kettle"]
+        assert dqs_partition(q_initial, q_large, Counting(), 0) == ([], [0, 1, 2, 3])
+        # in the similarity kernel's slot order: q_large first, then q_initial
+        assert calls == ["blue hat", "garden hose", "kettle", "red shoes"]
+
+    @pytest.mark.parametrize(
+        "q_initial, q_large",
+        [
+            (["red shoes"], ["red shoes", "???"]),
+            (["red shoes", "???"], ["red shoes", "blue hat"]),
+        ],
+    )
+    def test_no_extremes_still_rejects_a_zero_vector(self, provider, q_initial, q_large):
+        with pytest.raises(ZeroVectorError, match=r"'\?\?\?'") as caught:
+            dqs_partition(q_initial, q_large, provider, 0)
+        assert caught.value.text == "???"
 
     def test_deterministic(self, provider):
         q_initial = [f"seed question {i}" for i in range(4)]

@@ -20,7 +20,7 @@ from reaper.plan import (
 )
 
 from .conftest import GALAXY_PLAN_TEXT
-from .plangen import random_plan
+from .plangen import TOOLS, random_plan
 
 
 class TestParse:
@@ -245,8 +245,14 @@ class TestToolSequence:
 def test_rename_tools(galaxy_plan):
     renamed = rename_tools(galaxy_plan, {"prod_qna": "product_facts"})
     assert [s.tool_name for s in renamed.steps] == ["shipment_status", "product_facts"]
-    # unmapped names and arguments are untouched
-    assert renamed.steps[0] == galaxy_plan.steps[0]
+    # unmapped names and arguments are untouched; an unchanged step is reused
+    assert renamed.steps[0] is galaxy_plan.steps[0]
+    assert renamed.steps[1].args is galaxy_plan.steps[1].args
+
+
+def test_rename_tools_rejects_a_name_that_is_not_an_identifier(galaxy_plan):
+    with pytest.raises(ValueError, match="'Bad-Name'"):
+        rename_tools(galaxy_plan, {"prod_qna": "Bad-Name"})
 
 
 class TestInvariants:
@@ -313,3 +319,24 @@ def plans(draw):
 @given(plans())
 def test_property_round_trip(plan):
     assert parse_plan(render_plan(plan)) == plan
+
+
+def _rebuilt(plan: Plan) -> Plan:
+    """``plan`` built again through the validating constructors."""
+    return Plan(tuple(PlanStep(s.index, s.tool_name, s.args) for s in plan.steps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.randoms(use_true_random=False),
+    st.dictionaries(st.sampled_from(TOOLS), _identifiers, max_size=3),
+)
+def test_trusted_constructors_equal_validating_ones(rng, mapping):
+    # parse_plan and rename_tools build steps without re-running the checks
+    # of PlanStep(...)
+    parsed = parse_plan(render_plan(random_plan(rng)))
+    for plan in (parsed, rename_tools(parsed, mapping)):
+        rebuilt = _rebuilt(plan)
+        assert plan == rebuilt
+        assert hash(plan) == hash(rebuilt)
+        assert render_plan(plan) == render_plan(rebuilt)
