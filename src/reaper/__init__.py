@@ -4,69 +4,107 @@ A plan language for multi-step retrieval tool calls, a tool registry with
 name/description variant pools, a prompt builder, a training-data forge
 (prompt evolution, secondary tasks, diverse query sampling, dataset mixing),
 a dependency-aware executor, and an evaluation harness.
+
+The public names below resolve on first access (PEP 562), so importing
+``reaper`` loads none of the submodules. The ``reaper`` subcommands load:
+
+- every one: the plan language, the registry with its YAML reader, the
+  prompt builder and the gateway; ``validate`` and ``plan`` nothing more;
+- ``eval`` and ``bench``: :mod:`reaper.evaluation` and the executor, and
+  ``concurrent.futures`` once a plan fans out;
+- ``forge``: the forge, and numpy with the first embedding.
+
+``requests`` is imported only when an HTTP adapter makes its first call.
 """
 
-from .embedding import (
-    HashingEmbedder,
-    RemoteEmbedder,
-    SimilarityMatrix,
-    cosine,
-    similarity_matrix,
-)
-from .errors import ReaperError, UnknownToolError
-from .evaluation import (
-    EvalReport,
-    GoldExample,
-    LatencyStats,
-    argument_accuracy,
-    evaluate,
-    instruction_following_score,
-    latency_bench,
-    tool_selection_metrics,
-)
-from .executor import (
-    CannedCall,
-    ExecutionTrace,
-    HttpRetriever,
-    StepResult,
-    StepStatus,
-    dependency_graph,
-    execute_plan,
-    mock_retriever,
-)
-from .gateway import RemoteBackend, ScriptedStub, generate_plan
-from .plan import (
-    ArgValue,
-    ContextRef,
-    Literal,
-    ParseErrorKind,
-    Plan,
-    PlanParseError,
-    PlanStep,
-    StepRef,
-    Violation,
-    parse_plan,
-    render_plan,
-    rename_tools,
-    tool_sequence,
-    validate_plan,
-)
-from .prompt import (
-    InContextExample,
-    PromptSpec,
-    QueryInput,
-    adversarial_omit,
-    build_prompt,
-    load_example_pool,
-)
-from .registry import (
-    ToolRegistry,
-    ToolSpec,
-    VariantPool,
-    default_registry,
-    extended_registry,
-    load_registry,
-    subset_with,
-)
+import importlib
+import sys
 
+
+def _lazy_exports(package: str, exports: dict[str, tuple[str, ...]]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for ``package``, whose public
+    names are ``exports``: submodule -> the names it defines. A name's
+    submodule is imported on the name's first access."""
+    module_of = {name: module for module, names in exports.items() for name in names}
+    namespace = vars(sys.modules[package])
+
+    def __getattr__(name: str):
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(f"{package}.{module}"), name)
+        namespace[name] = value  # later lookups skip this hook
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(module_of))
+
+    return sorted(module_of), __getattr__, __dir__
+
+
+_EXPORTS = {
+    "embedding": (
+        "HashingEmbedder",
+        "RemoteEmbedder",
+        "SimilarityMatrix",
+        "cosine",
+        "similarity_matrix",
+    ),
+    "errors": ("ReaperError", "UnknownToolError"),
+    "evaluation": (
+        "EvalReport",
+        "GoldExample",
+        "LatencyStats",
+        "argument_accuracy",
+        "evaluate",
+        "instruction_following_score",
+        "latency_bench",
+        "tool_selection_metrics",
+    ),
+    "executor": (
+        "CannedCall",
+        "ExecutionTrace",
+        "HttpRetriever",
+        "StepResult",
+        "StepStatus",
+        "dependency_graph",
+        "execute_plan",
+        "mock_retriever",
+    ),
+    "gateway": ("RemoteBackend", "ScriptedStub", "generate_plan"),
+    "plan": (
+        "ArgValue",
+        "ContextRef",
+        "Literal",
+        "ParseErrorKind",
+        "Plan",
+        "PlanParseError",
+        "PlanStep",
+        "StepRef",
+        "Violation",
+        "parse_plan",
+        "render_plan",
+        "rename_tools",
+        "tool_sequence",
+        "validate_plan",
+    ),
+    "prompt": (
+        "InContextExample",
+        "PromptSpec",
+        "QueryInput",
+        "adversarial_omit",
+        "build_prompt",
+        "load_example_pool",
+    ),
+    "registry": (
+        "ToolRegistry",
+        "ToolSpec",
+        "VariantPool",
+        "default_registry",
+        "extended_registry",
+        "load_registry",
+        "subset_with",
+    ),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)
 __version__ = "0.1.0"

@@ -25,14 +25,11 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .boundary import plan_field, read_jsonl
 from .embedding import HashingEmbedder, VectorError
 from .errors import ReaperError, SchemaError
-from .evaluation import evaluate, latency_bench, load_gold, load_predictions
-from .executor import Retriever
-from .forge import DqsConfig, ForgeConfig, PrimaryTask, forge_run
 from .gateway import BACKEND_URL_ENV, RemoteBackend, ScriptedStub, generate_plan
 from .plan import Plan, PlanParseError, parse_plan, render_plan, validate_plan
 from .prompt import (
@@ -44,6 +41,10 @@ from .prompt import (
     load_example_pool,
 )
 from .registry import ToolRegistry, default_registry, load_registry
+
+if TYPE_CHECKING:
+    from .executor import Retriever
+    from .forge.records import PrimaryTask
 
 DEFAULT_SEED = 1729
 
@@ -81,6 +82,8 @@ def read_plan_blocks(path: str | Path) -> list[str]:
 
 def load_tasks(path: str | Path) -> list[PrimaryTask]:
     """Task JSONL: {"query", "context", "plan"} per line."""
+    from .forge.records import PrimaryTask
+
     return [
         PrimaryTask(
             input=QueryInput.from_record(record, str(path), where),
@@ -121,6 +124,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_forge(args: argparse.Namespace) -> int:
+    from .forge.pipeline import forge_run
+    from .forge.records import DqsConfig, ForgeConfig
+
     _check_paths(
         [args.tasks, args.registry, args.generic_pool],
         [args.out, args.manifest],
@@ -153,6 +159,8 @@ def cmd_forge(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluation import evaluate, load_gold, load_predictions
+
     _check_paths([args.pred, args.gold, args.registry], [args.out])
     registry = _load_registry(args.registry)
     predictions = load_predictions(args.pred)
@@ -190,6 +198,8 @@ class _BenchRetriever:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    from .evaluation import latency_bench
+
     _check_paths([args.plans, args.registry], [])
     registry = _load_registry(args.registry)
     retriever: Retriever = _BenchRetriever(args.tool_latency)

@@ -14,19 +14,22 @@ norms that equal ``np.linalg.norm``'s. So a double loop of :func:`cosine`
 over the same provider reproduces the matrix bit for bit. A BLAS matrix
 product (``V @ V.T``), ``einsum`` or ``np.linalg.norm(axis=1)`` would differ
 in the last bits and is not used.
+
+numpy and hashlib are imported on first use, not with this module, so the
+subcommands that never embed do not pay for them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 from dataclasses import dataclass
-from typing import Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .boundary import post_json
 from .errors import ReaperError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ProviderError(ReaperError):
@@ -55,6 +58,10 @@ class NonFiniteVectorError(VectorError):
 
 
 class EmbeddingProvider(Protocol):
+    """``embed`` is required. A provider may also have ``embed_batch(texts)
+    -> list of vectors``, as :class:`RemoteEmbedder` does; :func:`embed_distinct`
+    then embeds all its texts in one call."""
+
     def embed(self, text: str) -> np.ndarray: ...
 
 
@@ -71,6 +78,10 @@ class HashingEmbedder:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
+        import hashlib
+
+        import numpy as np
+
         if not text:
             raise ValueError("text must be non-empty")
         vector = np.zeros(self.dim, dtype=np.float64)
@@ -96,11 +107,14 @@ class RemoteEmbedder:
         self.timeout_s = timeout_s
 
     def embed(self, text: str) -> np.ndarray:
-        if not text:
-            raise ValueError("text must be non-empty")
         return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """One vector per text, from one request."""
+        import numpy as np
+
+        if not all(texts):
+            raise ValueError("text must be non-empty")
         url = f"{self.base_url}/embed"
         body, _ = post_json(url, {"texts": list(texts)}, self.timeout_s, ProviderError)
         try:
@@ -123,6 +137,8 @@ def _norms(vectors: np.ndarray, texts: Sequence[str | None]) -> np.ndarray:
     """The norm of each row: ``sqrt`` of the same ``ddot`` that
     ``np.linalg.norm`` runs, so bit for bit its value. A zero or non-finite
     norm raises, naming the row's text."""
+    import numpy as np
+
     with np.errstate(over="ignore"):  # an overflowed norm is reported below
         norms = np.sqrt(np.vecdot(vectors, vectors))
     bad = np.flatnonzero(~(np.isfinite(norms) & (norms > 0.0)))
@@ -143,6 +159,8 @@ def _cosine_rule(dots, row_norms, col_norms, equal):
     """The cosine contract on one pair or a block of pairs: the dot product
     over the product of the norms, clamped to [-1, 1] against rounding, and
     exactly 1.0 where the two vectors are equal."""
+    import numpy as np
+
     values = np.clip(dots / np.multiply.outer(row_norms, col_norms), -1.0, 1.0)
     return np.where(equal, 1.0, values)
 
@@ -150,6 +168,8 @@ def _cosine_rule(dots, row_norms, col_norms, equal):
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, clamped to [-1, 1] against rounding; exactly 1.0
     for equal nonzero vectors. A zero vector or a non-finite norm raises."""
+    import numpy as np
+
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
@@ -165,11 +185,16 @@ _ROW_BLOCK = 16  # matrix rows per vecdot call; bounds its temporaries
 
 
 def _embed_rows(provider: EmbeddingProvider, texts: list[str]) -> np.ndarray:
-    """One row per text, from one ``provider.embed`` call each; every vector
-    must have the first one's shape."""
+    """One row per text, from one ``provider.embed_batch`` call if the
+    provider has one, else from one ``provider.embed`` call per text; every
+    vector must have the first one's shape."""
+    import numpy as np
+
+    embed_batch = getattr(provider, "embed_batch", None)
+    embedded = map(provider.embed, texts) if embed_batch is None else embed_batch(texts)
     vectors = np.empty(0)
-    for k, text in enumerate(texts):
-        vector = np.asarray(provider.embed(text), dtype=np.float64)
+    for k, (text, vector) in enumerate(zip(texts, embedded, strict=True)):
+        vector = np.asarray(vector, dtype=np.float64)
         if k == 0:
             vectors = np.empty((len(texts), vector.size))
         if vector.shape != vectors.shape[1:]:
@@ -184,6 +209,8 @@ def _embed_rows(provider: EmbeddingProvider, texts: list[str]) -> np.ndarray:
 def _equal_groups(vectors: np.ndarray) -> np.ndarray:
     """A group id per row; two rows share one exactly when ``np.array_equal``
     holds for them. Adding 0.0 folds -0.0 into 0.0 in the keys."""
+    import numpy as np
+
     ids: dict[bytes, int] = {}
     return np.array([ids.setdefault((v + 0.0).tobytes(), len(ids)) for v in vectors])
 
@@ -194,6 +221,7 @@ def embed_distinct(
     q_large: Sequence[str],
 ) -> tuple[dict[str, int], int, np.ndarray, np.ndarray]:
     """Embed each distinct text of both lists once and check every vector.
+    A provider with ``embed_batch`` gets one call for all the texts.
 
     Returns ``(slots, width, vectors, norms)``: ``slots`` maps each distinct
     text to its row of ``vectors`` and ``norms``. q_large's texts take the
@@ -244,6 +272,8 @@ def similarity_matrix(
     a double loop of :func:`cosine` bit for bit. A zero or non-finite
     embedding raises, naming its text.
     """
+    import numpy as np
+
     # q_large's distinct texts take the first ``width`` slots, so the
     # matrix's distinct columns are a leading slice of the embeddings
     slots, width, vectors, norms = embed_distinct(provider, q_initial, q_large)

@@ -20,15 +20,18 @@ import math
 import numbers
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 from .boundary import post_json
 from .errors import ReaperError
 from .plan import ContextRef, Literal, Plan, PlanStep, StepRef
 from .registry import NO_RETRIEVAL_TOOL, ToolRegistry
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 
 class RetrieverError(ReaperError):
@@ -142,10 +145,12 @@ _pool_lock = threading.Lock()
 
 def _shared_pool() -> ThreadPoolExecutor:
     """The pool every plan in this process submits fan-out to, made on first
-    use."""
+    use; a plan that never fans out never imports ``concurrent.futures``."""
     global _pool
     with _pool_lock:
         if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
             _pool = ThreadPoolExecutor(_POOL_WORKERS, thread_name_prefix="reaper-step")
         return _pool
 

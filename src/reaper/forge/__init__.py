@@ -1,50 +1,32 @@
 """Training-data generation: prompt evolution, secondary tasks, diverse
-query sampling, and dataset mixing."""
+query sampling, and dataset mixing.
 
-from .dqs import dqs_partition, dqs_sample, dqs_sample_indices
-from .mixer import load_generic_pool, mix_dataset
-from .pipeline import forge_run, generate_records, write_records
-from .records import (
-    DqsConfig,
-    ForgeConfig,
-    MixManifest,
-    PrimaryTask,
-    SECONDARY_KINDS,
-    TaskKind,
-    TrainingRecord,
-)
-from .tevo import evolve_target, tevo_evolve
-from .ttg import (
-    MASKED_PARAM_TOKEN,
-    MASKED_STEP_TOKEN,
-    NO_VALID_PLAN,
-    NotApplicableError,
-    applicable_kinds,
-    ttg_transform,
-)
+The public names resolve on first access (PEP 562), so ``load_generic_pool``
+loads the mixer alone; numpy comes with the first embedding."""
 
-__all__ = [
-    "DqsConfig",
-    "ForgeConfig",
-    "MASKED_PARAM_TOKEN",
-    "MASKED_STEP_TOKEN",
-    "MixManifest",
-    "NO_VALID_PLAN",
-    "NotApplicableError",
-    "PrimaryTask",
-    "SECONDARY_KINDS",
-    "TaskKind",
-    "TrainingRecord",
-    "applicable_kinds",
-    "dqs_partition",
-    "dqs_sample",
-    "dqs_sample_indices",
-    "evolve_target",
-    "forge_run",
-    "generate_records",
-    "load_generic_pool",
-    "mix_dataset",
-    "tevo_evolve",
-    "ttg_transform",
-    "write_records",
-]
+from .. import _lazy_exports
+
+_EXPORTS = {
+    "dqs": ("dqs_partition", "dqs_sample_indices"),
+    "mixer": ("load_generic_pool", "mix_dataset"),
+    "pipeline": ("forge_run", "generate_records", "write_records"),
+    "records": (
+        "DqsConfig",
+        "ForgeConfig",
+        "MixManifest",
+        "PrimaryTask",
+        "SECONDARY_KINDS",
+        "TaskKind",
+        "TrainingRecord",
+    ),
+    "tevo": ("evolve_target", "tevo_evolve"),
+    "ttg": (
+        "MASKED_PARAM_TOKEN",
+        "MASKED_STEP_TOKEN",
+        "NO_VALID_PLAN",
+        "NotApplicableError",
+        "applicable_kinds",
+        "ttg_transform",
+    ),
+}
+__all__, __getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -59,15 +59,3 @@ def dqs_sample_indices(
         )
     _, refined = dqs_partition(q_initial, q_large, provider, cfg.extreme_pairs)
     return random.Random(cfg.seed).sample(refined, len(q_initial))
-
-
-def dqs_sample(
-    q_initial: Sequence[str],
-    q_large: Sequence[str],
-    provider: EmbeddingProvider,
-    cfg: DqsConfig,
-) -> list[str]:
-    """The diverse query sample itself; ``len(result) == len(q_initial)``."""
-    return [
-        q_large[j] for j in dqs_sample_indices(q_initial, q_large, provider, cfg)
-    ]

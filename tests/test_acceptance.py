@@ -27,7 +27,7 @@ from reaper.forge import (
     DqsConfig,
     ForgeConfig,
     PrimaryTask,
-    dqs_sample,
+    dqs_sample_indices,
     evolve_target,
     forge_run,
     tevo_evolve,
@@ -153,7 +153,9 @@ def test_c3_dqs_set_algebra():
         cfg = DqsConfig(extreme_pairs=10, seed=424242)
         assert cfg.extreme_pairs >= len(duplicates)
 
-        sampled = dqs_sample(q_initial, q_large, provider, cfg)
+        sampled = [
+            q_large[j] for j in dqs_sample_indices(q_initial, q_large, provider, cfg)
+        ]
 
         # brute-force reimplementation of the whole pipeline
         vectors = {}

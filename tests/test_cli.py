@@ -14,6 +14,10 @@ from reaper.forge import dqs
 from .conftest import GALAXY_PLAN_TEXT
 
 GOLDEN_TASKS = Path(__file__).parent / "data" / "forge_tasks.jsonl"
+GOLDEN_ARGS = ["--tasks-per-query", "8", "--generic-fraction", "0.5", "--seed", "7"]
+# sha256 of the golden run's output and manifest as first forged
+GOLDEN_OUT_SHA256 = "0ad4eae79d3bca355841cb174fdde1e60215d29d98ac68ddd4336f44a6d302f6"
+GOLDEN_MANIFEST_SHA256 = "eb4bca89018f125ec4051a2e0d522833545a4d1fdbe329baf45def972186fc22"
 
 CHAIN_PLAN = (
     'Step 1: shipment_status(query="order")\n'
@@ -137,23 +141,18 @@ class TestForge:
         assert "Traceback" not in err
 
     def test_output_is_pinned_across_commits(self, tmp_path, capsys):
-        # sha256 of the output and manifest as first forged; a change to any
-        # stage (TEVO, TTG, DQS, mixing, the plan renderer) that moves a byte
-        # fails here. Eight records per query reach every kind T1-T7.
+        # a change to any stage (TEVO, TTG, DQS, mixing, the plan renderer)
+        # that moves a byte fails here. Eight records per query reach every
+        # kind T1-T7.
         out = tmp_path / "train.jsonl"
         manifest = tmp_path / "manifest.json"
         code = main(["forge", "--tasks", str(GOLDEN_TASKS), "--out", str(out),
-                     "--manifest", str(manifest), "--tasks-per-query", "8",
-                     "--generic-fraction", "0.5", "--seed", "7"])
+                     "--manifest", str(manifest), *GOLDEN_ARGS])
         assert code == 0
         kinds = {json.loads(line)["task_kind"] for line in out.read_text().splitlines()}
         assert kinds >= {"primary", "generic", "T1", "T2", "T3", "T4", "T5", "T6", "T7"}
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "0ad4eae79d3bca355841cb174fdde1e60215d29d98ac68ddd4336f44a6d302f6"
-        )
-        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == (
-            "eb4bca89018f125ec4051a2e0d522833545a4d1fdbe329baf45def972186fc22"
-        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_OUT_SHA256
+        assert hashlib.sha256(manifest.read_bytes()).hexdigest() == GOLDEN_MANIFEST_SHA256
 
     def test_output_needs_no_similarity_scores(self, tmp_path, capsys, monkeypatch):
         # the task pool is its own DQS reference and no extremes are dropped,
@@ -280,11 +279,81 @@ def test_malformed_jsonl_line_is_usage_error_naming_file_and_line(
     assert "Traceback" not in err
 
 
-def test_importing_the_cli_does_not_load_requests():
+def run_fresh(code: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports this source tree."""
     source_root = Path(reaper.__file__).parents[1]
     env = {**os.environ, "PYTHONPATH": str(source_root)}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+
+
+def test_importing_the_cli_does_not_load_requests():
     code = "import sys, reaper.cli; sys.exit('requests' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert run_fresh(code).returncode == 0
+
+
+# what the validate and plan subcommands must never import
+FORGE_AND_EVAL_ONLY = ("numpy", "concurrent.futures", "reaper.evaluation")
+
+
+def test_validate_and_plan_load_no_numpy_thread_pool_or_evaluation(tmp_path):
+    plans = tmp_path / "plan.txt"
+    plans.write_text(GALAXY_PLAN_TEXT + "\n")
+    code = f"""
+import sys
+import reaper.cli
+
+def check(after):
+    loaded = [name for name in {FORGE_AND_EVAL_ONLY!r} if name in sys.modules]
+    assert not loaded, f"{{after}} loaded {{loaded}}"
+
+check("import reaper.cli")
+assert reaper.cli.main(["validate", {str(plans)!r}]) == 0
+check("reaper validate")
+assert reaper.cli.main(["plan", "how much memory is on my galaxy phone"]) == 0
+check("reaper plan")
+"""
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_public_names_resolve_on_first_access():
+    code = """
+import sys
+import reaper
+import reaper.forge
+
+for package in (reaper, reaper.forge):
+    assert set(package.__all__) <= set(dir(package)), package.__name__
+    for name in package.__all__:
+        getattr(package, name)
+    try:
+        package.no_such_name
+    except AttributeError as exc:
+        assert "no_such_name" in str(exc), exc
+    else:
+        raise AssertionError(f"{package.__name__}.no_such_name resolved")
+assert reaper.parse_plan is sys.modules["reaper.plan"].parse_plan
+assert "numpy" not in sys.modules, "numpy loaded before the first embedding"
+"""
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_forge_loads_numpy_and_keeps_its_output(tmp_path):
+    out = tmp_path / "train.jsonl"
+    argv = ["forge", "--tasks", str(GOLDEN_TASKS), "--out", str(out), *GOLDEN_ARGS]
+    code = f"""
+import sys
+from reaper.cli import main
+
+assert main({argv!r}) == 0
+assert "numpy" in sys.modules
+"""
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_OUT_SHA256
 
 
 class TestBench:

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from reaper.embedding import (
     RemoteEmbedder,
     ZeroVectorError,
     cosine,
+    embed_distinct,
     similarity_matrix,
 )
 
@@ -221,6 +223,46 @@ class TestRemoteEmbedder:
         with json_server(handler) as url:
             with pytest.raises(ProviderError, match="'red shoes'"):
                 RemoteEmbedder(url).embed("red shoes")
+
+    def test_embed_distinct_makes_one_request(self):
+        requests = []
+
+        def handler(path, body):
+            requests.append(body["texts"])
+            vectors = [[1.0, float(len(t))] for t in body["texts"]]
+            return 200, {"vectors": vectors, "dim": 2}
+
+        with json_server(handler) as url:
+            slots, width, vectors, norms = embed_distinct(
+                RemoteEmbedder(url), ["a", "bb", "a"], ["ccc", "bb", "ccc"]
+            )
+        assert requests == [["ccc", "bb", "a"]]
+        assert (slots, width) == ({"ccc": 0, "bb": 1, "a": 2}, 2)
+        assert vectors.tolist() == [[1.0, 3.0], [1.0, 2.0], [1.0, 1.0]]
+        assert norms.tolist() == [math.sqrt(10.0), math.sqrt(5.0), math.sqrt(2.0)]
+
+    @pytest.mark.parametrize(
+        "vector, error",
+        [
+            ([0.0, 0.0], ZeroVectorError),
+            ([1.0, 2.0, 3.0], DimensionMismatchError),
+            ([float("nan"), 1.0], ProviderError),
+        ],
+    )
+    def test_one_request_raises_what_one_per_text_raises(self, vector, error):
+        def handler(path, body):
+            vectors = [vector if t == "bad one" else [1.0, 2.0] for t in body["texts"]]
+            return 200, {"vectors": vectors, "dim": 2}
+
+        with json_server(handler) as url:
+            remote = RemoteEmbedder(url)
+            per_text = SimpleNamespace(embed=remote.embed)  # has no embed_batch
+            raised = []
+            for provider in (remote, per_text):
+                with pytest.raises(error, match="'bad one'") as caught:
+                    embed_distinct(provider, ["fine"], ["fine", "bad one"])
+                raised.append(str(caught.value))
+        assert raised[0] == raised[1]
 
     def test_malformed_body_is_provider_error(self):
         with json_server(lambda path, body: (200, {"nope": []})) as url:

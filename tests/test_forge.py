@@ -16,7 +16,7 @@ from reaper.forge import (
     TrainingRecord,
     applicable_kinds,
     dqs_partition,
-    dqs_sample,
+    dqs_sample_indices,
     evolve_target,
     forge_run,
     generate_records,
@@ -268,7 +268,8 @@ def provider():
 class TestDqs:
     def test_equal_pools_no_extremes_is_permutation(self, provider):
         queries = [f"question {i} about topic {chr(97 + i)}" for i in range(12)]
-        out = dqs_sample(queries, queries, provider, DqsConfig(0, seed=5))
+        cfg = DqsConfig(0, seed=5)
+        out = [queries[j] for j in dqs_sample_indices(queries, queries, provider, cfg)]
         assert sorted(out) == sorted(queries)
 
     def test_planted_duplicates_removed(self, provider):
@@ -277,7 +278,8 @@ class TestDqs:
         q_large[3] = q_initial[0]
         q_large[8] = q_initial[2]
         q_large[14] = q_initial[4]
-        out = dqs_sample(q_initial, q_large, provider, DqsConfig(3, seed=1))
+        cfg = DqsConfig(3, seed=1)
+        out = [q_large[j] for j in dqs_sample_indices(q_initial, q_large, provider, cfg)]
         assert len(out) == 5
         assert not set(out) & {q_initial[0], q_initial[2], q_initial[4]}
 
@@ -286,7 +288,7 @@ class TestDqs:
         q_large = [f"candidate {j} about {chr(97 + j)}" for j in range(20)]
         cfg = DqsConfig(extreme_pairs=3, seed=9)
         extreme, refined = dqs_partition(q_initial, q_large, provider, 3)
-        out = dqs_sample(q_initial, q_large, provider, cfg)
+        out = [q_large[j] for j in dqs_sample_indices(q_initial, q_large, provider, cfg)]
         assert len(out) == len(q_initial)
         assert set(out) <= {q_large[j] for j in refined}
         assert not set(out) & {q_large[j] for j in extreme}
@@ -294,7 +296,7 @@ class TestDqs:
 
     def test_infeasible_sampling_rejected(self, provider):
         with pytest.raises(ValueError):
-            dqs_sample(["a", "b"], ["c", "d", "e"], provider, DqsConfig(1, seed=0))
+            dqs_sample_indices(["a", "b"], ["c", "d", "e"], provider, DqsConfig(1, seed=0))
 
     def test_partition_over_row_blocks_matches_brute_force(self, provider):
         # more reference queries than one row block of the similarity kernel
@@ -348,9 +350,9 @@ class TestDqs:
         q_initial = [f"seed question {i}" for i in range(4)]
         q_large = [f"candidate {j} about {chr(97 + j)}" for j in range(20)]
         cfg = DqsConfig(extreme_pairs=2, seed=33)
-        assert dqs_sample(q_initial, q_large, provider, cfg) == dqs_sample(
-            q_initial, q_large, provider, cfg
-        )
+        assert [
+            q_large[j] for j in dqs_sample_indices(q_initial, q_large, provider, cfg)
+        ] == [q_large[j] for j in dqs_sample_indices(q_initial, q_large, provider, cfg)]
 
 
 def make_record(i):
