@@ -30,16 +30,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from .boundary import plan_field, read_jsonl
 from .embedding import HashingEmbedder, VectorError
 from .errors import ReaperError, SchemaError
-from .gateway import BACKEND_URL_ENV, RemoteBackend, ScriptedStub, generate_plan
 from .plan import Plan, PlanParseError, parse_plan, render_plan, validate_plan
-from .prompt import (
-    DEFAULT_EXAMPLE_COUNT,
-    DEFAULT_ROLE,
-    DEFAULT_SYSTEM_INSTRUCTION,
-    PromptSpec,
-    QueryInput,
-    load_example_pool,
-)
 from .registry import ToolRegistry, default_registry, load_registry
 
 if TYPE_CHECKING:
@@ -83,6 +74,7 @@ def read_plan_blocks(path: str | Path) -> list[str]:
 def load_tasks(path: str | Path) -> list[PrimaryTask]:
     """Task JSONL: {"query", "context", "plan"} per line."""
     from .forge.records import PrimaryTask
+    from .prompt import QueryInput
 
     return [
         PrimaryTask(
@@ -188,6 +180,9 @@ class _AnyFields(dict):
 
 
 class _BenchRetriever:
+    # Only reports latencies, so ``execute_plan`` sets it no wall-clock deadline.
+    _simulated_clock = True
+
     def __init__(self, latency_ms: float):
         self.latency_ms = latency_ms
 
@@ -221,6 +216,15 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
+    from .gateway import RemoteBackend, ScriptedStub, generate_plan
+    from .prompt import (
+        DEFAULT_ROLE,
+        DEFAULT_SYSTEM_INSTRUCTION,
+        PromptSpec,
+        QueryInput,
+        load_example_pool,
+    )
+
     registry = _load_registry(args.registry)
     pool = [
         example
@@ -304,8 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("query")
     p.add_argument("--context", help="page context, e.g. a product title")
     p.add_argument("--backend", choices=["stub", "remote"], default="stub",
-                   help=f"remote uses ${BACKEND_URL_ENV}")
-    p.add_argument("--examples", type=int, default=DEFAULT_EXAMPLE_COUNT)
+                   help="remote uses $REAPER_BACKEND_URL")
+    # Spelled out, not imported, so that building the parser loads neither
+    # reaper.gateway nor reaper.prompt; a test pins both to the library.
+    p.add_argument("--examples", type=int, default=4,
+                   help="in-context examples in the prompt (default %(default)s)")
     add_common(p)
     p.set_defaults(func=cmd_plan)
 

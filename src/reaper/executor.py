@@ -10,7 +10,9 @@ Timing is bookkept on a simulated clock derived from the latencies the
 retriever reports: a step starts at the latest finish time of its
 dependencies and finishes ``latency_ms`` later. With deterministic retrievers
 (see :func:`mock_retriever`) the whole trace is reproducible bit for bit;
-the HTTP adapter reports measured wall-clock latencies instead.
+the HTTP adapter reports measured wall-clock latencies instead. A step
+budget (``timeout_ms``) also stops the wait for a retriever that really
+takes its time, at a wall-clock deadline.
 """
 
 from __future__ import annotations
@@ -20,18 +22,16 @@ import math
 import numbers
 import os
 import threading
-from collections.abc import Mapping
+import time
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Protocol
+from typing import Protocol
 
 from .boundary import post_json
 from .errors import ReaperError
 from .plan import ContextRef, Literal, Plan, PlanStep, StepRef
 from .registry import NO_RETRIEVAL_TOOL, ToolRegistry
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 
 class RetrieverError(ReaperError):
@@ -136,22 +136,56 @@ def _resolve_args(
     return tuple(resolved)
 
 
-# The shared pool's ceiling, the stdlib's own default maximum. A worker
-# thread starts only when no worker is idle, so unused capacity costs nothing.
+class _Pool:
+    """Daemon threads running ``(function, args)`` tasks from one queue. A
+    thread starts only when no worker is idle, up to ``size`` threads, so
+    unused capacity costs nothing. Unlike ``concurrent.futures``, a task
+    makes no future, and a worker still busy with an abandoned call does
+    not hold up interpreter exit."""
+
+    def __init__(self, size: int):
+        from queue import SimpleQueue
+
+        self._tasks: SimpleQueue = SimpleQueue()
+        self._size = size
+        self._threads = 0
+        self._idle = 0
+        self._lock = threading.Lock()
+
+    def submit(self, function: Callable[..., None], *args: object) -> None:
+        """Queue a task; raises ``RuntimeError`` and queues nothing when it
+        needs a new thread and none can start."""
+        with self._lock:
+            if self._idle:
+                self._idle -= 1
+            elif self._threads < self._size:
+                threading.Thread(
+                    target=self._work, name=f"reaper-step-{self._threads}", daemon=True
+                ).start()
+                self._threads += 1
+        self._tasks.put((function, args))
+
+    def _work(self) -> None:
+        while True:
+            function, args = self._tasks.get()
+            function(*args)
+            with self._lock:
+                self._idle += 1
+
+
+# The shared pool's ceiling, the stdlib's own default maximum.
 _POOL_WORKERS = 32
-_pool: ThreadPoolExecutor | None = None
+_pool: _Pool | None = None
 _pool_lock = threading.Lock()
 
 
-def _shared_pool() -> ThreadPoolExecutor:
-    """The pool every plan in this process submits fan-out to, made on first
-    use; a plan that never fans out never imports ``concurrent.futures``."""
+def _shared_pool() -> _Pool:
+    """The pool every plan in this process submits steps to, made on first
+    use."""
     global _pool
     with _pool_lock:
         if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(_POOL_WORKERS, thread_name_prefix="reaper-step")
+            _pool = _Pool(_POOL_WORKERS)
         return _pool
 
 
@@ -184,28 +218,44 @@ def execute_plan(
     does a ``$k.field`` value that is not JSON (a set, bytes, NaN, ...).
 
     Steps are dispatched by continuation, LLMCompiler's task-fetching unit
-    (Kim et al. 2023, arXiv 2312.04511) without a scheduler per call. The
-    caller runs the first root step itself and submits the other roots to a
-    thread pool shared by every plan in the process. The thread that records
-    a step runs the first child that step made ready, and submits only the
-    extra fan-out, so a chain runs entirely in the calling thread. The caller
-    returns once the last step is recorded. The pool is bounded but cannot
-    deadlock: a step is submitted only once its dependencies are recorded,
-    and no step ever waits for another, so every pool task runs to the end
-    without waiting for pool work. (A retriever that itself calls
-    ``execute_plan`` from a pool thread would break that premise.) Once the
-    interpreter starts to exit the pool takes no new work, and the thread at
-    hand runs what it would have submitted. A child created by ``os.fork``
-    starts a fresh pool, since it inherits none of the parent's worker
-    threads.
+    (Kim et al. 2023, arXiv 2312.04511) without a scheduler per call. Ready
+    steps go to a thread pool shared by every plan in the process, except
+    that the thread that records a step runs the first child that step made
+    ready and submits only the extra fan-out. Without ``timeout_ms`` the
+    caller runs the first root step itself, so a chain runs entirely in the
+    calling thread; with it, see below. The caller returns once the last step
+    is recorded. The pool is bounded but cannot deadlock: a step is submitted
+    only once its dependencies are recorded, and no pool thread ever waits
+    for another step, so every pool task runs to the end without waiting for
+    pool work. (A retriever that itself calls ``execute_plan`` from a pool
+    thread would break that premise.) A step the pool cannot take, because
+    no new thread can start, runs in the thread at hand. A child created by
+    ``os.fork`` starts a fresh pool, since it inherits none of the parent's
+    worker threads.
 
     Timing is on the simulated clock: a step starts the moment its last
     dependency finishes and lasts the latency its retriever reports.
-    ``timeout_ms`` is compared with that reported latency after the call
-    returns: a slower call fails its step with ``latency_ms = timeout_ms``,
-    but nothing stops waiting for it, so it is not a wall-clock deadline.
-    ``total_ms`` equals ``critical_path_ms``, the makespan on the simulated
-    clock, for now.
+    ``total_ms`` and ``critical_path_ms`` both equal the makespan on that
+    clock, the latest ``finished_ms`` of any step; measured wall time is not
+    part of the trace.
+
+    ``timeout_ms`` is a per-step budget, enforced on two clocks. On the
+    simulated clock, every retriever's reported latency is compared with it
+    after the call returns. On the wall clock, for a retriever that really
+    takes its time, it is also a deadline: every call then runs on a pool
+    thread while the caller only watches, and a step still running
+    ``timeout_ms`` after it was dispatched is failed there and then, its
+    dependents are skipped and its late result is dropped. The budget
+    starts at dispatch, so time a step spends queued on a saturated pool
+    counts against it. An abandoned call keeps its pool worker until the
+    retriever returns. Either way a timed-out step reads ``latency_ms =
+    timeout_ms`` and finishes ``timeout_ms`` after it started. A retriever
+    that only simulates its latencies, like :func:`mock_retriever`, gets no
+    wall-clock deadline, so its traces stay reproducible bit for bit.
+
+    An exception that is not an :class:`Exception` (``SystemExit``, say)
+    propagates from a step the calling thread runs, and fails its step on a
+    pool thread, which has no caller to raise to.
     """
     tools = [registry.canonical_of(step.tool_name) for step in plan.steps]
     dependencies = [_dependencies(step) for step in plan.steps]
@@ -217,7 +267,15 @@ def execute_plan(
     results: list[StepResult | None] = [None] * len(plan.steps)
     unrecorded = len(plan.steps)
     lock = threading.Lock()
-    finished = threading.Event()
+    settled = threading.Lock()  # released when the last step is recorded
+    settled.acquire()
+    budget_s = (
+        None
+        if timeout_ms is None or not math.isfinite(timeout_ms) or retriever is None
+        or getattr(retriever, "_simulated_clock", False)
+        else timeout_ms / 1000.0
+    )
+    deadlines: dict[int, float] = {}  # dispatched step -> its time.monotonic() deadline
 
     def call(
         tool: str, args: tuple[tuple[str, str], ...]
@@ -238,10 +296,19 @@ def execute_plan(
             )
         return output, float(latency)
 
-    def outcome(position: int) -> StepResult:
+    def timed_out(
+        position: int, started: float, args: tuple[tuple[str, str], ...], why: str
+    ) -> StepResult:
+        return StepResult(
+            plan.steps[position].index, tools[position], args, None,
+            float(timeout_ms), StepStatus.FAILED,
+            f"Timeout: exceeded {timeout_ms} ms ({why})", started, started + timeout_ms,
+        )
+
+    def outcome(position: int, catch: type[BaseException]) -> StepResult:
         """The terminal entry of a step whose dependencies are recorded.
-        Total: a pool thread has no caller to raise to, and a lost entry
-        would leave the caller waiting forever."""
+        Total for ``catch=BaseException``: a pool thread has no caller to
+        raise to, and a lost entry would leave the caller waiting forever."""
         step, tool = plan.steps[position], tools[position]
         done = [results[k - 1] for k in dependencies[position]]
         blocked = [d.index for d in done if d.status is not StepStatus.OK]
@@ -256,12 +323,8 @@ def execute_plan(
             args = _resolve_args(step, {d.index: d.output for d in done}, context)
             output, latency = call(tool, args)
             if timeout_ms is not None and latency > timeout_ms:
-                error = f"Timeout: exceeded {timeout_ms} ms (retriever took {latency} ms)"
-                return StepResult(
-                    step.index, tool, args, None, float(timeout_ms),
-                    StepStatus.FAILED, error, started, started + timeout_ms,
-                )
-        except Exception as exc:
+                return timed_out(position, started, args, f"retriever took {latency} ms")
+        except catch as exc:
             return StepResult(
                 step.index, tool, args, None, 0.0, StepStatus.FAILED,
                 f"{type(exc).__name__}: {exc}", started, started,
@@ -271,37 +334,91 @@ def execute_plan(
             started, started + latency,
         )
 
-    def run(ready: list[int]) -> None:
+    def record(position: int, result: StepResult) -> list[int]:
+        """Under ``lock``: store a step's terminal entry and return the steps
+        it made ready, each given its deadline when there is a budget."""
+        nonlocal unrecorded
+        results[position] = result
+        deadlines.pop(position, None)
+        unrecorded -= 1
+        if not unrecorded:
+            settled.release()
+        ready = []
+        for child in children[position]:
+            waiting[child] -= 1
+            if not waiting[child]:
+                ready.append(child)
+        if budget_s is not None and ready:
+            deadlines.update(dict.fromkeys(ready, time.monotonic() + budget_s))
+        return ready
+
+    def submit(positions: list[int]) -> list[int]:
+        """Hand steps to the pool; returns those it refused because it could
+        not start a thread."""
+        refused = []
+        for position in positions:
+            try:
+                _shared_pool().submit(run, [position], BaseException)
+            except RuntimeError:
+                refused.append(position)
+        return refused
+
+    def run(ready: list[int], catch: type[BaseException]) -> None:
         """Submit all but the first ready step to the pool, record the first
         in this thread, and go on the same way with the steps it made ready.
-        Steps the pool refuses, as it does once the interpreter starts to
-        exit, run in this thread too."""
-        nonlocal unrecorded
+        Steps the pool refuses run here too. A step that timed out while
+        queued is not called, and a result that comes in after its step
+        timed out is dropped."""
         here: list[int] = []
         while ready or here:
-            for position in ready[1:]:
-                try:
-                    _shared_pool().submit(run, [position])
-                except RuntimeError:
-                    here.append(position)
-            here.extend(ready[:1])
+            here += submit(ready[1:])
+            here += ready[:1]
             position = here.pop()
-            result = outcome(position)
             ready = []
+            if results[position] is not None:
+                continue
+            result = outcome(position, catch)
             with lock:
-                if results[position] is not None:
-                    continue  # also queued by a submit whose new thread failed to start
-                results[position] = result
-                unrecorded -= 1
-                for child in children[position]:
-                    waiting[child] -= 1
-                    if not waiting[child]:
-                        ready.append(child)
-                if not unrecorded:
-                    finished.set()
+                if results[position] is None:
+                    ready = record(position, result)
 
-    run([position for position, count in enumerate(waiting) if not count])
-    finished.wait()
+    def expire(now: float) -> None:
+        """Under ``lock``: time out every step past its deadline, and skip
+        what depends on it."""
+        for position in [p for p, due in deadlines.items() if due <= now]:
+            done = [results[k - 1] for k in dependencies[position]]
+            try:
+                args = _resolve_args(
+                    plan.steps[position], {d.index: d.output for d in done}, context
+                )
+            except ResolutionError:
+                args = ()
+            started = max((d.finished_ms for d in done), default=0.0)
+            late = timed_out(
+                position, started, args, "no result by the wall-clock deadline"
+            )
+            ready = record(position, late)
+            while ready:
+                child = ready.pop()
+                ready += record(child, outcome(child, BaseException))
+
+    roots = [position for position, count in enumerate(waiting) if not count]
+    if budget_s is None:
+        run(roots, Exception)
+    else:
+        deadlines.update(dict.fromkeys(roots, time.monotonic() + budget_s))
+        run(submit(roots), Exception)
+    while True:
+        with lock:
+            if not unrecorded:
+                break
+            now = time.monotonic()
+            due = min(deadlines.values(), default=None)
+            if due is not None and due <= now:
+                expire(now)
+                continue
+        wait_s = -1 if due is None else min(due - now, threading.TIMEOUT_MAX)
+        settled.acquire(timeout=wait_s)
     steps = tuple(results)
     makespan = max(
         (r.finished_ms for r in steps if r.finished_ms is not None), default=0.0
@@ -319,6 +436,9 @@ class CannedCall:
 
 
 class _MockRetriever:
+    # Only reports latencies, so ``execute_plan`` sets it no wall-clock deadline.
+    _simulated_clock = True
+
     def __init__(self, config: Mapping[str, CannedCall]):
         self._config = dict(config)
 

@@ -295,6 +295,8 @@ def test_importing_the_cli_does_not_load_requests():
 
 # what the validate and plan subcommands must never import
 FORGE_AND_EVAL_ONLY = ("numpy", "concurrent.futures", "reaper.evaluation")
+# what validate must not import either: it builds no prompt
+PLAN_ONLY = ("reaper.prompt", "reaper.gateway")
 
 
 def test_validate_and_plan_load_no_numpy_thread_pool_or_evaluation(tmp_path):
@@ -311,6 +313,8 @@ def check(after):
 check("import reaper.cli")
 assert reaper.cli.main(["validate", {str(plans)!r}]) == 0
 check("reaper validate")
+loaded = [name for name in {PLAN_ONLY!r} if name in sys.modules]
+assert not loaded, f"reaper validate loaded {{loaded}}"
 assert reaper.cli.main(["plan", "how much memory is on my galaxy phone"]) == 0
 check("reaper plan")
 """
@@ -400,6 +404,16 @@ class TestPlan:
     def test_remote_backend_without_url_is_domain_error(self, capsys, monkeypatch):
         monkeypatch.delenv("REAPER_BACKEND_URL", raising=False)
         assert main(["plan", "hello", "--backend", "remote"]) == 1
+
+    def test_parser_spells_out_the_library_defaults(self, capsys):
+        from reaper.cli import build_parser
+        from reaper.gateway import BACKEND_URL_ENV
+        from reaper.prompt import DEFAULT_EXAMPLE_COUNT
+
+        assert build_parser().parse_args(["plan", "q"]).examples == DEFAULT_EXAMPLE_COUNT
+        with pytest.raises(SystemExit):
+            main(["plan", "--help"])
+        assert f"${BACKEND_URL_ENV}" in capsys.readouterr().out
 
 
 def test_usage_error_exit_code():

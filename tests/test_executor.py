@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import signal
@@ -469,6 +470,263 @@ class TestDispatch:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["ok"] * 4
+
+
+class Held:
+    """Holds each call of a ``slow`` tool until released or ``hold_s`` has
+    passed; other tools answer at once. Records the tools it finished."""
+
+    def __init__(self, slow, hold_s=0.3):
+        self.slow, self.hold_s = slow, hold_s
+        self.release = threading.Event()
+        self.finished = []
+
+    def invoke(self, tool, args):
+        if tool in self.slow:
+            self.release.wait(self.hold_s)
+        self.finished.append(tool)
+        return {"text": tool}, 1.0
+
+
+def run_bounded(*args, **kwargs):
+    """``execute_plan`` on its own thread, failing the test if it has not
+    returned within 3 s; returns the trace and the wall time."""
+    out = []
+
+    def target():
+        started = time.perf_counter()
+        trace = execute_plan(*args, **kwargs)
+        out.append((trace, time.perf_counter() - started))
+
+    caller = threading.Thread(target=target, daemon=True)
+    caller.start()
+    caller.join(timeout=3)
+    assert not caller.is_alive(), "execute_plan did not return within 3 s"
+    return out[0]
+
+
+class TestDeadlines:
+    def test_late_call_costs_the_budget_not_its_own_time(self, registry):
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            "Step 2: prod_qna(product_id=$1, query=$1.text)"
+        )
+        retriever = Held({"prod_search"})
+        try:
+            trace, elapsed = run_bounded(plan, registry, retriever, timeout_ms=50)
+        finally:
+            retriever.release.set()
+        assert elapsed < 0.2, f"waited {elapsed:.3f} s for a 50 ms budget"
+        first, second = trace.steps
+        assert first.status is StepStatus.FAILED
+        assert first.error.startswith("Timeout: exceeded 50 ms")
+        assert first.latency_ms == 50.0
+        assert (first.started_ms, first.finished_ms) == (0.0, 50.0)
+        assert first.resolved_args == (("keywords", "mug"),)
+        assert second.status is StepStatus.SKIPPED
+        assert trace.total_ms == trace.critical_path_ms == 50.0
+
+    def test_late_result_is_dropped_and_does_not_continue(self, registry):
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            "Step 2: prod_qna(product_id=$1, query=$1.text)"
+        )
+        retriever = Held({"prod_search"})
+        trace, _ = run_bounded(plan, registry, retriever, timeout_ms=20)
+        retriever.release.set()
+        time.sleep(0.05)
+        assert retriever.finished == ["prod_search"]
+        assert trace.step(1).output is None
+        assert trace.step(2).status is StepStatus.SKIPPED
+
+    def test_timed_out_branch_keeps_the_other_branch(self, registry):
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            'Step 2: customer_support(query="returns")\n'
+            'Step 3: prod_qna(product_id=$1, query="size")\n'
+            "Step 4: review_summary(product_id=$2)"
+        )
+        retriever = Held({"customer_support"})
+        try:
+            trace, elapsed = run_bounded(plan, registry, retriever, timeout_ms=50)
+        finally:
+            retriever.release.set()
+        assert elapsed < 0.2
+        assert [s.status.value for s in trace.steps] == ["ok", "failed", "ok", "skipped"]
+        assert trace.step(2).error.startswith("Timeout")
+        assert trace.step(1).output == {"text": "prod_search"}
+        assert trace.step(3).output == {"text": "prod_qna"}
+        assert trace.critical_path_ms == 50.0
+
+    def test_reported_latency_over_budget_still_fails(self, registry):
+        class Fast:
+            def invoke(self, tool, args):
+                return {"text": tool}, 500.0
+
+        trace, _ = run_bounded(
+            parse_plan('Step 1: prod_search(keywords="mug")'), registry, Fast(),
+            timeout_ms=50,
+        )
+        assert trace.step(1).error == (
+            "Timeout: exceeded 50 ms (retriever took 500.0 ms)"
+        )
+
+    @pytest.mark.parametrize("timeout_ms", [math.inf, 1e300, math.nan])
+    def test_budget_without_a_reachable_deadline(self, registry, timeout_ms):
+        class Fast:
+            def invoke(self, tool, args):
+                return {"text": tool}, 5.0
+
+        trace, _ = run_bounded(
+            parse_plan('Step 1: prod_search(keywords="mug")'), registry, Fast(),
+            timeout_ms=timeout_ms,
+        )
+        assert trace.step(1).status is StepStatus.OK
+
+    def test_abandoned_calls_beyond_the_pool_do_not_stall_callers(self, registry):
+        # 16 callers x 3 roots held past their budget: 48 abandoned calls
+        # against the pool's 32 workers, so some steps time out queued.
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            'Step 2: customer_support(query="returns")\n'
+            'Step 3: review_summary(product_id="B0X")\n'
+            "Step 4: prod_qna(product_id=$1, query=$2.text)"
+        )
+        retriever = Held(set(registry.canonical_names), hold_s=5.0)
+        traces = [[] for _ in range(16)]
+
+        def caller(slot):
+            for _ in range(3):
+                traces[slot].append(
+                    execute_plan(plan, registry, retriever, timeout_ms=30)
+                )
+
+        threads = [threading.Thread(target=caller, args=(slot,)) for slot in range(16)]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            retriever.release.set()
+        for runs in traces:
+            assert len(runs) == 3
+            for trace in runs:
+                statuses = [s.status.value for s in trace.steps]
+                assert statuses == ["failed"] * 3 + ["skipped"]
+                assert all(s.error.startswith("Timeout") for s in trace.steps[:3])
+
+    def test_concurrent_callers_keep_one_entry_per_step(self, registry):
+        # A budget inside the retriever's 5-20 ms spread, so that some steps
+        # time out while others finish, from more callers than cores.
+        plan = parse_plan(FAN_OUT_PLAN)
+        parents = {step.index: [] for step in plan.steps}
+        for producer, consumer in dependency_graph(plan):
+            parents[consumer].append(producer)
+        traces = [[] for _ in range(16)]
+
+        def caller(slot):
+            retriever = Sleeping(slot)
+            for _ in range(10):
+                traces[slot].append(
+                    execute_plan(plan, registry, retriever, timeout_ms=12)
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=caller, args=(slot,)) for slot in range(16)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        statuses = set()
+        for runs in traces:
+            assert len(runs) == 10
+            for trace in runs:
+                assert [s.index for s in trace.steps] == [1, 2, 3, 4, 5]
+                for step in trace.steps:
+                    blocked = [
+                        k for k in parents[step.index]
+                        if trace.step(k).status is not StepStatus.OK
+                    ]
+                    assert (step.status is StepStatus.SKIPPED) == bool(blocked)
+                    failed = step.status is StepStatus.FAILED
+                    if failed and step.tool != "review_summary":
+                        assert step.error.startswith("Timeout: exceeded 12 ms")
+                        assert step.latency_ms == 12.0
+                    statuses.add((step.status, (step.error or "")[:7]))
+        assert (StepStatus.FAILED, "Timeout") in statuses
+        assert (StepStatus.OK, "") in statuses
+
+    def test_simulated_latency_gets_no_wall_clock_deadline(self, registry, galaxy_plan):
+        slow = dict(GALAXY_MOCK)
+        slow["shipment_status"] = CannedCall({"text": "late"}, 5000.0)
+        retriever = mock_retriever(slow)
+        started = time.perf_counter()
+        texts = {
+            repr(execute_plan(galaxy_plan, registry, retriever, timeout_ms=1000))
+            for _ in range(100)
+        }
+        assert time.perf_counter() - started < 1.0
+        assert len(texts) == 1
+        (text,) = texts
+        assert "retriever took 5000.0 ms" in text
+
+    def test_simulated_chain_runs_in_the_calling_thread(self, registry, galaxy_plan):
+        threads = []
+
+        class Simulated:
+            _simulated_clock = True
+
+            def invoke(self, tool, args):
+                threads.append(threading.get_ident())
+                return {"text": "t", "product_id": "p"}, 5.0
+
+        trace = execute_plan(galaxy_plan, registry, Simulated(), timeout_ms=1)
+        assert [s.status for s in trace.steps] == [StepStatus.FAILED, StepStatus.SKIPPED]
+        assert threads == [threading.get_ident()]
+
+
+class Boom(BaseException):
+    pass
+
+
+@pytest.mark.parametrize("timeout_ms", [None, 1000])
+def test_base_exception_on_a_pool_thread_fails_its_step(registry, timeout_ms):
+    # Without a budget the first root runs in the caller and the second on
+    # the pool; with one, both run on the pool.
+    plan = parse_plan(
+        'Step 1: prod_search(keywords="mug")\n'
+        'Step 2: customer_support(query="returns")'
+    )
+
+    class Raising:
+        def invoke(self, tool, args):
+            if tool == "customer_support":
+                raise Boom("out of band")
+            return {"text": tool}, 1.0
+
+    trace, _ = run_bounded(plan, registry, Raising(), timeout_ms=timeout_ms)
+    assert [s.status for s in trace.steps] == [StepStatus.OK, StepStatus.FAILED]
+    assert trace.step(2).error == "Boom: out of band"
+
+
+def test_base_exception_in_the_calling_thread_propagates(registry):
+    class Raising:
+        def invoke(self, tool, args):
+            raise Boom("out of band")
+
+    with pytest.raises(Boom):
+        execute_plan(
+            parse_plan('Step 1: prod_search(keywords="mug")'), registry, Raising()
+        )
 
 
 class TestTimingInvariants:
