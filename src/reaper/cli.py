@@ -225,6 +225,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
         load_example_pool,
     )
 
+    if args.examples < 0:
+        raise ValueError(f"--examples must be 0 or more, got {args.examples}")
     registry = _load_registry(args.registry)
     pool = [
         example

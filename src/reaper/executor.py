@@ -23,7 +23,7 @@ import numbers
 import os
 import threading
 import time
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Protocol
@@ -105,16 +105,18 @@ def _lookup(output: Mapping[str, object], path: str, producer: int) -> object:
 
 def _resolve_args(
     step: PlanStep,
-    outputs: Mapping[int, Mapping[str, object]],
+    results: Sequence[StepResult | None],
     context: Mapping[str, str] | None,
 ) -> tuple[tuple[str, str], ...]:
+    """``step``'s arguments as text; ``results`` holds the plan's entries in
+    step order, those ``step`` references recorded."""
     resolved = []
     for name, value in step.args:
         if isinstance(value, Literal):
             text = value.text
         elif isinstance(value, StepRef):
             path = value.field or "text"
-            found = _lookup(outputs[value.step], path, value.step)
+            found = _lookup(results[value.step - 1].output, path, value.step)
             if isinstance(found, str):
                 text = found
             else:
@@ -286,11 +288,14 @@ def execute_plan(
         if retriever is None:
             raise RetrieverError("no retriever configured")
         output, latency = retriever.invoke(tool, dict(args))
+        # exact float and dict first: each ABC check costs about a microsecond
         if not (
-            isinstance(latency, numbers.Real) and math.isfinite(latency) and latency >= 0
+            (type(latency) is float or isinstance(latency, numbers.Real))
+            and math.isfinite(latency)
+            and latency >= 0
         ):
             raise RetrieverError(f"invalid latency {latency!r}")
-        if not isinstance(output, Mapping):
+        if type(output) is not dict and not isinstance(output, Mapping):
             raise RetrieverError(
                 f"output must be a mapping, got {type(output).__name__}"
             )
@@ -310,17 +315,19 @@ def execute_plan(
         Total for ``catch=BaseException``: a pool thread has no caller to
         raise to, and a lost entry would leave the caller waiting forever."""
         step, tool = plan.steps[position], tools[position]
-        done = [results[k - 1] for k in dependencies[position]]
-        blocked = [d.index for d in done if d.status is not StepStatus.OK]
-        if blocked:
-            reason = f"skipped: depends on step(s) {', '.join(map(str, blocked))}"
-            return StepResult(
-                step.index, tool, (), None, 0.0, StepStatus.SKIPPED, reason
-            )
-        started = max((d.finished_ms for d in done), default=0.0)
+        started = 0.0
+        if dependencies[position]:
+            done = [results[k - 1] for k in dependencies[position]]
+            blocked = [d.index for d in done if d.status is not StepStatus.OK]
+            if blocked:
+                reason = f"skipped: depends on step(s) {', '.join(map(str, blocked))}"
+                return StepResult(
+                    step.index, tool, (), None, 0.0, StepStatus.SKIPPED, reason
+                )
+            started = max(d.finished_ms for d in done)
         args: tuple[tuple[str, str], ...] = ()
         try:
-            args = _resolve_args(step, {d.index: d.output for d in done}, context)
+            args = _resolve_args(step, results, context)
             output, latency = call(tool, args)
             if timeout_ms is not None and latency > timeout_ms:
                 return timed_out(position, started, args, f"retriever took {latency} ms")
@@ -384,19 +391,21 @@ def execute_plan(
 
     def expire(now: float) -> None:
         """Under ``lock``: time out every step past its deadline, and skip
-        what depends on it."""
+        what depends on it. A step still queued behind a dependency that did
+        not succeed is skipped, as it would have been when run."""
         for position in [p for p, due in deadlines.items() if due <= now]:
             done = [results[k - 1] for k in dependencies[position]]
-            try:
-                args = _resolve_args(
-                    plan.steps[position], {d.index: d.output for d in done}, context
+            if any(d.status is not StepStatus.OK for d in done):
+                late = outcome(position, BaseException)
+            else:
+                try:
+                    args = _resolve_args(plan.steps[position], results, context)
+                except ResolutionError:
+                    args = ()
+                started = max((d.finished_ms for d in done), default=0.0)
+                late = timed_out(
+                    position, started, args, "no result by the wall-clock deadline"
                 )
-            except ResolutionError:
-                args = ()
-            started = max((d.finished_ms for d in done), default=0.0)
-            late = timed_out(
-                position, started, args, "no result by the wall-clock deadline"
-            )
             ready = record(position, late)
             while ready:
                 child = ready.pop()

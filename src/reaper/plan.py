@@ -16,10 +16,19 @@ and raises :class:`PlanParseError` at the first defect in document order.
 Registry-aware checks (unknown tools, missing parameters) are not parse
 errors; they are reported as :class:`Violation` values by ``validate_plan``.
 
+Each line takes one of two paths, chosen by the line itself. The regex path
+matches a valid line whole: one regex for the ``Step N: tool(`` header, then
+one per ``name=value`` followed by ``, `` or by the ``)`` that ends the line,
+with the lexer's ASCII token classes, and then checks the index, duplicate
+parameters and back-references. Any line it turns down goes to the
+diagnostic path, the recursive-descent ``_LineParser``, which either parses
+it too or raises the error; so every :class:`PlanParseError`, its kind, line
+and message, comes from ``_LineParser`` alone.
+
 ``PlanStep(...)`` and ``Plan(...)`` check every invariant of a step and a
 plan, so a plan cannot be built invalid. Two callers build steps through the
 private ``PlanStep._trusted`` instead, which checks nothing: ``parse_plan``,
-whose lexer and parser enforce each step invariant before a step exists, and
+whose two paths enforce each step invariant before a step exists, and
 ``rename_tools``, whose input steps are valid and which checks the one tool
 name it changes. Both still build the plan through ``Plan(...)``.
 """
@@ -45,6 +54,17 @@ _IDENT_TOKEN = re.compile(r"[a-z][a-z0-9_]*")
 # A line never holds a newline, so ``.`` after a backslash takes any char.
 _STRING_TOKEN = re.compile(r'"((?:[^"\\]|\\.)*)"')
 _ESCAPE = re.compile(r"\\(.)")
+
+# The whole-line fast path: the ``Step N: tool(`` header, then one match per
+# ``name=value`` followed by ``, `` or by the ``)`` that ends the line. The
+# value groups are a string literal's body, a step reference's number and
+# ``.field`` path, and a context field.
+_HEADER = re.compile(r"Step ([0-9]+): ([a-z][a-z0-9_]*)\(")
+_ARG = re.compile(
+    r'([a-z][a-z0-9_]*)=(?:"((?:[^"\\]|\\.)*)"'
+    r"|\$([0-9]+)((?:\.[a-z][a-z0-9_]*)*)|\$context\.([a-z][a-z0-9_]*))"
+    r"(?:, |(\))\Z)"
+)
 
 # Characters that may legally appear outside string literals. Anything else
 # encountered where a token is expected is a lexical error rather than a
@@ -176,8 +196,16 @@ def _unescape(match: re.Match) -> str:
     return "\n" if match.group(1) == "n" else match.group(1)
 
 
+def _literal(body: str) -> Literal:
+    """The literal whose text, between the quotes, reads ``body``."""
+    # the renderer emits exactly \\, \" and \n (strings must stay on one
+    # line); any other escaped char decodes to itself
+    return Literal(_ESCAPE.sub(_unescape, body) if "\\" in body else body)
+
+
 class _LineParser:
-    """Recursive-descent parser for a single ``Step N: call(...)`` line."""
+    """Recursive-descent parser for a single ``Step N: call(...)`` line: the
+    diagnostic path, for every line ``_match_step`` turns down."""
 
     def __init__(self, line: str, line_no: int):
         self.s = line
@@ -217,12 +245,7 @@ class _LineParser:
         if match is None:
             self.fail(ParseErrorKind.LEX, "unterminated string literal")
         self.i = match.end()
-        text = match.group(1)
-        if "\\" in text:
-            # the renderer emits exactly \\, \" and \n (strings must stay
-            # on one line); any other escaped char decodes to itself
-            text = _ESCAPE.sub(_unescape, text)
-        return Literal(text)
+        return _literal(match.group(1))
 
     def take_value(self, step_index: int) -> ArgValue:
         ch = self.peek()
@@ -300,11 +323,47 @@ class _LineParser:
         return PlanStep._trusted(index, tool, tuple(args))
 
 
+def _match_step(line: str, line_no: int) -> PlanStep | None:
+    """The step on a line that matches the grammar with the line's own index,
+    no duplicate parameter and no forward reference; None for any other
+    line."""
+    header = _HEADER.match(line)
+    if header is None or int(header[1]) != line_no:
+        return None
+    pos = header.end()
+    args: list[tuple[str, ArgValue]] = []
+    if pos == len(line) - 1 and line[pos] == ")":
+        return PlanStep._trusted(line_no, header[2], ())
+    while True:
+        match = _ARG.match(line, pos)
+        if match is None:
+            return None
+        name, text, target, field, context, close = match.groups()
+        if text is not None:
+            value: ArgValue = _literal(text)
+        elif context is not None:
+            value = ContextRef(context)
+        else:
+            number = int(target)
+            if not 1 <= number < line_no:
+                return None
+            value = StepRef(number, field[1:] or None)
+        args.append((name, value))
+        if close:
+            if len(args) > 1 and len({n for n, _ in args}) < len(args):
+                return None  # a duplicate parameter
+            return PlanStep._trusted(line_no, header[2], tuple(args))
+        pos = match.end()
+
+
 def parse_plan(text: str) -> Plan:
     """Parse plan text, raising :class:`PlanParseError` on the first defect."""
     steps = []
     for line_no, line in enumerate(text.split("\n"), start=1):
-        steps.append(_LineParser(line, line_no).parse())
+        step = _match_step(line, line_no)
+        if step is None:
+            step = _LineParser(line, line_no).parse()
+        steps.append(step)
     return Plan(tuple(steps))
 
 

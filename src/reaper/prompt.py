@@ -103,8 +103,9 @@ def input_lines(query_input: QueryInput) -> list[str]:
     return lines
 
 
-def build_prompt(spec: PromptSpec) -> str:
-    """Render the prompt text; byte-deterministic in the spec."""
+def _render_prefix(spec: PromptSpec) -> str:
+    """Everything before the input lines, ending in ``### Input:`` and a
+    newline."""
     lines: list[str] = ["### Role:", spec.role_text, ""]
     lines += ["### System Instruction:", spec.system_instruction, ""]
     lines += ["Candidate tools:", ""]
@@ -117,9 +118,41 @@ def build_prompt(spec: PromptSpec) -> str:
         lines.append("Plan:")
         lines.append(render_plan(example.target_plan))
         lines.append("")
-    lines.append("### Input:")
-    lines += input_lines(spec.input)
+    lines += ["### Input:", ""]
     return "\n".join(lines)
+
+
+# (role text, instruction, registry, examples, prefix) of the last rendered
+# spec. Rebound whole, never mutated, so a thread reads one consistent entry;
+# holding the registry and the examples keeps their ids from being reused.
+_last_prefix: tuple[str, str, ToolRegistry, tuple, str] | None = None
+
+
+def build_prompt(spec: PromptSpec) -> str:
+    """Render the prompt text; byte-deterministic in the spec.
+
+    The fixed prefix, everything up to and including ``### Input:``, is
+    rendered once and reused while consecutive specs carry the same registry
+    object and the same examples tuple object (compared by identity: both
+    are immutable, and ``PromptSpec`` keeps a tuple it is given) and equal
+    role and instruction strings. A spec built from a list gets a new tuple
+    every time, so its prefix is rendered again."""
+    global _last_prefix
+    memo = _last_prefix
+    if (
+        memo is not None
+        and memo[2] is spec.tools
+        and memo[3] is spec.examples
+        and memo[0] == spec.role_text
+        and memo[1] == spec.system_instruction
+    ):
+        prefix = memo[4]
+    else:
+        prefix = _render_prefix(spec)
+        _last_prefix = (
+            spec.role_text, spec.system_instruction, spec.tools, spec.examples, prefix
+        )
+    return prefix + "\n".join(input_lines(spec.input))
 
 
 def adversarial_omit(spec: PromptSpec, tool: str) -> PromptSpec:

@@ -405,6 +405,17 @@ class TestPlan:
         monkeypatch.delenv("REAPER_BACKEND_URL", raising=False)
         assert main(["plan", "hello", "--backend", "remote"]) == 1
 
+    def test_negative_example_count_is_usage_error(self, capsys):
+        # a negative count would slice off the end of the pool
+        assert main(["plan", "where is my order", "--examples", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--examples must be 0 or more, got -1" in captured.err
+
+    def test_zero_examples_is_accepted(self, capsys):
+        assert main(["plan", "an unmatched question", "--examples", "0"]) == 0
+        assert "Step 1: no_retrieval()" in capsys.readouterr().out
+
     def test_parser_spells_out_the_library_defaults(self, capsys):
         from reaper.cli import build_parser
         from reaper.gateway import BACKEND_URL_ENV

@@ -1,3 +1,5 @@
+import collections
+import fractions
 import math
 import os
 import random
@@ -7,11 +9,15 @@ import sys
 import textwrap
 import threading
 import time
+import types
+from collections.abc import Mapping
 from pathlib import Path
 
+import numpy
 import pytest
 
 import reaper
+import reaper.executor as executor_mod
 from reaper.errors import UnknownToolError
 from reaper.executor import (
     CannedCall,
@@ -33,6 +39,22 @@ GALAXY_MOCK = {
     ),
     "prod_qna": CannedCall({"text": "128 GB"}, 50.0),
 }
+
+
+class _FrozenMapping(Mapping):
+    """A user ``Mapping`` that is not a ``dict``."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
 
 
 class TestDependencyGraph:
@@ -242,6 +264,43 @@ class TestExecutePlan:
         assert trace.step(1).error == f"RetrieverError: invalid latency {latency!r}"
         assert trace.step(1).latency_ms == 0.0
         assert trace.step(2).status is StepStatus.SKIPPED
+
+    @pytest.mark.parametrize("timeout_ms", [None, 50])
+    @pytest.mark.parametrize(
+        "latency",
+        [7, fractions.Fraction(15, 2), numpy.float64(7.5)],
+        ids=["int", "Fraction", "numpy.float64"],
+    )
+    def test_any_real_latency_is_accepted(
+        self, registry, galaxy_plan, latency, timeout_ms
+    ):
+        class RealLatency:
+            def invoke(self, tool, args):
+                return {"text": "x", "product_id": "B0GALAXY"}, latency
+
+        trace = execute_plan(galaxy_plan, registry, RealLatency(), timeout_ms=timeout_ms)
+        assert [s.status for s in trace.steps] == [StepStatus.OK] * 2
+        assert type(trace.step(1).latency_ms) is float
+        assert trace.step(1).latency_ms == float(latency)
+        assert trace.step(2).finished_ms == 2 * float(latency)
+
+    @pytest.mark.parametrize("timeout_ms", [None, 50])
+    @pytest.mark.parametrize(
+        "mapping",
+        [types.MappingProxyType, collections.OrderedDict, _FrozenMapping],
+        ids=["MappingProxyType", "OrderedDict", "Mapping-subclass"],
+    )
+    def test_any_mapping_output_is_accepted(
+        self, registry, galaxy_plan, mapping, timeout_ms
+    ):
+        class MappingOutput:
+            def invoke(self, tool, args):
+                return mapping({"text": "x", "product_id": "B0GALAXY"}), 1.0
+
+        trace = execute_plan(galaxy_plan, registry, MappingOutput(), timeout_ms=timeout_ms)
+        assert [s.status for s in trace.steps] == [StepStatus.OK] * 2
+        assert type(trace.step(1).output) is mapping
+        assert ("product_id", "B0GALAXY") in trace.step(2).resolved_args
 
     @pytest.mark.parametrize(
         "value", [{1, 2}, b"B0", float("nan"), float("inf")], ids=repr
@@ -616,6 +675,51 @@ class TestDeadlines:
                 statuses = [s.status.value for s in trace.steps]
                 assert statuses == ["failed"] * 3 + ["skipped"]
                 assert all(s.error.startswith("Timeout") for s in trace.steps[:3])
+
+    def test_step_queued_behind_a_failed_step_is_skipped_at_its_deadline(
+        self, registry, monkeypatch
+    ):
+        # A pool that runs only the first task it is given, and holds the
+        # rest as a saturated pool would: steps 3 and 5 stay queued past
+        # their deadline, behind a failed and a skipped dependency.
+        class RunsOnlyTheFirst:
+            def __init__(self):
+                self.ran = False
+                self.held = []
+
+            def submit(self, function, *args):
+                if self.ran:
+                    self.held.append(args[0])
+                    return
+                self.ran = True
+                threading.Thread(target=function, args=args, daemon=True).start()
+
+        pool = RunsOnlyTheFirst()
+        monkeypatch.setattr(executor_mod, "_shared_pool", lambda: pool)
+        calls = []
+
+        class Down:
+            def invoke(self, tool, args):
+                calls.append(tool)
+                raise RetrieverError("down")
+
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            "Step 2: prod_qna(product_id=$1)\n"
+            "Step 3: review_summary(product_id=$1)\n"
+            "Step 4: prod_qna(product_id=$2)\n"
+            "Step 5: review_summary(product_id=$2)"
+        )
+        trace = execute_plan(plan, registry, Down(), timeout_ms=20)
+        assert calls == ["prod_search"]
+        assert sorted(pool.held) == [[2], [4]]  # steps 3 and 5, never run
+        assert [(s.status, s.error) for s in trace.steps] == [
+            (StepStatus.FAILED, "RetrieverError: down"),
+            (StepStatus.SKIPPED, "skipped: depends on step(s) 1"),
+            (StepStatus.SKIPPED, "skipped: depends on step(s) 1"),
+            (StepStatus.SKIPPED, "skipped: depends on step(s) 2"),
+            (StepStatus.SKIPPED, "skipped: depends on step(s) 2"),
+        ]
 
     def test_concurrent_callers_keep_one_entry_per_step(self, registry):
         # A budget inside the retriever's 5-20 ms spread, so that some steps

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reaper.plan import (
+    _LineParser,
+    _match_step,
     ContextRef,
     Literal,
     ParseErrorKind,
@@ -340,3 +342,80 @@ def test_trusted_constructors_equal_validating_ones(rng, mapping):
         assert plan == rebuilt
         assert hash(plan) == hash(rebuilt)
         assert render_plan(plan) == render_plan(rebuilt)
+
+
+def _diagnostic_parse(text: str) -> Plan:
+    """``parse_plan`` with every line going through ``_LineParser``."""
+    return Plan(
+        tuple(
+            _LineParser(line, line_no).parse()
+            for line_no, line in enumerate(text.split("\n"), start=1)
+        )
+    )
+
+
+def _outcome(parse, text: str):
+    try:
+        return parse(text)
+    except PlanParseError as exc:
+        return (exc.kind, exc.line, exc.message)
+
+
+# Characters that make or break the grammar, and digits that are not ASCII.
+_GRAMMAR_CHARS = 'Step:()$.,=" \\_01239axzA\u00b2\u0663\uff11'
+
+
+def _edit(text: str, rng: random.Random, char: str) -> str:
+    """``text`` with one character replaced by ``char``, deleted, or with
+    ``char`` inserted; the edit may leave the plan valid."""
+    at = rng.randrange(len(text) + 1)
+    edit = rng.choice(["replace", "delete", "insert"])
+    if edit == "insert":
+        return text[:at] + char + text[at:]
+    at = min(at, len(text) - 1)
+    return text[:at] + ("" if edit == "delete" else char) + text[at + 1:]
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    plans(),
+    st.randoms(use_true_random=False),
+    st.lists(st.characters(), min_size=8, max_size=8),
+)
+def test_regex_path_agrees_with_the_line_parser(plan, rng, chars):
+    # parse_plan matches a valid line with regexes and sends any other line
+    # to _LineParser: every text gives equal plans or the same error
+    text = render_plan(plan)
+    for line_no, (line, step) in enumerate(zip(text.split("\n"), plan.steps), start=1):
+        assert _match_step(line, line_no) == step
+    chars += [rng.choice(_GRAMMAR_CHARS) for _ in range(300)]
+    for char in chars:
+        edited = _edit(text, rng, char)
+        assert _outcome(parse_plan, edited) == _outcome(_diagnostic_parse, edited), edited
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        'Step 1: a(x="1", x="2")',
+        'Step 1: a()\nStep 2: b(x=$1, y="2", x=$1.f)',
+        "Step 1: a(x=$1)",
+        "Step 1: a()\nStep 2: b(x=$3.f)",
+        "Step 2: a()",
+        "Step 1: a()\nStep 1: b()",
+        "Step 1: a()\nStep 02: b(x=$01.f)",
+        'Step 1: a(x="1"))',
+        'Step 1: a(x="1") ',
+        'Step 1: a(x="1", )',
+        "Step 1: a(x=$context.f.g)",
+        "Step 1: a(x=$context)",
+        "Step 1: a()\nStep 2: b(x=$1x)",
+        "Step 1: a()\nStep 2: b(x=$1.)",
+        'Step 1: a(x="\\q\\"\\n")',
+        "Step 1: a(",
+        "Step 1: a()\n",
+        "",
+    ],
+)
+def test_lines_the_regexes_turn_down_agree_too(text):
+    assert _outcome(parse_plan, text) == _outcome(_diagnostic_parse, text)

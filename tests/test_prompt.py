@@ -1,10 +1,14 @@
 import re
+import sys
+import threading
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
 import pytest
 
 from reaper.errors import SchemaError, UnknownToolError
+from reaper.plan import render_plan
 from reaper.prompt import (
     DEFAULT_ROLE,
     DEFAULT_SYSTEM_INSTRUCTION,
@@ -77,6 +81,107 @@ class TestBuildPrompt:
         subset = registry.subset(["no_retrieval"])
         with pytest.raises(UnknownToolError):
             make_spec(subset, examples=[pool[0]])  # uses shipment_status
+
+
+def fresh_render(spec: PromptSpec) -> str:
+    """The prompt layout written out again, with no reuse of earlier work."""
+    out = ["### Role:", spec.role_text, "", "### System Instruction:"]
+    out += [spec.system_instruction, "", "Candidate tools:", ""]
+    for number, tool in enumerate(spec.tools, start=1):
+        signature = ", ".join(
+            p.name if p.required else f"{p.name}?" for p in tool.params
+        )
+        out.append(
+            f"{number}. {tool.canonical_name} - Tool: {tool.description} "
+            f"Signature: {tool.canonical_name}({signature}). "
+            f"Example usage: {tool.example_usage}"
+        )
+    out += ["", "### Examples:", ""]
+    for number, example in enumerate(spec.examples, start=1):
+        out.append(f"Example {number}:")
+        out.append(f"Query: {example.input.query}")
+        if example.input.context is not None:
+            out.append(f"Context: {example.input.context}")
+        out += ["Plan:", render_plan(example.target_plan), ""]
+    out += ["### Input:", f"Query: {spec.input.query}"]
+    if spec.input.context is not None:
+        out.append(f"Context: {spec.input.context}")
+    return "\n".join(out)
+
+
+class TestPrefixReuse:
+    """``build_prompt`` reuses the rendered prefix of the previous spec; no
+    order of specs may make it return another spec's text."""
+
+    @pytest.fixture()
+    def base(self, registry, pool):
+        return make_spec(registry, examples=pool[:3], query="where is my order")
+
+    def variants(self, base, registry, pool):
+        examples = base.examples
+        return {
+            "role": replace(base, role_text=base.role_text + " Be brief."),
+            "instruction": replace(
+                base, system_instruction="Plan. " + base.system_instruction
+            ),
+            "registry-copy": replace(
+                base, tools=registry.subset(registry.canonical_names)
+            ),
+            "registry-smaller": replace(
+                base, tools=registry.without("customer_support").without("prod_search")
+            ),
+            "omitted-tool": adversarial_omit(base, "prod_qna"),
+            "examples": replace(base, examples=(pool[1], pool[0], pool[2])),
+            "fewer-examples": replace(base, examples=examples[:1]),
+            "no-examples": replace(base, examples=()),
+            "examples-list": PromptSpec(
+                base.role_text, base.system_instruction, registry,
+                list(examples), base.input,
+            ),
+            "query": replace(base, input=QueryInput("how much memory")),
+            "context": replace(
+                base, input=QueryInput("where is my order", "Samsung Galaxy S23")
+            ),
+        }
+
+    def test_alternating_specs_each_render_their_own_text(self, base, registry, pool):
+        for name, other in self.variants(base, registry, pool).items():
+            for spec in (base, other, base, other, other, base):
+                assert build_prompt(spec) == fresh_render(spec), name
+
+    def test_equal_but_distinct_examples_tuple_gives_equal_text(self, base):
+        copy = replace(base, examples=tuple(list(base.examples)))
+        assert copy.examples is not base.examples
+        assert build_prompt(base) == build_prompt(copy) == fresh_render(base)
+
+    def test_concurrent_builders_each_get_their_own_text(self, base, registry, pool):
+        variants = self.variants(base, registry, pool)
+        specs = [base] + [variants[name] for name in ("omitted-tool", "role", "context")]
+        expected = [fresh_render(spec) for spec in specs]
+        start = threading.Barrier(len(specs))
+        wrong: list[int] = []
+
+        def build_many(which: int) -> None:
+            start.wait()
+            for _ in range(2000):
+                if build_prompt(specs[which]) != expected[which]:
+                    wrong.append(which)
+
+        threads = [
+            threading.Thread(target=build_many, args=(which,), daemon=True)
+            for which in range(len(specs))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestAdversarialOmit:
