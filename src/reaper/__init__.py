@@ -11,7 +11,8 @@ The public names below resolve on first access (PEP 562), so importing
 - every one: the plan language, the registry with its YAML reader, the
   prompt builder and the gateway; ``validate`` and ``plan`` nothing more;
 - ``eval`` and ``bench``: :mod:`reaper.evaluation` and the executor, and
-  ``concurrent.futures`` once a plan fans out;
+  the executor's thread pool (``queue.SimpleQueue`` and daemon threads)
+  once a plan fans out;
 - ``forge``: the forge, and numpy with the first embedding.
 
 ``requests`` is imported only when an HTTP adapter makes its first call.

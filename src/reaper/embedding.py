@@ -70,28 +70,37 @@ _TOKEN_SPLIT = re.compile(r"[^a-z0-9]+")
 
 class HashingEmbedder:
     """Offline embedder: lowercase tokens hashed into signed buckets, then
-    L2-normalized. Deterministic across processes; makes no semantic claims."""
+    L2-normalized. Deterministic across processes; makes no semantic claims.
+
+    Each instance remembers the ``(bucket, sign)`` of every token it has
+    hashed, so a token is hashed once per instance and the vectors are the
+    same bit for bit."""
 
     def __init__(self, dim: int = 256):
         if dim < 1:
             raise ValueError("dim must be positive")
         self.dim = dim
+        self._slots: dict[str, tuple[int, float]] = {}
 
-    def embed(self, text: str) -> np.ndarray:
+    def _slot(self, token: str) -> tuple[int, float]:
         import hashlib
 
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        h = int.from_bytes(digest, "big")
+        slot = self._slots[token] = (h % self.dim, 1.0 if (h >> 32) & 1 == 0 else -1.0)
+        return slot
+
+    def embed(self, text: str) -> np.ndarray:
         import numpy as np
 
         if not text:
             raise ValueError("text must be non-empty")
         vector = np.zeros(self.dim, dtype=np.float64)
+        slots = self._slots
         for token in _TOKEN_SPLIT.split(text.lower()):
             if not token:
                 continue
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-            h = int.from_bytes(digest, "big")
-            bucket = h % self.dim
-            sign = 1.0 if (h >> 32) & 1 == 0 else -1.0
+            bucket, sign = slots.get(token) or self._slot(token)
             vector[bucket] += sign
         norm = float(np.linalg.norm(vector))
         if norm > 0.0:

@@ -16,18 +16,25 @@ from .records import ForgeConfig, MixManifest, TaskKind, TrainingRecord
 def load_generic_pool(path: str | Path | None = None) -> list[dict]:
     """Load a generic instruction pool (JSONL of prompt/target pairs, with an
     optional stable ``id``); the shipped 200-record stand-in when ``path`` is
-    None."""
+    None. Each field must be a non-empty string; an ``id`` that is absent or
+    null takes the default ``gen-NNNN`` from the record's position."""
     if path is None:
         source = resources.files("reaper.data").joinpath("generic_pool.jsonl")
     else:
         source = Path(path)
     pool = []
     for where, record in read_jsonl(source):
-        for key in ("prompt", "target"):
-            if not typed_field(record, key, str, str(source), where):
+        for key, optional in (("prompt", False), ("target", False), ("id", True)):
+            value = typed_field(record, key, str, str(source), where, optional)
+            if value == "":
                 raise SchemaError(str(source), f"{where}.{key}", "must be non-empty")
         pool.append(record)
     return pool
+
+
+def _source_id(record: dict, index: int) -> str:
+    ident = record.get("id")
+    return f"gen-{index:04d}" if ident is None else str(ident)
 
 
 def _ratio(reaper_count: int, generic_count: int) -> str:
@@ -52,7 +59,7 @@ def mix_dataset(
             prompt=generic_pool[i]["prompt"],
             target=generic_pool[i]["target"],
             task_kind=TaskKind.GENERIC,
-            source_id=str(generic_pool[i].get("id", f"gen-{i:04d}")),
+            source_id=_source_id(generic_pool[i], i),
         )
         for i in chosen
     ]

@@ -5,6 +5,16 @@ records (one evolved primary plus ``tasks_per_query - 1`` secondaries whose
 kinds are sampled without replacement from the applicable ones, cycling when
 fewer kinds apply than are needed). The output JSONL is a pure function of
 the inputs and the configured seeds.
+
+Work that repeats within a run is done once per run. :func:`forge_run`
+prepares the demonstration pool against the registry: each demonstration's
+canonical tool set, and each renaming for one choice of variant names,
+which keeps its rendered plan. The CLI's embedder hashes each distinct
+token once. Both die with the run. What outlives a run is bounded: the
+one-entry identity memos of the last prompt prefix (``build_prompt``) and
+of the last task's rendered plan (``ttg_transform``, which renders it once
+for all of a task's secondary records), and ``tevo._presented``, bounded
+by the registry's variant space.
 """
 
 from __future__ import annotations
@@ -28,7 +38,7 @@ from .records import (
     TaskKind,
     TrainingRecord,
 )
-from .tevo import evolve_target, tevo_evolve
+from .tevo import _PreparedPool, evolve_target, tevo_evolve
 from .ttg import applicable_kinds, ttg_transform
 
 _SEED_STRIDE = 1_000_003
@@ -106,6 +116,7 @@ def forge_run(
     surviving = dqs_sample_indices(reference, queries, provider, dqs_cfg)
     if example_pool is None:
         example_pool = load_example_pool()
+    demonstrations = _PreparedPool(example_pool, registry)
 
     records: list[TrainingRecord] = []
     for index in surviving:
@@ -116,7 +127,7 @@ def forge_run(
                 cfg,
                 rng_seed=cfg.tevo_seed * _SEED_STRIDE + index,
                 source_id=f"q{index:05d}",
-                example_pool=example_pool,
+                example_pool=demonstrations,
             )
         )
 

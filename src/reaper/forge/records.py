@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 
 from ..plan import Plan
@@ -54,14 +54,13 @@ class TrainingRecord:
             raise ValueError("prompt and target must be non-empty")
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "prompt": self.prompt,
-                "target": self.target,
-                "task_kind": self.task_kind.value,
-                "source_id": self.source_id,
-            },
-            ensure_ascii=False,
+        """The record as one JSON object, byte for byte what
+        ``json.dumps(..., ensure_ascii=False)`` writes for these four keys:
+        the same C string escaper, without building an encoder per record."""
+        return (
+            f'{{"prompt": {_quote(self.prompt)}, "target": {_quote(self.target)}, '
+            f'"task_kind": {_quote(self.task_kind.value)}, '
+            f'"source_id": {_quote(self.source_id)}}}'
         )
 
 

@@ -10,9 +10,9 @@ sampled variants, so its canonical tool sequence is stable by construction.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from dataclasses import replace
 from functools import cache
-from typing import Sequence
 
 from ..plan import parse_plan, rename_tools, render_plan, tool_sequence
 from ..prompt import (
@@ -57,6 +57,59 @@ def _present(
     return ToolRegistry(entries)
 
 
+class _PreparedPool(Sequence):
+    """A demonstration pool prepared against one registry, so that the work
+    that is the same for every task is done once: a demonstration's
+    canonical tool set is computed when a task first needs it, and each
+    demonstration is renamed once per distinct choice of variant names for
+    the tools its plan names. It reads as the pool itself.
+
+    Memos are keyed by position and by tuples of names, never by value.
+    :func:`~reaper.forge.pipeline.forge_run` makes one per run and drops it
+    with the run; :func:`tevo_evolve` makes a throwaway one when it is given
+    a plain pool or one prepared against another registry."""
+
+    def __init__(self, pool: Sequence[InContextExample], registry: ToolRegistry):
+        self._pool = tuple(pool)
+        self.registry = registry
+        self.queries = [example.input.query for example in self._pool]
+        self._tools: list[frozenset[str] | None] = [None] * len(self._pool)
+        # the distinct tool names each plan writes, in first-use order:
+        # ``rename_tools`` looks up nothing else
+        self._written = [
+            tuple(dict.fromkeys(step.tool_name for step in ex.target_plan.steps))
+            for ex in self._pool
+        ]
+        self._renamed: dict[tuple[int, ...], InContextExample] = {}
+
+    def __len__(self) -> int:
+        return len(self._pool)
+
+    def __getitem__(self, index):
+        return self._pool[index]
+
+    def tools(self, k: int) -> frozenset[str]:
+        """The canonical tool set of demonstration ``k``, computed when a
+        task first needs it; a tool the registry does not know raises then."""
+        tools = self._tools[k]
+        if tools is None:
+            tools = self._tools[k] = frozenset(
+                tool_sequence(self._pool[k].target_plan, self.registry)
+            )
+        return tools
+
+    def renamed(self, k: int, names: dict[str, str]) -> InContextExample:
+        """Demonstration ``k`` with its tools renamed through ``names``."""
+        key = (k, *[names.get(name, name) for name in self._written[k]])
+        example = self._renamed.get(key)
+        if example is None:
+            source = self._pool[k]
+            example = self._renamed[key] = InContextExample(
+                source.input, rename_tools(source.target_plan, names)
+            )
+        return example
+
+
 def tevo_evolve(
     task: PrimaryTask,
     registry: ToolRegistry,
@@ -81,23 +134,23 @@ def tevo_evolve(
 
     if example_pool is None:
         example_pool = load_example_pool()
+    if isinstance(example_pool, _PreparedPool) and example_pool.registry is registry:
+        demos = example_pool
+    else:
+        demos = _PreparedPool(example_pool, registry)
     allowed = set(subset.canonical_names)
+    query = task.input.query
     candidates = [
-        example
-        for example in example_pool
-        if example.input.query != task.input.query
-        and set(tool_sequence(example.target_plan, registry)) <= allowed
+        k
+        for k, shown in enumerate(demos.queries)
+        if shown != query and demos.tools(k) <= allowed
     ]
     chosen = rng.sample(candidates, min(cfg.example_count, len(candidates)))
-    examples = tuple(
-        InContextExample(ex.input, rename_tools(ex.target_plan, names))
-        for ex in chosen
-    )
     return PromptSpec(
         role_text=DEFAULT_ROLE,
         system_instruction=DEFAULT_SYSTEM_INSTRUCTION,
         tools=presented,
-        examples=examples,
+        examples=tuple(demos.renamed(k, names) for k in chosen),
         input=task.input,
     )
 

@@ -13,6 +13,7 @@ so the rendered prompt contains no surface form of that tool.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -67,6 +68,12 @@ class InContextExample:
     input: QueryInput
     target_plan: Plan
 
+    @cached_property
+    def _plan_text(self) -> str:
+        """The rendered plan, kept with the immutable example: a forge run
+        shows each renamed demonstration in many prompts."""
+        return render_plan(self.target_plan)
+
 
 @dataclass(frozen=True)
 class PromptSpec:
@@ -116,7 +123,7 @@ def _render_prefix(spec: PromptSpec) -> str:
         lines.append(f"Example {number}:")
         lines += input_lines(example.input)
         lines.append("Plan:")
-        lines.append(render_plan(example.target_plan))
+        lines.append(example._plan_text)
         lines.append("")
     lines += ["### Input:", ""]
     return "\n".join(lines)

@@ -1,0 +1,26 @@
+"""A forge run that differs from the golden one in its registry and its
+demonstration pool; importable by a fresh interpreter without the test
+framework."""
+
+from pathlib import Path
+
+from reaper import extended_registry, load_example_pool
+from reaper.cli import load_tasks
+from reaper.embedding import HashingEmbedder
+from reaper.forge import DqsConfig, ForgeConfig, forge_run
+
+GOLDEN_TASKS = Path(__file__).parent / "data" / "forge_tasks.jsonl"
+
+
+def forge_with_another_pool_and_registry(out: str) -> None:
+    """The golden tasks and seed, forged against the extended registry and
+    the demonstration pool in reverse order."""
+    forge_run(
+        load_tasks(GOLDEN_TASKS),
+        extended_registry(),
+        ForgeConfig(tasks_per_query=8, tevo_seed=7, generic_fraction=0.5),
+        DqsConfig(seed=7),
+        HashingEmbedder(),
+        out,
+        example_pool=load_example_pool()[::-1],
+    )

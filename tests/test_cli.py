@@ -279,6 +279,46 @@ def test_malformed_jsonl_line_is_usage_error_naming_file_and_line(
     assert "Traceback" not in err
 
 
+def forge_with_generic_pool(tmp_path, generic_records):
+    """Forge two tasks mixed with the whole of ``generic_records``; returns
+    the exit code, the generic pool's path and the written records."""
+    tasks = tmp_path / "tasks.jsonl"
+    write_tasks(tasks, 2)
+    generic = tmp_path / "generic.jsonl"
+    generic.write_text("".join(json.dumps(r) + "\n" for r in generic_records))
+    out = tmp_path / "t.jsonl"
+    code = main(["forge", "--tasks", str(tasks), "--out", str(out),
+                 "--generic-pool", str(generic), "--generic-fraction", "1.0"])
+    records = [json.loads(line) for line in out.read_text().splitlines()] if code == 0 else []
+    return code, generic, records
+
+
+def test_generic_id_absent_or_null_takes_the_default(tmp_path, capsys):
+    code, _, records = forge_with_generic_pool(tmp_path, [
+        {"prompt": "p0", "target": "t0"},
+        {"prompt": "p1", "target": "t1", "id": None},
+        {"prompt": "p2", "target": "t2", "id": "mine"},
+    ])
+    assert code == 0
+    generic = {r["prompt"]: r["source_id"] for r in records if r["task_kind"] == "generic"}
+    assert generic == {"p0": "gen-0000", "p1": "gen-0001", "p2": "mine"}
+
+
+@pytest.mark.parametrize("bad_id", [7, ["x"], "", True, {"id": "x"}, 1.5],
+                         ids=["int", "list", "empty", "bool", "object", "float"])
+def test_generic_id_that_is_not_a_non_empty_string_is_usage_error(
+    tmp_path, capsys, bad_id
+):
+    code, generic, _ = forge_with_generic_pool(tmp_path, [
+        {"prompt": "p0", "target": "t0", "id": "fine"},
+        {"prompt": "p1", "target": "t1", "id": bad_id},
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{generic}: line 2.id" in err
+    assert "Traceback" not in err
+
+
 def run_fresh(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this source tree."""
     source_root = Path(reaper.__file__).parents[1]

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,6 +66,48 @@ class TestHashingEmbedder:
 
     def test_dimension(self):
         assert HashingEmbedder(dim=16).embed("abc").shape == (16,)
+
+
+def _reference_embed(text: str, dim: int) -> np.ndarray:
+    """The hashing embedder written out: every token hashed on every call."""
+    vector = np.zeros(dim, dtype=np.float64)
+    for token in re.split(r"[^a-z0-9]+", text.lower()):
+        if not token:
+            continue
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        h = int.from_bytes(digest, "big")
+        vector[h % dim] += 1.0 if (h >> 32) & 1 == 0 else -1.0
+    norm = float(np.linalg.norm(vector))
+    if norm > 0.0:
+        vector /= norm
+    return vector
+
+
+# one embedder per dimension for the whole property, so later examples
+# read tokens that earlier ones put in its memo
+_SHARED = {dim: HashingEmbedder(dim) for dim in (1, 7, 256)}
+_WORDS = st.sampled_from(["red", "Red", "shoes", "kettle", "2", "x9", "é", "漢字", "???"])
+_TEXTS = st.lists(
+    st.one_of(_WORDS, st.text(max_size=6)), min_size=1, max_size=12
+).map(" ".join).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_SHARED)), _TEXTS)
+def test_embed_with_its_token_memo_equals_hashing_every_token(dim, text):
+    expected = _reference_embed(text, dim)
+    for _ in range(2):  # the second call reads every token from the memo
+        got = _SHARED[dim].embed(text)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+
+
+def test_question_marks_still_name_their_text():
+    provider = HashingEmbedder()
+    provider.embed("??? red")  # a memo that has seen other tokens
+    with pytest.raises(ZeroVectorError, match=r"zero vector: '\?\?\?'") as excinfo:
+        embed_distinct(provider, ["red shoes"], ["red shoes", "???"])
+    assert excinfo.value.text == "???"
 
 
 class TestCosine:

@@ -1,9 +1,22 @@
+import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import weakref
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from reaper import prompt as prompt_module
+from reaper.cli import main
 from reaper.embedding import HashingEmbedder, ZeroVectorError, cosine
-from reaper.forge import dqs, tevo
+from reaper.errors import SchemaError
+from reaper.forge import dqs, pipeline, tevo, ttg
 from reaper.forge import (
     DqsConfig,
     ForgeConfig,
@@ -27,10 +40,12 @@ from reaper.forge import (
     write_records,
 )
 from reaper.plan import parse_plan, render_plan, tool_sequence
-from reaper.prompt import QueryInput, build_prompt
+from reaper.prompt import QueryInput, build_prompt, input_lines
 from reaper.registry import ParamSpec, ToolRegistry, ToolSpec, VariantPool
 
 from .conftest import GALAXY_PLAN_TEXT
+from .forgerun import forge_with_another_pool_and_registry
+from .test_cli import GOLDEN_ARGS, GOLDEN_OUT_SHA256, GOLDEN_TASKS
 
 
 @pytest.fixture()
@@ -243,6 +258,33 @@ class TestTtg:
         second = ttg_transform(galaxy_task, TaskKind.T4, registry, rng_seed=9)
         assert first == second
 
+    def test_each_task_shows_its_own_plan_and_input(
+        self, registry, galaxy_task, kettle_task
+    ):
+        # the last task's renders are reused only for the same task object
+        for task in (galaxy_task, kettle_task, galaxy_task, kettle_task):
+            record = ttg_transform(task, TaskKind.T1, registry, rng_seed=0)
+            assert record.prompt.endswith("Plan:\n" + render_plan(task.target))
+            record = ttg_transform(task, TaskKind.T3, registry, rng_seed=0)
+            assert record.prompt.endswith("\n".join(input_lines(task.input)))
+
+    def test_only_the_kinds_that_draw_seed_a_generator(
+        self, registry, galaxy_task, monkeypatch
+    ):
+        built, real = [], ttg.random.Random
+
+        def counting_random(seed):
+            built.append(seed)
+            return real(seed)
+
+        monkeypatch.setattr(ttg, "random", SimpleNamespace(Random=counting_random))
+        for kind in (TaskKind.T1, TaskKind.T2, TaskKind.T3):
+            ttg_transform(galaxy_task, kind, registry, rng_seed=9)
+        assert built == []
+        for kind in (TaskKind.T4, TaskKind.T5, TaskKind.T6, TaskKind.T7):
+            ttg_transform(galaxy_task, kind, registry, rng_seed=9)
+        assert built == [9, 9, 9, 9]
+
     def test_applicable_kinds_by_shape(self, galaxy_task, small_talk_task):
         assert applicable_kinds(small_talk_task) == [
             TaskKind.T1,
@@ -401,6 +443,14 @@ class TestMix:
     def test_shipped_pool_has_200_records(self):
         assert len(load_generic_pool()) == 200
 
+    @pytest.mark.parametrize("bad_id", [7, ["x"], ""], ids=["int", "list", "empty"])
+    def test_generic_id_must_be_a_non_empty_string(self, tmp_path, bad_id):
+        path = tmp_path / "generic.jsonl"
+        path.write_text(json.dumps({"prompt": "p", "target": "t", "id": bad_id}) + "\n")
+        with pytest.raises(SchemaError) as excinfo:
+            load_generic_pool(path)
+        assert excinfo.value.field == "line 1.id"
+
 
 class TestGenerateRecords:
     def test_count_and_kinds(self, registry, galaxy_task):
@@ -496,3 +546,87 @@ def test_write_records_removes_partial_output(tmp_path):
         write_records([make_record(0), Boom()], out)
     assert not out.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(st.characters(exclude_categories=()), min_size=1, max_size=20),
+    st.text(st.characters(exclude_categories=()), min_size=1, max_size=20),
+    st.sampled_from(TaskKind),
+    st.text(st.characters(exclude_categories=()), max_size=10),
+)
+# every escape: quotes, backslashes, control characters, the separators
+# JSON leaves alone, non-BMP characters and lone surrogates
+@example('say "hi" \\ bye', "\x00\x01\x1f\x7f\b\f\n\r\t", TaskKind.T1, "q00001")
+@example("\u2028 and \u2029", "\U0001F600 漢字 é", TaskKind.GENERIC, "gen-0001")
+@example("\ud800", "x\udfff\udbff\udc00y", TaskKind.PRIMARY, "\ud83d")
+def test_record_json_equals_json_dumps(prompt, target, kind, source_id):
+    record = TrainingRecord(prompt, target, kind, source_id)
+    assert record.to_json() == json.dumps(
+        {
+            "prompt": prompt,
+            "target": target,
+            "task_kind": kind.value,
+            "source_id": source_id,
+        },
+        ensure_ascii=False,
+    )
+
+
+class TestRunScope:
+    def test_runs_in_one_process_equal_fresh_processes(self, tmp_path, capsys):
+        golden = tmp_path / "golden.jsonl"
+        other = tmp_path / "other.jsonl"
+        fresh_other = tmp_path / "fresh_other.jsonl"
+        argv = ["forge", "--tasks", str(GOLDEN_TASKS), "--out", str(golden), *GOLDEN_ARGS]
+        assert main(argv) == 0
+        assert hashlib.sha256(golden.read_bytes()).hexdigest() == GOLDEN_OUT_SHA256
+        forge_with_another_pool_and_registry(str(other))
+        assert main(argv) == 0
+        assert hashlib.sha256(golden.read_bytes()).hexdigest() == GOLDEN_OUT_SHA256
+
+        code = (
+            "from tests.forgerun import forge_with_another_pool_and_registry as run; "
+            f"run({str(fresh_other)!r})"
+        )
+        root = Path(__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+        result = subprocess.run(
+            [sys.executable, "-c", code], env=env, cwd=root, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        assert other.read_bytes() == fresh_other.read_bytes()
+        assert other.read_bytes() != golden.read_bytes()
+
+    def test_nothing_of_a_run_outlives_it(self, registry, provider, tmp_path, monkeypatch):
+        pools, demonstrations, distinct = [], [], set()
+        evolve = pipeline.tevo_evolve
+
+        def watching(*args, **kwargs):
+            pool = kwargs["example_pool"]
+            assert isinstance(pool, tevo._PreparedPool)
+            if not pools:
+                pools.append(weakref.ref(pool))
+            assert pools[0]() is pool  # one prepared pool for the whole run
+            spec = evolve(*args, **kwargs)
+            demonstrations.extend(weakref.ref(example) for example in spec.examples)
+            distinct.update(id(example) for example in spec.examples)
+            return spec
+
+        monkeypatch.setattr(pipeline, "tevo_evolve", watching)
+        cfg = ForgeConfig(tasks_per_query=2, tevo_seed=3, generic_fraction=0.0)
+        forge_run(
+            TestForgeRun().write_tasks(12), registry, cfg, DqsConfig(0, 3),
+            provider, tmp_path / "data.jsonl",
+        )
+        assert len(demonstrations) > len(distinct)  # renamed once, shown often
+        gc.collect()
+        assert pools[0]() is None
+        # build_prompt keeps the last prompt's examples (its one-entry memo)
+        # until it renders another prompt; no other demonstration survives
+        last = {id(example) for example in prompt_module._last_prefix[3]}
+        assert {id(ref()) for ref in demonstrations if ref() is not None} <= last
+        task = PrimaryTask(QueryInput("an unrelated question"), parse_plan(GALAXY_PLAN_TEXT))
+        build_prompt(tevo_evolve(task, registry, cfg, rng_seed=0))
+        gc.collect()
+        assert all(ref() is None for ref in demonstrations)

@@ -1,3 +1,4 @@
+import functools
 import random
 
 import pytest
@@ -290,6 +291,7 @@ _literals = st.builds(Literal, st.text(max_size=15))
 _context_refs = st.builds(ContextRef, _identifiers)
 
 
+@functools.cache  # strategies are immutable; building one per draw is slow
 def _steps_strategy(index: int):
     ref_values = (
         [
