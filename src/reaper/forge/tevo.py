@@ -5,6 +5,15 @@ needs, adds a random subset of distractor tools, presents every tool under a
 sampled name variant and description paraphrase, and samples the in-context
 demonstrations. The gold plan is unchanged up to renaming tools to the
 sampled variants, so its canonical tool sequence is stable by construction.
+
+Everything a task reads that does not depend on the task is prepared once
+per run in :class:`_PreparedPool`: the registry's order and entries, the
+presented specs, the demonstrations' tool sets and their renamings. A task
+then validates no registry: its presented registry is built by the private
+``ToolRegistry._trusted``, safe because every pool was validated when the
+base registry was built, each shown name is drawn from its own tool's pool,
+and a subset of disjoint pools stays disjoint. The public ``subset_with``
+and ``ToolRegistry(...)`` keep their checks.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from ..prompt import (
     PromptSpec,
     load_example_pool,
 )
-from ..registry import ToolRegistry, ToolSpec, subset_with
+from ..registry import ToolRegistry, ToolSpec, VariantPool
 from .records import ForgeConfig, PrimaryTask
 
 
@@ -41,28 +50,14 @@ def _presented(spec: ToolSpec, shown: str, description: str) -> ToolSpec:
     )
 
 
-def _present(
-    registry: ToolRegistry,
-    names: dict[str, str],
-    descriptions: dict[str, str],
-) -> ToolRegistry:
-    """Rebuild a registry with each tool shown under a chosen variant name and
-    paraphrase; variant pools are kept so canonicalization still works."""
-    entries = []
-    for canonical in registry.canonical_names:
-        spec, pool = registry.entry(canonical)
-        entries.append(
-            (_presented(spec, names[canonical], descriptions[canonical]), pool)
-        )
-    return ToolRegistry(entries)
-
-
 class _PreparedPool(Sequence):
     """A demonstration pool prepared against one registry, so that the work
-    that is the same for every task is done once: a demonstration's
-    canonical tool set is computed when a task first needs it, and each
-    demonstration is renamed once per distinct choice of variant names for
-    the tools its plan names. It reads as the pool itself.
+    that is the same for every task is done once per run. It holds the
+    registry's order and entries and a memo of the presented specs, keyed
+    by name strings; a demonstration's canonical tool set is computed when a
+    task first needs it, and each demonstration is renamed once per
+    distinct choice of variant names for the tools its plan names. It reads
+    as the pool itself.
 
     Memos are keyed by position and by tuples of names, never by value.
     :func:`~reaper.forge.pipeline.forge_run` makes one per run and drops it
@@ -72,6 +67,9 @@ class _PreparedPool(Sequence):
     def __init__(self, pool: Sequence[InContextExample], registry: ToolRegistry):
         self._pool = tuple(pool)
         self.registry = registry
+        self.order = registry.canonical_names
+        self.entries = {name: registry.entry(name) for name in self.order}
+        self._presented: dict[tuple[str, str], ToolSpec] = {}
         self.queries = [example.input.query for example in self._pool]
         self._tools: list[frozenset[str] | None] = [None] * len(self._pool)
         # the distinct tool names each plan writes, in first-use order:
@@ -80,6 +78,8 @@ class _PreparedPool(Sequence):
             tuple(dict.fromkeys(step.tool_name for step in ex.target_plan.steps))
             for ex in self._pool
         ]
+        # the canonical tool of each written name, filled in by ``tools``
+        self._canonical: list[tuple[str, ...] | None] = [None] * len(self._pool)
         self._renamed: dict[tuple[int, ...], InContextExample] = {}
 
     def __len__(self) -> int:
@@ -88,24 +88,40 @@ class _PreparedPool(Sequence):
     def __getitem__(self, index):
         return self._pool[index]
 
+    def presented(self, canonical: str, shown: str, description: str) -> ToolSpec:
+        """:func:`_presented` for the registry's tool ``canonical``, memoised
+        by the two strings that choose it: a shown name belongs to one tool."""
+        key = (shown, description)
+        spec = self._presented.get(key)
+        if spec is None:
+            spec = self._presented[key] = _presented(
+                self.entries[canonical][0], shown, description
+            )
+        return spec
+
     def tools(self, k: int) -> frozenset[str]:
         """The canonical tool set of demonstration ``k``, computed when a
         task first needs it; a tool the registry does not know raises then."""
         tools = self._tools[k]
         if tools is None:
-            tools = self._tools[k] = frozenset(
-                tool_sequence(self._pool[k].target_plan, self.registry)
+            canonical = self._canonical[k] = tuple(
+                self.registry.canonical_of(name) for name in self._written[k]
             )
+            tools = self._tools[k] = frozenset(canonical)
         return tools
 
     def renamed(self, k: int, names: dict[str, str]) -> InContextExample:
-        """Demonstration ``k`` with its tools renamed through ``names``."""
-        key = (k, *[names.get(name, name) for name in self._written[k]])
+        """Demonstration ``k`` with each tool name its plan writes, canonical
+        or a variant, renamed to the name ``names`` gives its canonical tool.
+        Call ``tools(k)`` first."""
+        shown = [names[canonical] for canonical in self._canonical[k]]
+        key = (k, *shown)
         example = self._renamed.get(key)
         if example is None:
             source = self._pool[k]
             example = self._renamed[key] = InContextExample(
-                source.input, rename_tools(source.target_plan, names)
+                source.input,
+                rename_tools(source.target_plan, dict(zip(self._written[k], shown))),
             )
         return example
 
@@ -118,32 +134,46 @@ def tevo_evolve(
     example_pool: Sequence[InContextExample] | None = None,
 ) -> PromptSpec:
     """Produce an evolved prompt spec for ``task``; deterministic in
-    ``rng_seed``. The distractor count is capped at the tools available."""
-    rng = random.Random(rng_seed)
-    needed = set(tool_sequence(task.target, registry))
-    extra = min(cfg.extra_tool_count, len(registry) - len(needed))
-    subset = subset_with(registry, needed, extra, seed=rng.randrange(2**31))
+    ``rng_seed``. The distractor count is capped at the tools available.
 
-    names: dict[str, str] = {}
-    descriptions: dict[str, str] = {}
-    for canonical in subset.canonical_names:
-        _, pool = subset.entry(canonical)
-        names[canonical] = rng.choice(pool.name_variants)
-        descriptions[canonical] = rng.choice(pool.description_paraphrases)
-    presented = _present(subset, names, descriptions)
-
+    The draws are those of :func:`~reaper.registry.subset_with`, then a
+    name and a paraphrase per kept tool in registry order, then the
+    demonstrations; the one registry the prompt shows is built from the
+    prepared tables without validation (see the module docstring)."""
     if example_pool is None:
         example_pool = load_example_pool()
     if isinstance(example_pool, _PreparedPool) and example_pool.registry is registry:
         demos = example_pool
     else:
         demos = _PreparedPool(example_pool, registry)
-    allowed = set(subset.canonical_names)
+    rng = random.Random(rng_seed)
+    needed = set(tool_sequence(task.target, registry))
+    remainder = [name for name in demos.order if name not in needed]
+    extra = min(cfg.extra_tool_count, len(remainder))
+    # subset_with's draw, without building the subset registry
+    kept = needed.union(
+        random.Random(rng.randrange(2**31)).sample(remainder, extra)
+    )
+
+    names: dict[str, str] = {}
+    entries: dict[str, tuple[ToolSpec, VariantPool]] = {}
+    shown_of: dict[str, str] = {}
+    for canonical in demos.order:
+        if canonical not in kept:
+            continue
+        pool = demos.entries[canonical][1]
+        shown = names[canonical] = rng.choice(pool.name_variants)
+        description = rng.choice(pool.description_paraphrases)
+        entries[shown] = (demos.presented(canonical, shown, description), pool)
+        for variant in pool.name_variants:
+            shown_of[variant] = shown
+    presented = ToolRegistry._trusted(entries, shown_of)
+
     query = task.input.query
     candidates = [
         k
         for k, shown in enumerate(demos.queries)
-        if shown != query and demos.tools(k) <= allowed
+        if shown != query and demos.tools(k) <= kept
     ]
     chosen = rng.sample(candidates, min(cfg.example_count, len(candidates)))
     return PromptSpec(
@@ -158,8 +188,15 @@ def tevo_evolve(
 def evolve_target(
     task: PrimaryTask, spec: PromptSpec, registry: ToolRegistry
 ):
-    """The gold plan rewritten with the tool names an evolved prompt uses."""
-    originals = set(tool_sequence(task.target, registry))
+    """The gold plan rewritten with the tool names an evolved prompt uses:
+    each name it writes, canonical or a variant, becomes the name the prompt
+    shows for that tool. ``spec.tools`` knows every variant of the tools it
+    shows, so ``registry``, the one the prompt was evolved from, is not
+    consulted."""
     return rename_tools(
-        task.target, {name: spec.tools.canonical_of(name) for name in originals}
+        task.target,
+        {
+            step.tool_name: spec.tools.canonical_of(step.tool_name)
+            for step in task.target.steps
+        },
     )

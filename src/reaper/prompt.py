@@ -20,7 +20,7 @@ from pathlib import Path
 from .boundary import plan_field, read_yaml, typed_field
 from .errors import SchemaError
 from .plan import Plan, render_plan
-from .registry import ToolRegistry, ToolSpec
+from .registry import ToolRegistry
 
 DEFAULT_ROLE = (
     "You are a retrieval planning assistant for a retail shopping service. "
@@ -69,10 +69,13 @@ class InContextExample:
     target_plan: Plan
 
     @cached_property
-    def _plan_text(self) -> str:
-        """The rendered plan, kept with the immutable example: a forge run
-        shows each renamed demonstration in many prompts."""
-        return render_plan(self.target_plan)
+    def _prompt_text(self) -> str:
+        """The demonstration's input lines and plan as a prompt shows them,
+        kept with the immutable example: a forge run shows each renamed
+        demonstration in many prompts."""
+        return "\n".join(
+            [*input_lines(self.input), "Plan:", render_plan(self.target_plan)]
+        )
 
 
 @dataclass(frozen=True)
@@ -92,17 +95,6 @@ class PromptSpec:
                 self.tools.resolve(step.tool_name)
 
 
-def _tool_entry(number: int, spec: ToolSpec) -> str:
-    signature = ", ".join(
-        p.name if p.required else f"{p.name}?" for p in spec.params
-    )
-    return (
-        f"{number}. {spec.canonical_name} - Tool: {spec.description} "
-        f"Signature: {spec.canonical_name}({signature}). "
-        f"Example usage: {spec.example_usage}"
-    )
-
-
 def input_lines(query_input: QueryInput) -> list[str]:
     lines = [f"Query: {query_input.query}"]
     if query_input.context is not None:
@@ -117,14 +109,10 @@ def _render_prefix(spec: PromptSpec) -> str:
     lines += ["### System Instruction:", spec.system_instruction, ""]
     lines += ["Candidate tools:", ""]
     for number, tool in enumerate(spec.tools, start=1):
-        lines.append(_tool_entry(number, tool))
+        lines.append(f"{number}. {tool._prompt_entry}")
     lines += ["", "### Examples:", ""]
     for number, example in enumerate(spec.examples, start=1):
-        lines.append(f"Example {number}:")
-        lines += input_lines(example.input)
-        lines.append("Plan:")
-        lines.append(example._plan_text)
-        lines.append("")
+        lines += [f"Example {number}:", example._prompt_text, ""]
     lines += ["### Input:", ""]
     return "\n".join(lines)
 

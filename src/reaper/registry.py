@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -83,6 +84,20 @@ class ToolSpec:
     def required_params(self) -> tuple[ParamSpec, ...]:
         return tuple(p for p in self.params if p.required)
 
+    @cached_property
+    def _prompt_entry(self) -> str:
+        """The tool's entry in a prompt's tool block, after its ``N. ``;
+        kept with the immutable spec: a forge run shows each presented spec
+        in many prompts."""
+        signature = ", ".join(
+            p.name if p.required else f"{p.name}?" for p in self.params
+        )
+        return (
+            f"{self.canonical_name} - Tool: {self.description} "
+            f"Signature: {self.canonical_name}({signature}). "
+            f"Example usage: {self.example_usage}"
+        )
+
 
 @dataclass(frozen=True)
 class VariantPool:
@@ -126,6 +141,22 @@ class ToolRegistry:
                     )
                 self._variant_to_canonical[variant] = spec.canonical_name
             self._entries[spec.canonical_name] = (spec, pool)
+
+    @classmethod
+    def _trusted(
+        cls,
+        entries: dict[str, tuple[ToolSpec, VariantPool]],
+        variant_to_canonical: dict[str, str],
+    ) -> "ToolRegistry":
+        """A registry over tables the caller built, without ``__init__``'s
+        checks. Private: only for tables derived from a validated registry in
+        a way that keeps every invariant ``__init__`` checks, as
+        ``tevo_evolve`` does when it shows each tool under a name from its
+        own pool."""
+        registry = cls.__new__(cls)
+        registry._entries = entries
+        registry._variant_to_canonical = variant_to_canonical
+        return registry
 
     @property
     def canonical_names(self) -> tuple[str, ...]:

@@ -1,7 +1,9 @@
+import functools
 import gc
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -39,9 +41,26 @@ from reaper.forge import (
     ttg_transform,
     write_records,
 )
-from reaper.plan import parse_plan, render_plan, tool_sequence
-from reaper.prompt import QueryInput, build_prompt, input_lines
-from reaper.registry import ParamSpec, ToolRegistry, ToolSpec, VariantPool
+from reaper.plan import parse_plan, rename_tools, render_plan, tool_sequence
+from reaper.prompt import (
+    DEFAULT_ROLE,
+    DEFAULT_SYSTEM_INSTRUCTION,
+    InContextExample,
+    PromptSpec,
+    QueryInput,
+    build_prompt,
+    input_lines,
+    load_example_pool,
+)
+from reaper.registry import (
+    ParamSpec,
+    ToolRegistry,
+    ToolSpec,
+    VariantPool,
+    default_registry,
+    extended_registry,
+    subset_with,
+)
 
 from .conftest import GALAXY_PLAN_TEXT
 from .forgerun import forge_with_another_pool_and_registry
@@ -168,6 +187,143 @@ class TestTevo:
         assert len(shown) < 50 * 4  # tools repeat across the 50 prompts
         assert len(calls) <= len(shown)
 
+    def test_variant_named_gold_plans_and_demonstrations_are_renamed(self, registry):
+        # plans written with variant names: every name in the target and in
+        # the demonstrations must be one the prompt's tool block shows
+        task = PrimaryTask(
+            QueryInput("how much memory is on my galaxy phone"),
+            parse_plan(
+                'Step 1: order_tracker(query="galaxy phone order")\n'
+                'Step 2: product_information(product_id=$1.product_id, query="memory")'
+            ),
+        )
+        pool = [
+            InContextExample(
+                QueryInput("does this jacket run small", "Alpine Trail Rain Jacket"),
+                parse_plan(
+                    "Step 1: product_details(product_id=$context.product_id, "
+                    'query="does it run small")'
+                ),
+            ),
+            InContextExample(
+                QueryInput("where is my kettle"),
+                parse_plan(
+                    'Step 1: delivery_lookup(query="kettle")\n'
+                    'Step 2: prod_qna(product_id=$1.product_id, query="size")'
+                ),
+            ),
+        ]
+        cfg = ForgeConfig(extra_tool_count=1, example_count=2)
+        prepared = tevo._PreparedPool(pool, registry)
+        for seed in range(50):
+            for example_pool in (pool, prepared):
+                spec = tevo_evolve(task, registry, cfg, seed, example_pool=example_pool)
+                block = set(spec.tools.canonical_names)
+                target = evolve_target(task, spec, registry)
+                assert {step.tool_name for step in target.steps} <= block
+                assert tool_sequence(target, registry) == ["shipment_status", "prod_qna"]
+                assert len(spec.examples) == 2
+                for example in spec.examples:
+                    assert {step.tool_name for step in example.target_plan.steps} <= block
+
+
+def _evolve_oracle(task, registry, cfg, rng_seed, example_pool):
+    """``tevo_evolve`` built the plain way: ``subset_with``, a validated
+    registry over the presented specs, and every demonstration's tools
+    resolved again for each task."""
+    rng = random.Random(rng_seed)
+    needed = set(tool_sequence(task.target, registry))
+    extra = min(cfg.extra_tool_count, len(registry) - len(needed))
+    subset = subset_with(registry, needed, extra, seed=rng.randrange(2**31))
+    names, entries = {}, []
+    for canonical in subset.canonical_names:
+        spec, pool = subset.entry(canonical)
+        names[canonical] = rng.choice(pool.name_variants)
+        description = rng.choice(pool.description_paraphrases)
+        entries.append((tevo._presented(spec, names[canonical], description), pool))
+    allowed = set(subset.canonical_names)
+    candidates = [
+        k
+        for k, example in enumerate(example_pool)
+        if example.input.query != task.input.query
+        and set(tool_sequence(example.target_plan, registry)) <= allowed
+    ]
+    chosen = rng.sample(candidates, min(cfg.example_count, len(candidates)))
+    examples = []
+    for k in chosen:
+        plan = example_pool[k].target_plan
+        mapping = {
+            step.tool_name: names[registry.canonical_of(step.tool_name)]
+            for step in plan.steps
+        }
+        examples.append(InContextExample(example_pool[k].input, rename_tools(plan, mapping)))
+    return PromptSpec(
+        DEFAULT_ROLE, DEFAULT_SYSTEM_INSTRUCTION, ToolRegistry(entries),
+        tuple(examples), task.input,
+    )
+
+
+def _single_variant(registry):
+    return ToolRegistry(
+        (spec, VariantPool((spec.canonical_name,), pool.description_paraphrases[:1]))
+        for spec, pool in map(registry.entry, registry.canonical_names)
+    )
+
+
+_REGISTRIES = (
+    default_registry(),
+    extended_registry(),
+    _single_variant(default_registry()),
+)
+_POOL = load_example_pool()
+
+
+@functools.cache
+def _shared_prepared_pool(which: int):
+    # one prepared pool per registry, reused across examples as a run would
+    return tevo._PreparedPool(_POOL, _REGISTRIES[which])
+
+
+@st.composite
+def _evolve_cases(draw):
+    which = draw(st.integers(0, len(_REGISTRIES) - 1))
+    registry = _REGISTRIES[which]
+    tools = draw(st.lists(st.sampled_from(registry.canonical_names), min_size=1, max_size=4))
+    lines = [
+        f"Step {i}: {draw(st.sampled_from(registry.variants_of(name)))}()"
+        for i, name in enumerate(tools, start=1)
+    ]
+    query = draw(st.sampled_from([_POOL[0].input.query, _POOL[1].input.query, "unseen"]))
+    task = PrimaryTask(QueryInput(query), parse_plan("\n".join(lines)))
+    cfg = ForgeConfig(
+        extra_tool_count=draw(st.integers(0, len(registry))),
+        example_count=draw(st.integers(0, len(_POOL))),
+    )
+    pool = _shared_prepared_pool(which) if draw(st.booleans()) else list(_POOL)
+    return registry, task, cfg, draw(st.integers(0, 2**31 - 1)), pool
+
+
+@settings(max_examples=150, deadline=None)
+@given(_evolve_cases())
+def test_evolve_equals_the_plain_algorithm(case):
+    registry, task, cfg, seed, pool = case
+    spec = tevo_evolve(task, registry, cfg, seed, example_pool=pool)
+    oracle = _evolve_oracle(task, registry, cfg, seed, _POOL)
+    # the trusted registry reads as the validated one
+    assert spec.tools.canonical_names == oracle.tools.canonical_names
+    assert list(spec.tools) == list(oracle.tools)
+    for name in oracle.tools.canonical_names:
+        assert spec.tools.entry(name) == oracle.tools.entry(name)
+    for canonical in registry.canonical_names:
+        for variant in registry.variants_of(canonical):
+            assert spec.tools.has_tool(variant) == oracle.tools.has_tool(variant)
+            if oracle.tools.has_tool(variant):
+                assert spec.tools.canonical_of(variant) == oracle.tools.canonical_of(variant)
+    assert spec.examples == oracle.examples
+    assert spec.input == oracle.input
+    assert build_prompt(spec) == build_prompt(oracle)
+    assert evolve_target(task, spec, registry) == evolve_target(task, oracle, registry)
+
 
 class TestTtg:
     def test_t1_inverts_the_primary_task(self, registry, galaxy_task):
@@ -285,10 +441,44 @@ class TestTtg:
             ttg_transform(galaxy_task, kind, registry, rng_seed=9)
         assert built == [9, 9, 9, 9]
 
-    def test_applicable_kinds_by_shape(self, galaxy_task, small_talk_task):
+    def test_t7_lists_every_tool_but_the_withheld_one(self, registry, galaxy_task):
+        # the lists are kept for the last registry only: alternate two
+        for current in (registry, extended_registry(), registry):
+            for seed in range(6):
+                record = ttg_transform(galaxy_task, TaskKind.T7, current, rng_seed=seed)
+                offered = record.prompt.split("Tools:\n", 1)[1].split("\n\nQuery:")[0]
+                names = [line.split(" - ")[0].split(". ")[1] for line in offered.split("\n")]
+                (withheld,) = set(current.canonical_names) - set(names)
+                expected = [
+                    f"{n}. {name} - {current.resolve(name).description}"
+                    for n, name in enumerate(
+                        [name for name in current.canonical_names if name != withheld],
+                        start=1,
+                    )
+                ]
+                assert offered == "\n".join(expected)
+
+    def test_applicable_kinds_by_shape(self, galaxy_task, small_talk_task, kettle_task):
         assert applicable_kinds(small_talk_task) == [
             TaskKind.T1,
             TaskKind.T3,
+            TaskKind.T7,
+        ]
+        assert applicable_kinds(kettle_task) == [
+            TaskKind.T1,
+            TaskKind.T3,
+            TaskKind.T6,
+            TaskKind.T7,
+        ]
+        no_args = PrimaryTask(
+            QueryInput("hello"), parse_plan("Step 1: no_retrieval()\nStep 2: no_retrieval()")
+        )
+        assert applicable_kinds(no_args) == [
+            TaskKind.T1,
+            TaskKind.T2,
+            TaskKind.T3,
+            TaskKind.T4,
+            TaskKind.T5,
             TaskKind.T7,
         ]
         assert applicable_kinds(galaxy_task) == [
@@ -548,16 +738,29 @@ def test_write_records_removes_partial_output(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def _record_texts(min_size):
+    # any code point, pure ASCII (DEL included), and ASCII that is mostly
+    # DEL and the characters JSON escapes
+    return st.one_of(
+        st.text(st.characters(exclude_categories=()), min_size=min_size, max_size=20),
+        st.text(st.characters(max_codepoint=0x7F), min_size=min_size, max_size=40),
+        st.text(
+            st.sampled_from(["a", " ", '"', "\\", "\n", "\x00", "\x1f", "\x7f", "~"]),
+            min_size=min_size,
+            max_size=20,
+        ),
+    )
+
+
 @settings(max_examples=300, deadline=None)
-@given(
-    st.text(st.characters(exclude_categories=()), min_size=1, max_size=20),
-    st.text(st.characters(exclude_categories=()), min_size=1, max_size=20),
-    st.sampled_from(TaskKind),
-    st.text(st.characters(exclude_categories=()), max_size=10),
-)
+@given(_record_texts(1), _record_texts(1), st.sampled_from(TaskKind), _record_texts(0))
 # every escape: quotes, backslashes, control characters, the separators
-# JSON leaves alone, non-BMP characters and lone surrogates
+# JSON leaves alone, non-BMP characters and lone surrogates; DEL, which
+# only the ASCII escaper escapes, alone, inside ASCII and beside non-ASCII
 @example('say "hi" \\ bye', "\x00\x01\x1f\x7f\b\f\n\r\t", TaskKind.T1, "q00001")
+@example("a\x7fb", "\x7f", TaskKind.T7, "q\x7f")
+@example("plain ascii prompt", "Step 1: no_retrieval()", TaskKind.PRIMARY, "q00002")
+@example("\x7f é", "~\x7f\U0001F600", TaskKind.T2, "")
 @example("\u2028 and \u2029", "\U0001F600 漢字 é", TaskKind.GENERIC, "gen-0001")
 @example("\ud800", "x\udfff\udbff\udc00y", TaskKind.PRIMARY, "\ud83d")
 def test_record_json_equals_json_dumps(prompt, target, kind, source_id):
