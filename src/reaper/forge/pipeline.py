@@ -11,16 +11,14 @@ prepares the demonstration pool against the registry: the registry's order
 and entries, a memo of presented tool specs keyed by name strings, each
 demonstration's canonical tool set, and each renaming for one choice of
 variant names, which keeps its rendered text. Each task's evolved prompt is
-built from these tables, its one registry through the private trusted
-constructor ``ToolRegistry._trusted``, which skips the checks: they hold by
-construction (see :func:`~reaper.forge.tevo.tevo_evolve`). The CLI's
-embedder hashes each distinct token once. Both die with the run. What
-outlives a run is bounded: the one-entry identity memos of the last prompt
-prefix (``build_prompt``), of the last task's rendered plan
-(``ttg_transform``, which renders it once for all of a task's secondary
-records) and of the last registry's T7 tool lists, and ``tevo._presented``
-with the tool-block text each presented spec keeps, bounded by the
-registry's variant space.
+built from these tables, with one registry, the presented one (see
+:func:`~reaper.forge.tevo.tevo_evolve`). The CLI's embedder hashes each
+distinct token once. Both die with the run. What outlives a run is
+bounded: the one-entry identity memos of the last prompt prefix
+(``build_prompt``) and of the last task's rendered plan (``ttg_transform``,
+which renders it once for all of a task's secondary records), and
+``tevo._presented`` with the tool-block text each presented spec keeps,
+bounded by the registry's variant space.
 """
 
 from __future__ import annotations

@@ -9,11 +9,9 @@ sampled variants, so its canonical tool sequence is stable by construction.
 Everything a task reads that does not depend on the task is prepared once
 per run in :class:`_PreparedPool`: the registry's order and entries, the
 presented specs, the demonstrations' tool sets and their renamings. A task
-then validates no registry: its presented registry is built by the private
-``ToolRegistry._trusted``, safe because every pool was validated when the
-base registry was built, each shown name is drawn from its own tool's pool,
-and a subset of disjoint pools stays disjoint. The public ``subset_with``
-and ``ToolRegistry(...)`` keep their checks.
+then builds one registry, the presented one, through the validating
+``ToolRegistry(...)``; the subset it keeps is drawn by the helper that
+``subset_with`` draws with, without building the subset registry.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from ..prompt import (
     PromptSpec,
     load_example_pool,
 )
-from ..registry import ToolRegistry, ToolSpec, VariantPool
+from ..registry import ToolRegistry, ToolSpec, VariantPool, _draw_extras
 from .records import ForgeConfig, PrimaryTask
 
 
@@ -139,7 +137,7 @@ def tevo_evolve(
     The draws are those of :func:`~reaper.registry.subset_with`, then a
     name and a paraphrase per kept tool in registry order, then the
     demonstrations; the one registry the prompt shows is built from the
-    prepared tables without validation (see the module docstring)."""
+    prepared tables (see the module docstring)."""
     if example_pool is None:
         example_pool = load_example_pool()
     if isinstance(example_pool, _PreparedPool) and example_pool.registry is registry:
@@ -148,26 +146,19 @@ def tevo_evolve(
         demos = _PreparedPool(example_pool, registry)
     rng = random.Random(rng_seed)
     needed = set(tool_sequence(task.target, registry))
-    remainder = [name for name in demos.order if name not in needed]
-    extra = min(cfg.extra_tool_count, len(remainder))
-    # subset_with's draw, without building the subset registry
-    kept = needed.union(
-        random.Random(rng.randrange(2**31)).sample(remainder, extra)
-    )
+    extra = min(cfg.extra_tool_count, len(demos.order) - len(needed))
+    kept = _draw_extras(demos.order, needed, extra, rng.randrange(2**31))
 
     names: dict[str, str] = {}
-    entries: dict[str, tuple[ToolSpec, VariantPool]] = {}
-    shown_of: dict[str, str] = {}
+    entries: list[tuple[ToolSpec, VariantPool]] = []
     for canonical in demos.order:
         if canonical not in kept:
             continue
         pool = demos.entries[canonical][1]
         shown = names[canonical] = rng.choice(pool.name_variants)
         description = rng.choice(pool.description_paraphrases)
-        entries[shown] = (demos.presented(canonical, shown, description), pool)
-        for variant in pool.name_variants:
-            shown_of[variant] = shown
-    presented = ToolRegistry._trusted(entries, shown_of)
+        entries.append((demos.presented(canonical, shown, description), pool))
+    presented = ToolRegistry(entries)
 
     query = task.input.query
     candidates = [

@@ -18,7 +18,7 @@ from ..errors import ReaperError
 from ..plan import render_plan, render_value, tool_sequence
 from ..prompt import input_lines
 from ..registry import ToolRegistry
-from .records import SECONDARY_KINDS, PrimaryTask, TaskKind, TrainingRecord
+from .records import PrimaryTask, TaskKind, TrainingRecord
 
 MASKED_STEP_TOKEN = "[MASKED_STEP]"
 MASKED_PARAM_TOKEN = "[MASKED_PARAM]"
@@ -33,20 +33,14 @@ class NotApplicableError(ReaperError):
         self.kind = kind
 
 
-# The kinds that need a plan of two or more steps.
-_MULTI_STEP_KINDS = frozenset((TaskKind.T2, TaskKind.T4, TaskKind.T5))
-
-
 def applicable_kinds(task: PrimaryTask) -> list[TaskKind]:
     """Secondary kinds valid for this task, in fixed T1..T7 order."""
-    multi_step = len(task.target) >= 2
-    has_args = any(step.args for step in task.target.steps)
-    return [
-        kind
-        for kind in SECONDARY_KINDS
-        if (multi_step or kind not in _MULTI_STEP_KINDS)
-        and (has_args or kind is not TaskKind.T6)
-    ]
+    kinds = [TaskKind.T1, TaskKind.T3, TaskKind.T7]
+    if len(task.target) >= 2:
+        kinds += [TaskKind.T2, TaskKind.T4, TaskKind.T5]
+    if any(step.args for step in task.target.steps):
+        kinds.append(TaskKind.T6)
+    return sorted(kinds, key=lambda k: k.value)
 
 
 def _default_source_id(task: PrimaryTask) -> str:
@@ -70,31 +64,6 @@ _DRAWING_KINDS = frozenset((TaskKind.T4, TaskKind.T5, TaskKind.T6, TaskKind.T7))
 # mutated, so a thread reads one consistent entry; holding the task keeps
 # its id from being reused.
 _last_task: tuple[PrimaryTask, str, str] | None = None
-
-# (registry, T7 tool list for each withheld tool) of the last registry a T7
-# record was made against: the list depends on nothing else. Rebound whole,
-# never mutated, like ``_last_task``.
-_last_t7_tools: tuple[ToolRegistry, dict[str, str]] | None = None
-
-
-def _t7_tool_lists(registry: ToolRegistry) -> dict[str, str]:
-    """The numbered tool list a T7 prompt offers, by withheld tool."""
-    global _last_t7_tools
-    memo = _last_t7_tools
-    if memo is not None and memo[0] is registry:
-        return memo[1]
-    names = registry.canonical_names
-    lists = {
-        withheld: "\n".join(
-            f"{n}. {name} - {registry.resolve(name).description}"
-            for n, name in enumerate(
-                (name for name in names if name != withheld), start=1
-            )
-        )
-        for withheld in names
-    }
-    _last_t7_tools = (registry, lists)
-    return lists
 
 
 def ttg_transform(
@@ -198,11 +167,18 @@ def ttg_transform(
     if kind is TaskKind.T7:
         used = sorted(set(tool_sequence(task.target, registry)))
         withheld = rng.choice(used)
+        offered = [
+            name for name in registry.canonical_names if name != withheld
+        ]
+        tool_lines = [
+            f"{n}. {name} - {registry.resolve(name).description}"
+            for n, name in enumerate(offered, start=1)
+        ]
         prompt = (
             "Using only the tools listed below, write a retrieval plan for "
             f"the customer question, or answer {NO_VALID_PLAN} if the listed "
-            f"tools cannot answer it.\n\nTools:\n"
-            f"{_t7_tool_lists(registry)[withheld]}\n\n{input_block}"
+            f"tools cannot answer it.\n\nTools:\n" + "\n".join(tool_lines)
+            + f"\n\n{input_block}"
         )
         return TrainingRecord(prompt, NO_VALID_PLAN, kind, sid)
 

@@ -142,22 +142,6 @@ class ToolRegistry:
                 self._variant_to_canonical[variant] = spec.canonical_name
             self._entries[spec.canonical_name] = (spec, pool)
 
-    @classmethod
-    def _trusted(
-        cls,
-        entries: dict[str, tuple[ToolSpec, VariantPool]],
-        variant_to_canonical: dict[str, str],
-    ) -> "ToolRegistry":
-        """A registry over tables the caller built, without ``__init__``'s
-        checks. Private: only for tables derived from a validated registry in
-        a way that keeps every invariant ``__init__`` checks, as
-        ``tevo_evolve`` does when it shows each tool under a name from its
-        own pool."""
-        registry = cls.__new__(cls)
-        registry._entries = entries
-        registry._variant_to_canonical = variant_to_canonical
-        return registry
-
     @property
     def canonical_names(self) -> tuple[str, ...]:
         return tuple(self._entries)
@@ -215,13 +199,24 @@ def subset_with(
     """Registry containing exactly ``required`` plus ``extra_count`` tools
     drawn without replacement from the remainder, deterministically by seed."""
     wanted = {registry.canonical_of(name) for name in required}
-    remainder = [n for n in registry.canonical_names if n not in wanted]
+    return registry.subset(
+        _draw_extras(registry.canonical_names, wanted, extra_count, seed)
+    )
+
+
+def _draw_extras(
+    order: Iterable[str], wanted: set[str], extra_count: int, seed: int
+) -> set[str]:
+    """``wanted`` plus ``extra_count`` names drawn without replacement from
+    the rest of ``order``, deterministically by seed: the draw of
+    :func:`subset_with`, which ``tevo_evolve`` makes without building the
+    subset registry."""
+    remainder = [n for n in order if n not in wanted]
     if not 0 <= extra_count <= len(remainder):
         raise ValueError(
             f"extra_count must be in [0, {len(remainder)}], got {extra_count}"
         )
-    extras = set(random.Random(seed).sample(remainder, extra_count))
-    return registry.subset(wanted | extras)
+    return wanted.union(random.Random(seed).sample(remainder, extra_count))
 
 
 def _load_registry_data(data: object, path: str) -> ToolRegistry:

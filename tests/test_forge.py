@@ -309,7 +309,7 @@ def test_evolve_equals_the_plain_algorithm(case):
     registry, task, cfg, seed, pool = case
     spec = tevo_evolve(task, registry, cfg, seed, example_pool=pool)
     oracle = _evolve_oracle(task, registry, cfg, seed, _POOL)
-    # the trusted registry reads as the validated one
+    # the presented registry reads as the oracle's
     assert spec.tools.canonical_names == oracle.tools.canonical_names
     assert list(spec.tools) == list(oracle.tools)
     for name in oracle.tools.canonical_names:
@@ -442,7 +442,8 @@ class TestTtg:
         assert built == [9, 9, 9, 9]
 
     def test_t7_lists_every_tool_but_the_withheld_one(self, registry, galaxy_task):
-        # the lists are kept for the last registry only: alternate two
+        # every tool of the registry the record is made against but the
+        # withheld one, in registry order; two registries alternate
         for current in (registry, extended_registry(), registry):
             for seed in range(6):
                 record = ttg_transform(galaxy_task, TaskKind.T7, current, rng_seed=seed)
@@ -738,32 +739,7 @@ def test_write_records_removes_partial_output(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
-def _record_texts(min_size):
-    # any code point, pure ASCII (DEL included), and ASCII that is mostly
-    # DEL and the characters JSON escapes
-    return st.one_of(
-        st.text(st.characters(exclude_categories=()), min_size=min_size, max_size=20),
-        st.text(st.characters(max_codepoint=0x7F), min_size=min_size, max_size=40),
-        st.text(
-            st.sampled_from(["a", " ", '"', "\\", "\n", "\x00", "\x1f", "\x7f", "~"]),
-            min_size=min_size,
-            max_size=20,
-        ),
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(_record_texts(1), _record_texts(1), st.sampled_from(TaskKind), _record_texts(0))
-# every escape: quotes, backslashes, control characters, the separators
-# JSON leaves alone, non-BMP characters and lone surrogates; DEL, which
-# only the ASCII escaper escapes, alone, inside ASCII and beside non-ASCII
-@example('say "hi" \\ bye', "\x00\x01\x1f\x7f\b\f\n\r\t", TaskKind.T1, "q00001")
-@example("a\x7fb", "\x7f", TaskKind.T7, "q\x7f")
-@example("plain ascii prompt", "Step 1: no_retrieval()", TaskKind.PRIMARY, "q00002")
-@example("\x7f é", "~\x7f\U0001F600", TaskKind.T2, "")
-@example("\u2028 and \u2029", "\U0001F600 漢字 é", TaskKind.GENERIC, "gen-0001")
-@example("\ud800", "x\udfff\udbff\udc00y", TaskKind.PRIMARY, "\ud83d")
-def test_record_json_equals_json_dumps(prompt, target, kind, source_id):
+def _assert_json_equals_json_dumps(prompt, target, kind, source_id):
     record = TrainingRecord(prompt, target, kind, source_id)
     assert record.to_json() == json.dumps(
         {
@@ -774,6 +750,46 @@ def test_record_json_equals_json_dumps(prompt, target, kind, source_id):
         },
         ensure_ascii=False,
     )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(st.characters(exclude_categories=()), min_size=1, max_size=20),
+    st.text(st.characters(exclude_categories=()), min_size=1, max_size=20),
+    st.sampled_from(TaskKind),
+    st.text(st.characters(exclude_categories=()), max_size=10),
+)
+# every escape: quotes, backslashes, control characters, the separators
+# JSON leaves alone, non-BMP characters and lone surrogates; DEL, which
+# only the ASCII escaper escapes, alone, inside ASCII and beside non-ASCII
+@example('say "hi" \\ bye', "\x00\x01\x1f\x7f\b\f\n\r\t", TaskKind.T1, "q00001")
+@example("a\x7fb", "\x7f", TaskKind.T7, "q\x7f")
+@example("plain ascii prompt", "Step 1: no_retrieval()", TaskKind.PRIMARY, "q00002")
+@example("\x7f é", "~\x7f\U0001F600", TaskKind.T2, "")
+@example("\u2028 and \u2029", "\U0001F600 漢字 é", TaskKind.GENERIC, "gen-0001")
+@example("\ud800", "x\udfff\udbff\udc00y", TaskKind.PRIMARY, "\ud83d")
+def test_record_json_equals_json_dumps(prompt, target, kind, source_id):
+    _assert_json_equals_json_dumps(prompt, target, kind, source_id)
+
+
+def _ascii_texts(min_size):
+    # pure ASCII, DEL included, and ASCII that is mostly DEL and the
+    # characters JSON escapes: the texts ``to_json`` sends to the ASCII
+    # escaper, and those it must not
+    return st.one_of(
+        st.text(st.characters(max_codepoint=0x7F), min_size=min_size, max_size=40),
+        st.text(
+            st.sampled_from(["a", " ", '"', "\\", "\n", "\x00", "\x1f", "\x7f", "~"]),
+            min_size=min_size,
+            max_size=20,
+        ),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ascii_texts(1), _ascii_texts(1), st.sampled_from(TaskKind), _ascii_texts(0))
+def test_ascii_record_json_equals_json_dumps(prompt, target, kind, source_id):
+    _assert_json_equals_json_dumps(prompt, target, kind, source_id)
 
 
 class TestRunScope:
