@@ -441,45 +441,10 @@ class TestTtg:
             ttg_transform(galaxy_task, kind, registry, rng_seed=9)
         assert built == [9, 9, 9, 9]
 
-    def test_t7_lists_every_tool_but_the_withheld_one(self, registry, galaxy_task):
-        # every tool of the registry the record is made against but the
-        # withheld one, in registry order; two registries alternate
-        for current in (registry, extended_registry(), registry):
-            for seed in range(6):
-                record = ttg_transform(galaxy_task, TaskKind.T7, current, rng_seed=seed)
-                offered = record.prompt.split("Tools:\n", 1)[1].split("\n\nQuery:")[0]
-                names = [line.split(" - ")[0].split(". ")[1] for line in offered.split("\n")]
-                (withheld,) = set(current.canonical_names) - set(names)
-                expected = [
-                    f"{n}. {name} - {current.resolve(name).description}"
-                    for n, name in enumerate(
-                        [name for name in current.canonical_names if name != withheld],
-                        start=1,
-                    )
-                ]
-                assert offered == "\n".join(expected)
-
-    def test_applicable_kinds_by_shape(self, galaxy_task, small_talk_task, kettle_task):
+    def test_applicable_kinds_by_shape(self, galaxy_task, small_talk_task):
         assert applicable_kinds(small_talk_task) == [
             TaskKind.T1,
             TaskKind.T3,
-            TaskKind.T7,
-        ]
-        assert applicable_kinds(kettle_task) == [
-            TaskKind.T1,
-            TaskKind.T3,
-            TaskKind.T6,
-            TaskKind.T7,
-        ]
-        no_args = PrimaryTask(
-            QueryInput("hello"), parse_plan("Step 1: no_retrieval()\nStep 2: no_retrieval()")
-        )
-        assert applicable_kinds(no_args) == [
-            TaskKind.T1,
-            TaskKind.T2,
-            TaskKind.T3,
-            TaskKind.T4,
-            TaskKind.T5,
             TaskKind.T7,
         ]
         assert applicable_kinds(galaxy_task) == [
