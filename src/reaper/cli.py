@@ -181,7 +181,7 @@ class _AnyFields(dict):
 
 class _BenchRetriever:
     # Only reports latencies, so ``execute_plan`` sets it no wall-clock deadline.
-    _simulated_clock = True
+    simulated_clock = True
 
     def __init__(self, latency_ms: float):
         self.latency_ms = latency_ms

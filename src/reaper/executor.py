@@ -1,18 +1,14 @@
 """Dependency-aware plan execution against retriever adapters.
 
-Steps run as soon as their referenced steps have finished; independent steps
-run concurrently on one thread pool shared by every plan in the process.
 Failures never abort the run: a failed step is recorded and everything
 depending on it (directly or transitively) is marked skipped, so the trace
-always has exactly one terminal entry per step.
+always has exactly one terminal entry per step. Timing is bookkept on a
+simulated clock derived from the latencies the retriever reports.
 
-Timing is bookkept on a simulated clock derived from the latencies the
-retriever reports: a step starts at the latest finish time of its
-dependencies and finishes ``latency_ms`` later. With deterministic retrievers
-(see :func:`mock_retriever`) the whole trace is reproducible bit for bit;
-the HTTP adapter reports measured wall-clock latencies instead. A step
-budget (``timeout_ms``) also stops the wait for a retriever that really
-takes its time, at a wall-clock deadline.
+A retriever declares which clock those latencies come from, and the clock
+picks one of two dispatch rules: a retriever that only simulates them
+(``simulated_clock = True``, like :func:`mock_retriever`) runs inline in step
+order, any other runs on a shared thread pool under wall-clock deadlines.
 """
 
 from __future__ import annotations
@@ -43,6 +39,13 @@ class UnconfiguredToolError(RetrieverError):
 
 
 class Retriever(Protocol):
+    """``invoke`` returns a tool call's output fields and its latency in
+    milliseconds, or raises. A retriever that only simulates its latencies
+    declares the class attribute ``simulated_clock = True``, and
+    :func:`execute_plan` runs its steps in the calling thread, in step order,
+    with no wall-clock deadline. Without it the retriever is on the wall
+    clock, and its steps run on a shared thread pool."""
+
     def invoke(
         self, tool: str, args: Mapping[str, str]
     ) -> tuple[Mapping[str, object], float]: ...
@@ -70,7 +73,6 @@ class StepResult:
 @dataclass(frozen=True)
 class ExecutionTrace:
     steps: tuple[StepResult, ...]
-    total_ms: float
     critical_path_ms: float
 
     def step(self, index: int) -> StepResult:
@@ -213,71 +215,52 @@ def execute_plan(
     """Run a validated plan; returns a complete trace, never raises for
     per-step failures.
 
-    Every tool name is resolved before any step runs, so an unknown tool
-    raises :class:`~reaper.errors.UnknownToolError` with no retriever call.
-    A retriever call that raises, returns an output that is not a mapping or
-    a latency that is not a finite, non-negative number fails its step, as
-    does a ``$k.field`` value that is not JSON (a set, bytes, NaN, ...).
+    Every tool name is resolved, and a negative ``timeout_ms`` rejected with
+    ``ValueError``, before any step runs, so an unknown tool raises
+    :class:`~reaper.errors.UnknownToolError` with no retriever call. A
+    retriever call that raises, returns an output that is not a mapping or a
+    latency that is not a finite, non-negative number fails its step, as does
+    a ``$k.field`` value that is not JSON (a set, bytes, NaN, ...). A step
+    with a dependency that did not succeed is skipped and never called.
 
-    Steps are dispatched by continuation, LLMCompiler's task-fetching unit
-    (Kim et al. 2023, arXiv 2312.04511) without a scheduler per call. Ready
-    steps go to a thread pool shared by every plan in the process, except
-    that the thread that records a step runs the first child that step made
-    ready and submits only the extra fan-out. Without ``timeout_ms`` the
-    caller runs the first root step itself, so a chain runs entirely in the
-    calling thread; with it, see below. The caller returns once the last step
-    is recorded. The pool is bounded but cannot deadlock: a step is submitted
-    only once its dependencies are recorded, and no pool thread ever waits
-    for another step, so every pool task runs to the end without waiting for
-    pool work. (A retriever that itself calls ``execute_plan`` from a pool
-    thread would break that premise.) A step the pool cannot take, because
-    no new thread can start, runs in the thread at hand. A child created by
-    ``os.fork`` starts a fresh pool, since it inherits none of the parent's
-    worker threads.
+    A step starts on the simulated clock the moment its last dependency
+    finishes and lasts the latency its retriever reports.
+    ``critical_path_ms`` is the makespan on that clock, the latest
+    ``finished_ms`` of any step; measured wall time is not part of the trace.
+    ``timeout_ms`` is a per-step budget: a step reporting a latency over it
+    fails with ``Timeout``. NaN and infinity set no budget.
 
-    Timing is on the simulated clock: a step starts the moment its last
-    dependency finishes and lasts the latency its retriever reports.
-    ``total_ms`` and ``critical_path_ms`` both equal the makespan on that
-    clock, the latest ``finished_ms`` of any step; measured wall time is not
-    part of the trace.
+    A simulated retriever (``simulated_clock = True``), or none, runs every
+    step in the calling thread in step order, which is topological because
+    a step references only earlier steps. An exception that is not an
+    :class:`Exception` (``SystemExit``, say) propagates to the caller.
 
-    ``timeout_ms`` is a per-step budget, enforced on two clocks. On the
-    simulated clock, every retriever's reported latency is compared with it
-    after the call returns. On the wall clock, for a retriever that really
-    takes its time, it is also a deadline: every call then runs on a pool
-    thread while the caller only watches, and a step still running
-    ``timeout_ms`` after it was dispatched is failed there and then, its
-    dependents are skipped and its late result is dropped. The budget
-    starts at dispatch, so time a step spends queued on a saturated pool
-    counts against it. An abandoned call keeps its pool worker until the
+    A wall-clock retriever runs every step on the shared pool while the
+    caller only watches. Steps are dispatched by continuation, LLMCompiler's
+    task-fetching unit (Kim et al. 2023, arXiv 2312.04511) without a
+    scheduler per call: the thread that records a step runs the first child
+    it made ready and submits only the extra fan-out. The bounded pool cannot
+    deadlock: a step is submitted only once its dependencies are recorded,
+    and no pool thread waits for another step. (A retriever that itself calls
+    ``execute_plan`` from a pool thread would break that premise.) A step the
+    pool cannot take, because no new thread can start, runs in the thread at
+    hand. A child created by ``os.fork`` starts a fresh pool. A step still
+    running ``timeout_ms`` after its dispatch is failed there and then, its
+    dependents are skipped and its late result is dropped; time queued on a
+    saturated pool counts, and an abandoned call keeps its worker until the
     retriever returns. Either way a timed-out step reads ``latency_ms =
-    timeout_ms`` and finishes ``timeout_ms`` after it started. A retriever
-    that only simulates its latencies, like :func:`mock_retriever`, gets no
-    wall-clock deadline, so its traces stay reproducible bit for bit.
-
-    An exception that is not an :class:`Exception` (``SystemExit``, say)
-    propagates from a step the calling thread runs, and fails its step on a
-    pool thread, which has no caller to raise to.
+    timeout_ms`` and finishes ``timeout_ms`` after it started. An exception
+    that is not an :class:`Exception` fails its step, since a pool thread has
+    no caller to raise to.
     """
     tools = [registry.canonical_of(step.tool_name) for step in plan.steps]
+    if timeout_ms is not None and timeout_ms < 0:
+        raise ValueError(f"timeout_ms must not be negative, got {timeout_ms!r}")
     dependencies = [_dependencies(step) for step in plan.steps]
-    waiting = [len(needed) for needed in dependencies]
-    children: list[list[int]] = [[] for _ in plan.steps]
-    for position, needed in enumerate(dependencies):
-        for k in needed:
-            children[k - 1].append(position)
     results: list[StepResult | None] = [None] * len(plan.steps)
-    unrecorded = len(plan.steps)
-    lock = threading.Lock()
-    settled = threading.Lock()  # released when the last step is recorded
-    settled.acquire()
-    budget_s = (
-        None
-        if timeout_ms is None or not math.isfinite(timeout_ms) or retriever is None
-        or getattr(retriever, "_simulated_clock", False)
-        else timeout_ms / 1000.0
-    )
-    deadlines: dict[int, float] = {}  # dispatched step -> its time.monotonic() deadline
+    inline = retriever is None or getattr(retriever, "simulated_clock", False)
+    # Total on the pool: a lost entry would leave the caller waiting forever.
+    catch = Exception if inline else BaseException
 
     def call(
         tool: str, args: tuple[tuple[str, str], ...]
@@ -301,6 +284,11 @@ def execute_plan(
             )
         return output, float(latency)
 
+    def start_of(position: int) -> float:
+        """When a step whose dependencies are recorded starts."""
+        done = [results[k - 1].finished_ms for k in dependencies[position]]
+        return max(done, default=0.0)
+
     def timed_out(
         position: int, started: float, args: tuple[tuple[str, str], ...], why: str
     ) -> StepResult:
@@ -310,21 +298,25 @@ def execute_plan(
             f"Timeout: exceeded {timeout_ms} ms ({why})", started, started + timeout_ms,
         )
 
-    def outcome(position: int, catch: type[BaseException]) -> StepResult:
-        """The terminal entry of a step whose dependencies are recorded.
-        Total for ``catch=BaseException``: a pool thread has no caller to
-        raise to, and a lost entry would leave the caller waiting forever."""
+    def skipped(position: int) -> StepResult | None:
+        """The entry of a step whose dependencies are recorded, when one of
+        them did not succeed."""
+        blocked = [
+            k for k in dependencies[position]
+            if results[k - 1].status is not StepStatus.OK
+        ]
+        if not blocked:
+            return None
+        reason = f"skipped: depends on step(s) {', '.join(map(str, blocked))}"
+        return StepResult(
+            plan.steps[position].index, tools[position], (), None, 0.0,
+            StepStatus.SKIPPED, reason,
+        )
+
+    def outcome(position: int) -> StepResult:
+        """The terminal entry of a step whose dependencies all succeeded."""
         step, tool = plan.steps[position], tools[position]
-        started = 0.0
-        if dependencies[position]:
-            done = [results[k - 1] for k in dependencies[position]]
-            blocked = [d.index for d in done if d.status is not StepStatus.OK]
-            if blocked:
-                reason = f"skipped: depends on step(s) {', '.join(map(str, blocked))}"
-                return StepResult(
-                    step.index, tool, (), None, 0.0, StepStatus.SKIPPED, reason
-                )
-            started = max(d.finished_ms for d in done)
+        started = start_of(position)
         args: tuple[tuple[str, str], ...] = ()
         try:
             args = _resolve_args(step, results, context)
@@ -341,9 +333,28 @@ def execute_plan(
             started, started + latency,
         )
 
+    if inline:
+        for position in range(len(plan.steps)):
+            results[position] = skipped(position) or outcome(position)
+        return _trace(results)
+
+    waiting = [len(needed) for needed in dependencies]
+    children: list[list[int]] = [[] for _ in plan.steps]
+    for position, needed in enumerate(dependencies):
+        for k in needed:
+            children[k - 1].append(position)
+    unrecorded = len(plan.steps)
+    lock = threading.Lock()
+    settled = threading.Lock()  # released when the last step is recorded
+    settled.acquire()
+    no_budget = timeout_ms is None or math.isnan(timeout_ms)
+    budget_s = math.inf if no_budget else timeout_ms / 1000.0
+    deadlines: dict[int, float] = {}  # dispatched step -> its time.monotonic() deadline
+
     def record(position: int, result: StepResult) -> list[int]:
-        """Under ``lock``: store a step's terminal entry and return the steps
-        it made ready, each given its deadline when there is a budget."""
+        """Under ``lock``: store a step's terminal entry, skip each step it
+        blocked, and return the steps it made ready, each given its
+        deadline."""
         nonlocal unrecorded
         results[position] = result
         deadlines.pop(position, None)
@@ -354,85 +365,70 @@ def execute_plan(
         for child in children[position]:
             waiting[child] -= 1
             if not waiting[child]:
-                ready.append(child)
-        if budget_s is not None and ready:
+                skip = skipped(child)
+                if skip is None:
+                    ready.append(child)
+                else:
+                    record(child, skip)
+        if ready:
             deadlines.update(dict.fromkeys(ready, time.monotonic() + budget_s))
         return ready
 
-    def submit(positions: list[int]) -> list[int]:
-        """Hand steps to the pool; returns those it refused because it could
-        not start a thread."""
-        refused = []
-        for position in positions:
-            try:
-                _shared_pool().submit(run, [position], BaseException)
-            except RuntimeError:
-                refused.append(position)
-        return refused
-
-    def run(ready: list[int], catch: type[BaseException]) -> None:
-        """Submit all but the first ready step to the pool, record the first
-        in this thread, and go on the same way with the steps it made ready.
-        Steps the pool refuses run here too. A step that timed out while
+    def run(position: int) -> None:
+        """Record a step in this thread, then go on with the first step it
+        made ready and dispatch the others. A step that timed out while
         queued is not called, and a result that comes in after its step
         timed out is dropped."""
-        here: list[int] = []
-        while ready or here:
-            here += submit(ready[1:])
-            here += ready[:1]
-            position = here.pop()
-            ready = []
-            if results[position] is not None:
-                continue
-            result = outcome(position, catch)
+        while results[position] is None:
+            result = outcome(position)
             with lock:
-                if results[position] is None:
-                    ready = record(position, result)
+                if results[position] is not None:
+                    return
+                ready = record(position, result)
+            if not ready:
+                return
+            dispatch(ready[1:])
+            position = ready[0]
+
+    def dispatch(positions: list[int]) -> None:
+        """Hand steps to the pool; one it refuses, because no new thread can
+        start, runs in this thread."""
+        for position in positions:
+            try:
+                _shared_pool().submit(run, position)
+            except RuntimeError:
+                run(position)
 
     def expire(now: float) -> None:
-        """Under ``lock``: time out every step past its deadline, and skip
-        what depends on it. A step still queued behind a dependency that did
-        not succeed is skipped, as it would have been when run."""
+        """Under ``lock``: time out every step past its deadline."""
         for position in [p for p, due in deadlines.items() if due <= now]:
-            done = [results[k - 1] for k in dependencies[position]]
-            if any(d.status is not StepStatus.OK for d in done):
-                late = outcome(position, BaseException)
-            else:
-                try:
-                    args = _resolve_args(plan.steps[position], results, context)
-                except ResolutionError:
-                    args = ()
-                started = max((d.finished_ms for d in done), default=0.0)
-                late = timed_out(
-                    position, started, args, "no result by the wall-clock deadline"
-                )
-            ready = record(position, late)
-            while ready:
-                child = ready.pop()
-                ready += record(child, outcome(child, BaseException))
+            try:
+                args = _resolve_args(plan.steps[position], results, context)
+            except ResolutionError:
+                args = ()
+            why = "no result by the wall-clock deadline"
+            record(position, timed_out(position, start_of(position), args, why))
 
     roots = [position for position, count in enumerate(waiting) if not count]
-    if budget_s is None:
-        run(roots, Exception)
-    else:
-        deadlines.update(dict.fromkeys(roots, time.monotonic() + budget_s))
-        run(submit(roots), Exception)
+    deadlines.update(dict.fromkeys(roots, time.monotonic() + budget_s))
+    dispatch(roots)
     while True:
         with lock:
             if not unrecorded:
                 break
             now = time.monotonic()
-            due = min(deadlines.values(), default=None)
-            if due is not None and due <= now:
+            due = min(deadlines.values())
+            if due <= now:
                 expire(now)
                 continue
-        wait_s = -1 if due is None else min(due - now, threading.TIMEOUT_MAX)
-        settled.acquire(timeout=wait_s)
-    steps = tuple(results)
-    makespan = max(
-        (r.finished_ms for r in steps if r.finished_ms is not None), default=0.0
-    )
-    return ExecutionTrace(steps, total_ms=makespan, critical_path_ms=makespan)
+        settled.acquire(timeout=min(due - now, threading.TIMEOUT_MAX))
+    return _trace(results)
+
+
+def _trace(results: Sequence[StepResult]) -> ExecutionTrace:
+    """The trace of a plan's entries; the makespan is the latest finish."""
+    finished = [r.finished_ms for r in results if r.finished_ms is not None]
+    return ExecutionTrace(tuple(results), critical_path_ms=max(finished, default=0.0))
 
 
 @dataclass(frozen=True)
@@ -445,8 +441,8 @@ class CannedCall:
 
 
 class _MockRetriever:
-    # Only reports latencies, so ``execute_plan`` sets it no wall-clock deadline.
-    _simulated_clock = True
+    # Only reports latencies: ``execute_plan`` runs it inline, with no deadline.
+    simulated_clock = True
 
     def __init__(self, config: Mapping[str, CannedCall]):
         self._config = dict(config)

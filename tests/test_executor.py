@@ -57,6 +57,17 @@ class _FrozenMapping(Mapping):
         return len(self._items)
 
 
+class WallClock:
+    """``retriever``'s calls without its clock declaration, so that
+    ``execute_plan`` dispatches them as wall-clock calls, on the pool."""
+
+    def __init__(self, retriever):
+        self._retriever = retriever
+
+    def invoke(self, tool, args):
+        return self._retriever.invoke(tool, args)
+
+
 class TestDependencyGraph:
     def test_two_step_chain(self, galaxy_plan):
         assert dependency_graph(galaxy_plan) == [(1, 2)]
@@ -143,7 +154,6 @@ class TestExecutePlan:
         )
         trace = execute_plan(plan, registry, retriever)
         assert trace.critical_path_ms == 50.0
-        assert trace.total_ms == 50.0
 
     def test_chain_accumulates_latency(self, registry, galaxy_plan):
         trace = execute_plan(galaxy_plan, registry, mock_retriever(GALAXY_MOCK))
@@ -249,6 +259,24 @@ class TestExecutePlan:
             execute_plan(plan, registry, Spy())
         assert calls == []
 
+    @pytest.mark.parametrize("clock", ["simulated", "wall"])
+    @pytest.mark.parametrize("timeout_ms", [-5, -0.5, -math.inf])
+    def test_negative_budget_raises_before_any_retriever_call(
+        self, registry, galaxy_plan, clock, timeout_ms
+    ):
+        calls = []
+
+        class Spy:
+            simulated_clock = clock == "simulated"
+
+            def invoke(self, tool, args):
+                calls.append(tool)
+                return {"text": "ok", "product_id": "B0X"}, 1.0
+
+        with pytest.raises(ValueError, match="timeout_ms must not be negative"):
+            execute_plan(galaxy_plan, registry, Spy(), timeout_ms=timeout_ms)
+        assert calls == []
+
 
     @pytest.mark.parametrize("timeout_ms", [None, 50])
     @pytest.mark.parametrize("latency", [None, "5", float("nan"), float("inf"), -1.0])
@@ -309,8 +337,9 @@ class TestExecutePlan:
     def test_field_that_is_not_json_fails_its_consumer(
         self, registry, value, consumer
     ):
-        # Step 1 makes steps 2 and 3 ready: the calling thread goes on with
-        # step 2 and step 3 is fanned out to a pool thread.
+        # Step 1 makes steps 2 and 3 ready. On the wall clock, the pool
+        # thread that ran step 1 goes on with step 2 and fans step 3 out to
+        # another pool thread.
         field = {2: "product_id", 3: "text"}
         plan = parse_plan(
             'Step 1: prod_search(keywords="mug")\n'
@@ -318,23 +347,24 @@ class TestExecutePlan:
             f"Step 3: prod_qna(product_id=$1.{field[5 - consumer]})\n"
             f"Step 4: review_summary(product_id=${consumer}.text)"
         )
-        retriever = mock_retriever(
+        simulated = mock_retriever(
             {
                 "prod_search": CannedCall({"text": "t", "product_id": value}),
                 "prod_qna": CannedCall({"text": "t", "product_id": "B0OK"}),
                 "review_summary": CannedCall({"text": "t"}),
             }
         )
-        trace = execute_plan(plan, registry, retriever)
-        bad = trace.step(consumer)
-        assert bad.status is StepStatus.FAILED
-        assert bad.error.startswith(
-            "ResolutionError: step 1 field 'product_id' is not JSON: "
-        )
-        assert bad.resolved_args == ()
-        assert trace.step(5 - consumer).status is StepStatus.OK
-        assert trace.step(4).status is StepStatus.SKIPPED
-        assert trace.step(1).status is StepStatus.OK
+        for retriever in [simulated, WallClock(simulated)]:
+            trace = execute_plan(plan, registry, retriever)
+            bad = trace.step(consumer)
+            assert bad.status is StepStatus.FAILED
+            assert bad.error.startswith(
+                "ResolutionError: step 1 field 'product_id' is not JSON: "
+            )
+            assert bad.resolved_args == ()
+            assert trace.step(5 - consumer).status is StepStatus.OK
+            assert trace.step(4).status is StepStatus.SKIPPED
+            assert trace.step(1).status is StepStatus.OK
 
     @pytest.mark.parametrize("output", [["a", "b"], "text"], ids=repr)
     def test_output_that_is_not_a_mapping_fails_step(
@@ -393,7 +423,7 @@ def warm_pool(plan, registry):
 
 
 class TestDispatch:
-    def test_chain_runs_in_the_calling_thread(self, registry):
+    def test_wall_clock_chain_runs_on_one_pool_thread(self, registry):
         threads = []
 
         class Spy:
@@ -408,14 +438,15 @@ class TestDispatch:
         )
         trace = execute_plan(plan, registry, Spy())
         assert [s.status for s in trace.steps] == [StepStatus.OK] * 3
-        assert threads == [threading.get_ident()] * 3
+        assert len(set(threads)) == 1
+        assert threads[0] != threading.get_ident()
 
     def test_repeated_fan_out_starts_no_thread(self, registry, monkeypatch):
         plan = parse_plan(FAN_OUT_PLAN)
         warm_pool(plan, registry)
         canned = {tool: CannedCall({"text": "t"}) for tool in registry.canonical_names}
         canned["review_summary"] = CannedCall({}, error="down")
-        retriever = mock_retriever(canned)
+        retriever = WallClock(mock_retriever(canned))
         started = []
         start = threading.Thread.start
 
@@ -464,8 +495,10 @@ class TestDispatch:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_runs_fan_out(self, registry):
         plan = parse_plan(FAN_OUT_PLAN)
-        retriever = mock_retriever(
-            {tool: CannedCall({"text": "t"}) for tool in registry.canonical_names}
+        retriever = WallClock(
+            mock_retriever(
+                {tool: CannedCall({"text": "t"}) for tool in registry.canonical_names}
+            )
         )
         warm_pool(plan, registry)
         # Idle workers at the fork are what an inherited pool would count on.
@@ -583,7 +616,7 @@ class TestDeadlines:
         assert (first.started_ms, first.finished_ms) == (0.0, 50.0)
         assert first.resolved_args == (("keywords", "mug"),)
         assert second.status is StepStatus.SKIPPED
-        assert trace.total_ms == trace.critical_path_ms == 50.0
+        assert trace.critical_path_ms == 50.0
 
     def test_late_result_is_dropped_and_does_not_continue(self, registry):
         plan = parse_plan(
@@ -676,25 +709,21 @@ class TestDeadlines:
                 assert statuses == ["failed"] * 3 + ["skipped"]
                 assert all(s.error.startswith("Timeout") for s in trace.steps[:3])
 
-    def test_step_queued_behind_a_failed_step_is_skipped_at_its_deadline(
+    def test_steps_behind_a_failed_step_never_reach_the_pool(
         self, registry, monkeypatch
     ):
-        # A pool that runs only the first task it is given, and holds the
-        # rest as a saturated pool would: steps 3 and 5 stay queued past
-        # their deadline, behind a failed and a skipped dependency.
-        class RunsOnlyTheFirst:
+        # A pool that records every step it is given and runs it on a thread
+        # of its own: steps 2-5 depend on a failed or skipped step, and are
+        # skipped without being submitted.
+        class Recording:
             def __init__(self):
-                self.ran = False
-                self.held = []
+                self.submitted = []
 
             def submit(self, function, *args):
-                if self.ran:
-                    self.held.append(args[0])
-                    return
-                self.ran = True
+                self.submitted.append(args)
                 threading.Thread(target=function, args=args, daemon=True).start()
 
-        pool = RunsOnlyTheFirst()
+        pool = Recording()
         monkeypatch.setattr(executor_mod, "_shared_pool", lambda: pool)
         calls = []
 
@@ -712,7 +741,7 @@ class TestDeadlines:
         )
         trace = execute_plan(plan, registry, Down(), timeout_ms=20)
         assert calls == ["prod_search"]
-        assert sorted(pool.held) == [[2], [4]]  # steps 3 and 5, never run
+        assert pool.submitted == [(0,)]  # step 1 only
         assert [(s.status, s.error) for s in trace.steps] == [
             (StepStatus.FAILED, "RetrieverError: down"),
             (StepStatus.SKIPPED, "skipped: depends on step(s) 1"),
@@ -787,7 +816,7 @@ class TestDeadlines:
         threads = []
 
         class Simulated:
-            _simulated_clock = True
+            simulated_clock = True
 
             def invoke(self, tool, args):
                 threads.append(threading.get_ident())
@@ -804,8 +833,8 @@ class Boom(BaseException):
 
 @pytest.mark.parametrize("timeout_ms", [None, 1000])
 def test_base_exception_on_a_pool_thread_fails_its_step(registry, timeout_ms):
-    # Without a budget the first root runs in the caller and the second on
-    # the pool; with one, both run on the pool.
+    # A wall-clock retriever runs both roots on the pool, with a budget or
+    # without.
     plan = parse_plan(
         'Step 1: prod_search(keywords="mug")\n'
         'Step 2: customer_support(query="returns")'
@@ -824,6 +853,8 @@ def test_base_exception_on_a_pool_thread_fails_its_step(registry, timeout_ms):
 
 def test_base_exception_in_the_calling_thread_propagates(registry):
     class Raising:
+        simulated_clock = True
+
         def invoke(self, tool, args):
             raise Boom("out of band")
 
@@ -860,8 +891,33 @@ class TestTimingInvariants:
                         >= by_index[producer].finished_ms
                     )
             latencies = [s.latency_ms for s in trace.steps]
-            assert trace.critical_path_ms <= trace.total_ms <= sum(latencies) + 1e-9
-            assert trace.total_ms >= max(latencies)
+            assert max(latencies) <= trace.critical_path_ms <= sum(latencies) + 1e-9
+
+    @pytest.mark.parametrize("timeout_ms", [None, 1000])
+    def test_both_dispatch_rules_give_the_same_trace(self, timeout_ms):
+        # Failed, timed-out, unconfigured and unresolvable steps included, so
+        # that skips and their reasons are compared too.
+        rng = random.Random(4321)
+        registry = generator_registry()
+        for _ in range(100):
+            plan = random_plan(rng)
+            simulated = mock_retriever(
+                {
+                    name: CannedCall(
+                        {"text": "t", "product_id": "p", "a": {"b": "c"}},
+                        latency_ms=rng.choice([0.0, 5.0, 50.0, 2500.0]),
+                        error="down" if rng.random() < 0.1 else None,
+                    )
+                    for name in registry.canonical_names
+                    if rng.random() < 0.9
+                }
+            )
+            context = rng.choice([None, {"product_id": "x", "page_title": "y"}])
+            inline, pooled = (
+                execute_plan(plan, registry, retriever, timeout_ms, context)
+                for retriever in (simulated, WallClock(simulated))
+            )
+            assert repr(pooled) == repr(inline)
 
 
 def test_independent_steps_dispatch_concurrently(registry):
