@@ -151,13 +151,23 @@ def cmd_forge(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .evaluation import evaluate, load_gold, load_predictions
+    from .evaluation import (
+        UnknownGoldToolError,
+        evaluate,
+        load_gold,
+        load_predictions,
+    )
 
     _check_paths([args.pred, args.gold, args.registry], [args.out])
     registry = _load_registry(args.registry)
     predictions = load_predictions(args.pred)
     gold = load_gold(args.gold)
-    report = evaluate(predictions, gold, registry, omitted_tool=args.omitted_tool)
+    try:
+        report = evaluate(predictions, gold, registry, omitted_tool=args.omitted_tool)
+    except UnknownGoldToolError as exc:
+        # the gold examples are the file's records in order
+        where = [where for where, _ in read_jsonl(Path(args.gold))][exc.index]
+        raise SchemaError(args.gold, f"{where}.gold_plan", str(exc)) from exc
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(payload)
     if args.out:

@@ -14,6 +14,9 @@ Definitions used throughout:
   matrix reproduces the report exactly.
 * ``tool_accuracy`` is the overall correct fraction under the sequence-exact
   rule above.
+* Every gold plan must name registered tools only (under any variant): no
+  prediction could match one that does not, so it raises
+  :class:`UnknownGoldToolError` instead of being scored.
 * Argument accuracy is restricted to gold plans that use the tools whose
   arguments are query rewrites rather than the query itself
   (``prod_search`` and ``shipment_status`` in the shipped registry); values
@@ -22,7 +25,7 @@ Definitions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -44,6 +47,20 @@ class LengthMismatchError(ReaperError):
 
 class EmptyDenominatorError(ReaperError):
     pass
+
+
+class UnknownGoldToolError(ReaperError):
+    """A gold plan names a tool the registry does not know. No prediction
+    could match it, so the gold set is rejected instead of scored;
+    ``index`` is the example's position in the gold sequence."""
+
+    def __init__(self, index: int, example: GoldExample, name: str):
+        super().__init__(
+            f"gold example {index} ({example.input.query!r}) names unknown "
+            f"tool {name!r}"
+        )
+        self.index = index
+        self.name = name
 
 
 @dataclass(frozen=True)
@@ -75,33 +92,11 @@ class EvalReport:
     confusion: dict[str, dict[str, int]]
     argument_accuracy: float | None = None
     instruction_following: float | None = None
-    latency: LatencyStats | None = None
 
     def to_dict(self) -> dict:
-        out: dict = {
-            "per_class": {
-                label: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for label, m in self.per_class.items()
-            },
-            "tool_accuracy": self.tool_accuracy,
-            "confusion": self.confusion,
-        }
-        if self.argument_accuracy is not None:
-            out["argument_accuracy"] = self.argument_accuracy
-        if self.instruction_following is not None:
-            out["instruction_following"] = self.instruction_following
-        if self.latency is not None:
-            out["latency"] = {
-                "single_shot_ms": self.latency.single_shot_ms,
-                "interleaved_ms": self.latency.interleaved_ms,
-                "speedup": self.latency.speedup,
-            }
-        return out
+        """The report's fields as JSON-ready data, leaving out the metrics
+        that were not computed."""
+        return {k: v for k, v in asdict(self).items() if v is not None}
 
 
 def _canonical_sequence(
@@ -113,6 +108,13 @@ def _canonical_sequence(
         return [registry.canonical_of(step.tool_name) for step in plan.steps]
     except UnknownToolError:
         return None
+
+
+def _check_gold(gold: Sequence[GoldExample], registry: ToolRegistry) -> None:
+    for index, example in enumerate(gold):
+        for step in example.gold_plan.steps:
+            if not registry.has_tool(step.tool_name):
+                raise UnknownGoldToolError(index, example, step.tool_name)
 
 
 def predicted_class(plan: Plan | None, registry: ToolRegistry) -> str:
@@ -146,6 +148,7 @@ def tool_selection_metrics(
         )
     if not gold:
         raise EmptyDenominatorError("no gold examples")
+    _check_gold(gold, registry)
 
     confusion: dict[str, dict[str, int]] = {}
     correct = 0
@@ -218,6 +221,7 @@ def argument_accuracy(
         raise LengthMismatchError(
             f"{len(predictions)} predictions for {len(gold)} gold examples"
         )
+    _check_gold(gold, registry)
     qualifying = 0
     matched = 0
     for prediction, example in zip(predictions, gold):

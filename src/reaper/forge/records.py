@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
@@ -115,9 +115,4 @@ class MixManifest:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "reaper_count": self.reaper_count,
-            "generic_count": self.generic_count,
-            "ratio": self.ratio,
-            "seed": self.seed,
-        }
+        return asdict(self)

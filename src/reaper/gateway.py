@@ -23,11 +23,9 @@ from typing import Mapping, Protocol
 from .boundary import post_json
 from .errors import ReaperError
 from .plan import Plan, PlanParseError, parse_plan
-from .prompt import PromptSpec, build_prompt
+from .prompt import INPUT_HEADER, PromptSpec, build_prompt
 
 BACKEND_URL_ENV = "REAPER_BACKEND_URL"
-
-_INPUT_HEADER = "### Input:"
 
 
 class BackendError(ReaperError):
@@ -67,7 +65,7 @@ class ScriptedStub:
     def complete(self, prompt: str) -> tuple[str, float]:
         # case-insensitive so fixtures keyed on query fragments keep matching
         # however the customer capitalized them
-        section = prompt.rsplit(_INPUT_HEADER, 1)[-1].casefold()
+        section = prompt.rsplit(INPUT_HEADER, 1)[-1].casefold()
         for key, plan_text in self._table.items():
             if key.casefold() in section:
                 return plan_text, self.latency_ms

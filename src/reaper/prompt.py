@@ -40,6 +40,9 @@ DEFAULT_SYSTEM_INSTRUCTION = (
 # Number of in-context examples sampled into a prompt unless configured.
 DEFAULT_EXAMPLE_COUNT = 4
 
+# The header of a prompt's last section, the customer input.
+INPUT_HEADER = "### Input:"
+
 
 @dataclass(frozen=True)
 class QueryInput:
@@ -103,8 +106,8 @@ def input_lines(query_input: QueryInput) -> list[str]:
 
 
 def _render_prefix(spec: PromptSpec) -> str:
-    """Everything before the input lines, ending in ``### Input:`` and a
-    newline."""
+    """Everything before the input lines, ending in :data:`INPUT_HEADER`
+    and a newline."""
     lines: list[str] = ["### Role:", spec.role_text, ""]
     lines += ["### System Instruction:", spec.system_instruction, ""]
     lines += ["Candidate tools:", ""]
@@ -113,7 +116,7 @@ def _render_prefix(spec: PromptSpec) -> str:
     lines += ["", "### Examples:", ""]
     for number, example in enumerate(spec.examples, start=1):
         lines += [f"Example {number}:", example._prompt_text, ""]
-    lines += ["### Input:", ""]
+    lines += [INPUT_HEADER, ""]
     return "\n".join(lines)
 
 
@@ -126,7 +129,7 @@ _last_prefix: tuple[str, str, ToolRegistry, tuple, str] | None = None
 def build_prompt(spec: PromptSpec) -> str:
     """Render the prompt text; byte-deterministic in the spec.
 
-    The fixed prefix, everything up to and including ``### Input:``, is
+    The fixed prefix, everything up to and including :data:`INPUT_HEADER`, is
     rendered once and reused while consecutive specs carry the same registry
     object and the same examples tuple object (compared by identity: both
     are immutable, and ``PromptSpec`` keeps a tuple it is given) and equal

@@ -16,6 +16,13 @@ YAML schema (all fields required unless noted)::
         example_usage: 'Step 1: prod_qna(product_id="B0X", query="...")'
         name_variants: [prod_qna, product_information, ...]   # includes canonical
         description_paraphrases: [..., ...]                   # non-empty
+
+Parameter names and name variants are identifiers, unique within their
+tool; paraphrases are non-empty strings; the example usage is a plan that
+calls only the tool itself; no two tools share a name or a variant. The
+types and :class:`ToolRegistry` enforce these rules, so a registry built in
+code is held to them too; the loader names the file and ``tools[i]`` of
+the entry that breaks one.
 """
 
 from __future__ import annotations
@@ -48,11 +55,19 @@ class AmbiguousVariantError(ReaperError):
     """Two tools claim the same name variant."""
 
 
+def _is_identifier(name: object) -> bool:
+    return isinstance(name, str) and IDENT_RE.match(name) is not None
+
+
 @dataclass(frozen=True)
 class ParamSpec:
     name: str
     required: bool
     description: str = ""
+
+    def __post_init__(self):
+        if not _is_identifier(self.name):
+            raise ValueError(f"invalid parameter name: {self.name!r}")
 
 
 @dataclass(frozen=True)
@@ -65,21 +80,35 @@ class ToolSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "params", tuple(self.params))
-        if not IDENT_RE.match(self.canonical_name):
+        if not _is_identifier(self.canonical_name):
             raise ValueError(f"invalid tool name: {self.canonical_name!r}")
         if self.class_label not in CLASS_LABELS:
             raise ValueError(
                 f"{self.canonical_name}: unknown class_label {self.class_label!r}"
             )
         seen_optional = False
+        names = set()
         for param in self.params:
+            if param.name in names:
+                raise ValueError(
+                    f"{self.canonical_name}: duplicate parameter {param.name!r}"
+                )
+            names.add(param.name)
             if param.required and seen_optional:
                 raise ValueError(
                     f"{self.canonical_name}: required parameter {param.name!r} "
                     "listed after an optional one"
                 )
             seen_optional = seen_optional or not param.required
-        parse_plan(self.example_usage)  # must be a valid plan snippet
+        # a valid plan snippet that calls only this tool, so renaming the
+        # tool renames every surface form of it in the usage, and removing
+        # another tool leaves none of that tool's names behind
+        for step in parse_plan(self.example_usage).steps:
+            if step.tool_name != self.canonical_name:
+                raise ValueError(
+                    f"{self.canonical_name}: example_usage calls "
+                    f"{step.tool_name!r}, not {self.canonical_name!r}"
+                )
 
     def required_params(self) -> tuple[ParamSpec, ...]:
         return tuple(p for p in self.params if p.required)
@@ -112,8 +141,13 @@ class VariantPool:
         if not self.name_variants or not self.description_paraphrases:
             raise ValueError("variant pools must be non-empty")
         for name in self.name_variants:
-            if not IDENT_RE.match(name):
+            if not _is_identifier(name):
                 raise ValueError(f"invalid variant name: {name!r}")
+        for text in self.description_paraphrases:
+            if not isinstance(text, str) or not text:
+                raise ValueError(
+                    f"description paraphrases must be non-empty strings, got {text!r}"
+                )
         if len(set(self.name_variants)) != len(self.name_variants):
             raise ValueError("duplicate names within a variant pool")
 
@@ -219,71 +253,86 @@ def _draw_extras(
     return wanted.union(random.Random(seed).sample(remainder, extra_count))
 
 
-def _load_registry_data(data: object, path: str) -> ToolRegistry:
-    if not isinstance(data, dict) or "tools" not in data:
-        raise SchemaError(path, "tools", "document must be a mapping with 'tools'")
-    tools = data["tools"]
-    if not isinstance(tools, list) or not tools:
-        raise SchemaError(path, "tools", "expected a non-empty list")
-    entries = []
-    for i, block in enumerate(tools):
-        where = f"tools[{i}]"
-        if not isinstance(block, dict):
-            raise SchemaError(path, where, "expected a mapping")
-        params = []
-        for j, p in enumerate(typed_field(block, "params", list, path, where)):
-            pwhere = f"{where}.params[{j}]"
-            if not isinstance(p, dict):
-                raise SchemaError(path, pwhere, "expected a mapping")
-            params.append(
-                ParamSpec(
-                    name=typed_field(p, "name", str, path, pwhere),
-                    required=typed_field(p, "required", bool, path, pwhere),
-                    description=typed_field(p, "description", str, path, pwhere),
+def _entry(block: object, path: str, where: str) -> tuple[ToolSpec, VariantPool]:
+    """The tool at ``where`` in a registry document."""
+    if not isinstance(block, dict):
+        raise SchemaError(path, where, "expected a mapping")
+    params = []
+    for j, p in enumerate(typed_field(block, "params", list, path, where)):
+        pwhere = f"{where}.params[{j}]"
+        if not isinstance(p, dict):
+            raise SchemaError(path, pwhere, "expected a mapping")
+        params.append(
+            ParamSpec(
+                name=typed_field(p, "name", str, path, pwhere),
+                required=typed_field(p, "required", bool, path, pwhere),
+                description=typed_field(p, "description", str, path, pwhere),
+            )
+        )
+    spec = ToolSpec(
+        canonical_name=typed_field(block, "canonical_name", str, path, where),
+        params=tuple(params),
+        description=typed_field(block, "description", str, path, where),
+        example_usage=typed_field(block, "example_usage", str, path, where),
+        class_label=typed_field(block, "class_label", str, path, where),
+    )
+    pool = VariantPool(
+        name_variants=tuple(typed_field(block, "name_variants", list, path, where)),
+        description_paraphrases=tuple(
+            typed_field(block, "description_paraphrases", list, path, where)
+        ),
+    )
+    return spec, pool
+
+
+def _build(documents: Iterable[tuple[str, str]]) -> ToolRegistry:
+    """One registry from the tools of each ``(path, text)`` YAML document in
+    turn. The types and the registry check each entry as it is read, so a
+    check fails while its entry is the current one; this only locates the
+    failure, as a :class:`SchemaError` naming the file and ``tools[i]``."""
+    path, where = "-", "tools"
+
+    def entries() -> Iterator[tuple[ToolSpec, VariantPool]]:
+        nonlocal path, where
+        for path, text in documents:
+            where = "tools"
+            data = read_yaml(text, path)
+            if not isinstance(data, dict) or "tools" not in data:
+                raise SchemaError(
+                    path, where, "document must be a mapping with 'tools'"
                 )
-            )
-        try:
-            spec = ToolSpec(
-                canonical_name=typed_field(block, "canonical_name", str, path, where),
-                params=tuple(params),
-                description=typed_field(block, "description", str, path, where),
-                example_usage=typed_field(block, "example_usage", str, path, where),
-                class_label=typed_field(block, "class_label", str, path, where),
-            )
-            pool = VariantPool(
-                name_variants=tuple(
-                    typed_field(block, "name_variants", list, path, where)
-                ),
-                description_paraphrases=tuple(
-                    typed_field(block, "description_paraphrases", list, path, where)
-                ),
-            )
-        except (ValueError, ReaperError) as exc:
-            if isinstance(exc, (SchemaError, AmbiguousVariantError)):
-                raise
-            raise SchemaError(path, where, str(exc)) from exc
-        entries.append((spec, pool))
-    return ToolRegistry(entries)
+            if not isinstance(data["tools"], list) or not data["tools"]:
+                raise SchemaError(path, where, "expected a non-empty list")
+            for i, block in enumerate(data["tools"]):
+                where = f"tools[{i}]"
+                yield _entry(block, path, where)
+
+    try:
+        return ToolRegistry(entries())
+    except SchemaError:
+        raise
+    except (ValueError, ReaperError) as exc:
+        raise SchemaError(path, where, str(exc)) from exc
 
 
 def load_registry(path: str | Path) -> ToolRegistry:
-    """Load a registry config file; raises :class:`SchemaError` on malformed
-    config and :class:`AmbiguousVariantError` on variant collisions."""
-    text = Path(path).read_text(encoding="utf-8")
-    return _load_registry_data(read_yaml(text, str(path)), str(path))
+    """Load a registry config file; a malformed config, or a name variant
+    that two tools claim, raises :class:`SchemaError` naming the file and
+    the tool."""
+    return _build([(str(path), Path(path).read_text(encoding="utf-8"))])
 
 
-def _packaged(name: str) -> ToolRegistry:
+def _packaged(name: str) -> tuple[str, str]:
     text = resources.files("reaper.data").joinpath(name).read_text(encoding="utf-8")
-    path = f"reaper/data/{name}"
-    return _load_registry_data(read_yaml(text, path), path)
+    return f"reaper/data/{name}", text
 
 
 def default_registry() -> ToolRegistry:
     """The shipped six-tool registry covering the six evaluation classes."""
-    return _packaged("default_tools.yaml")
+    return _build([_packaged("default_tools.yaml")])
 
 
 def extended_registry() -> ToolRegistry:
-    """Default registry plus the two extension tools."""
-    return _packaged("extended_tools.yaml")
+    """The default registry's six tools followed by the two extension tools
+    of ``extension_tools.yaml``."""
+    return _build([_packaged("default_tools.yaml"), _packaged("extension_tools.yaml")])

@@ -112,6 +112,19 @@ class TestForge:
               "--manifest", str(manifest_path)])
         assert json.loads(manifest_path.read_text())["reaper_count"] == 2
 
+    def test_manifest_json_is_pinned(self, tmp_path, capsys):
+        tasks = tmp_path / "tasks.jsonl"
+        write_tasks(tasks, 4)
+        manifest = tmp_path / "manifest.json"
+        assert main(["forge", "--tasks", str(tasks), "--out", str(tmp_path / "t.jsonl"),
+                     "--manifest", str(manifest),
+                     "--generic-fraction", "0.5", "--seed", "3"]) == 0
+        assert manifest.read_text() == (
+            '{\n  "reaper_count": 4,\n  "generic_count": 100,\n'
+            '  "ratio": "1:25.0",\n  "seed": 3\n}\n'
+        )
+        assert capsys.readouterr().out == manifest.read_text()
+
     def test_bad_tasks_file_is_usage_error(self, tmp_path, capsys):
         tasks = tmp_path / "tasks.jsonl"
         tasks.write_text("{not json\n")
@@ -236,6 +249,68 @@ class TestEval:
         out = tmp_path / "report.json"
         main(["eval", "--pred", str(pred), "--gold", str(gold), "--out", str(out)])
         assert json.loads(out.read_text())["tool_accuracy"] == 1.0
+
+    def test_report_json_is_pinned(self, tmp_path, capsys):
+        def mutate(rows):
+            rows[1]["plan"] = "Step 1: no_retrieval()"
+
+        gold, pred = write_gold_and_pred(tmp_path, mutate)
+        out = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold),
+                     "--omitted-tool", "prod_qna", "--out", str(out)]) == 0
+        assert out.read_text() == PINNED_REPORT
+        assert capsys.readouterr().out == PINNED_REPORT
+
+    def test_unknown_gold_tool_names_the_gold_line(self, tmp_path, capsys):
+        gold, pred = write_gold_and_pred(tmp_path)
+        gold.write_text(gold.read_text().replace("prod_search(", "compare_prices("))
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+        err = capsys.readouterr().err
+        assert f"{gold}: line 2.gold_plan: " in err
+        assert "'compare_prices'" in err
+        assert "Traceback" not in err
+
+
+# ``reaper eval`` output on write_gold_and_pred's files with the second
+# prediction answered by no_retrieval, as first written
+PINNED_REPORT = """\
+{
+  "argument_accuracy": 0.5,
+  "confusion": {
+    "no_retrieval": {
+      "no_retrieval": 1
+    },
+    "product_search": {
+      "no_retrieval": 1
+    },
+    "shipment_status": {
+      "shipment_status": 1
+    }
+  },
+  "instruction_following": 1.0,
+  "per_class": {
+    "no_retrieval": {
+      "f1": 0.6666666666666666,
+      "precision": 0.5,
+      "recall": 1.0,
+      "support": 1
+    },
+    "product_search": {
+      "f1": 0.0,
+      "precision": 0.0,
+      "recall": 0.0,
+      "support": 1
+    },
+    "shipment_status": {
+      "f1": 1.0,
+      "precision": 1.0,
+      "recall": 1.0,
+      "support": 1
+    }
+  },
+  "tool_accuracy": 0.6666666666666666
+}
+"""
 
 
 MALFORMED_LINES = {

@@ -5,6 +5,7 @@ from reaper.evaluation import (
     EmptyDenominatorError,
     GoldExample,
     LengthMismatchError,
+    UnknownGoldToolError,
     argument_accuracy,
     evaluate,
     instruction_following_score,
@@ -279,3 +280,38 @@ class TestEvaluate:
         data = report.to_dict()
         assert data["tool_accuracy"] == 1.0
         assert "confusion" in data and "per_class" in data
+        # field order; a metric that was not computed is left out
+        assert "instruction_following" not in data
+        data = evaluate(PERFECT, GOLD_SET, registry, omitted_tool="prod_qna").to_dict()
+        assert list(data) == [
+            "per_class",
+            "tool_accuracy",
+            "confusion",
+            "argument_accuracy",
+            "instruction_following",
+        ]
+        assert data["per_class"]["no_retrieval"] == {
+            "precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 1
+        }
+
+
+class TestUnknownGoldTool:
+    BAD_GOLD = GOLD_SET[:2] + [
+        gold("compare these", 'Step 1: compare_prices(query="a vs b")', "product_search")
+    ]
+
+    @pytest.mark.parametrize(
+        "prediction", [None, 'Step 1: price_compare(query="a vs b")']
+    )
+    def test_invalid_prediction_is_not_scored_correct(self, registry, prediction):
+        predictions = PERFECT[:2] + [prediction and parse_plan(prediction)]
+        with pytest.raises(UnknownGoldToolError) as excinfo:
+            tool_selection_metrics(predictions, self.BAD_GOLD, registry)
+        assert excinfo.value.index == 2
+        assert str(excinfo.value) == (
+            "gold example 2 ('compare these') names unknown tool 'compare_prices'"
+        )
+
+    def test_argument_accuracy_rejects_it_too(self, registry):
+        with pytest.raises(UnknownGoldToolError):
+            argument_accuracy(PERFECT[:3], self.BAD_GOLD, registry)

@@ -4,11 +4,17 @@ import pytest
 import yaml
 
 from reaper.boundary import read_yaml
+from reaper.cli import main
 from reaper.errors import UnknownToolError
 from reaper.registry import (
     AmbiguousVariantError,
+    ParamSpec,
     SchemaError,
     ToolRegistry,
+    ToolSpec,
+    VariantPool,
+    _build,
+    _packaged,
     extended_registry,
     load_registry,
     subset_with,
@@ -31,12 +37,16 @@ COMPATIBLE_PRODUCTS_BLOCK = {
 }
 
 
-def write_default_plus(tmp_path, *blocks):
-    data = yaml.safe_load(
+def default_tools_data():
+    return yaml.safe_load(
         resources.files("reaper.data")
         .joinpath("default_tools.yaml")
         .read_text(encoding="utf-8")
     )
+
+
+def write_default_plus(tmp_path, *blocks):
+    data = default_tools_data()
     data["tools"].extend(blocks)
     path = tmp_path / "tools.yaml"
     path.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
@@ -60,17 +70,27 @@ class TestLoad:
         assert len(loaded) == 7
         assert loaded.has_tool("compatible_products")
 
-    def test_extended_registry_has_eight_tools(self):
+    def test_extended_registry_has_eight_tools(self, registry):
+        # the default's entries, then the two of extension_tools.yaml
         extended = extended_registry()
         assert len(extended) == 8
         assert extended.canonical_of("small_talk_reply") == "human_small_talk"
+        assert extended.canonical_names == (
+            *registry.canonical_names,
+            "compatible_products",
+            "human_small_talk",
+        )
+        for name in registry.canonical_names:
+            assert extended.entry(name) == registry.entry(name)
 
     def test_shared_variant_is_ambiguous(self, tmp_path):
         clone = dict(COMPATIBLE_PRODUCTS_BLOCK)
         clone["name_variants"] = ["compatible_products", "item_search"]  # taken
         path = write_default_plus(tmp_path, clone)
-        with pytest.raises(AmbiguousVariantError):
+        with pytest.raises(SchemaError) as excinfo:
             load_registry(path)
+        assert str(excinfo.value).startswith(f"{path}: tools[6]: variant 'item_search'")
+        assert isinstance(excinfo.value.__cause__, AmbiguousVariantError)
 
     def test_missing_field_is_schema_error(self, tmp_path):
         path = tmp_path / "bad.yaml"
@@ -196,10 +216,108 @@ def test_empty_registry_is_representable():
 
 
 @pytest.mark.parametrize(
-    "name", ["default_tools.yaml", "extended_tools.yaml", "example_pool.yaml"]
+    "name",
+    sorted(
+        entry.name
+        for entry in resources.files("reaper.data").iterdir()
+        if entry.name.endswith(".yaml")
+    ),
 )
 def test_read_yaml_equals_the_python_loader(name):
     # read_yaml takes libyaml's parser where it is built; PyYAML's pure-Python
     # SafeLoader is the reference for every shipped document
     text = resources.files("reaper.data").joinpath(name).read_text(encoding="utf-8")
     assert read_yaml(text, name) == yaml.safe_load(text)
+
+
+def _set(i, key, value):
+    def edit(tools):
+        tools[i][key] = value
+
+    return edit
+
+
+def _add_param(i, name):
+    def edit(tools):
+        tools[i]["params"].append({"name": name, "required": False, "description": ""})
+
+    return edit
+
+
+# each edit of default_tools.yaml, and the tools[i] it breaks
+BROKEN_REGISTRIES = {
+    "non-string-variant": (_set(0, "name_variants", ["customer_support", 5]), 0),
+    "non-string-paraphrase": (_set(0, "description_paraphrases", [5]), 0),
+    "duplicate-parameter": (_add_param(0, "query"), 0),
+    "parameter-not-an-identifier": (_add_param(0, "Bad Name"), 0),
+    "usage-calls-another-tool": (
+        _set(1, "example_usage", 'Step 1: customer_support(query="order")'),
+        1,
+    ),
+    "duplicate-tool": (lambda tools: tools.append(dict(tools[2])), 6),
+    "canonical-not-a-variant": (_set(3, "name_variants", ["product_facts"]), 3),
+    "variant-shared-by-two-tools": (
+        _set(4, "name_variants", ["review_summary", "help_center"]),
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "edit, index", BROKEN_REGISTRIES.values(), ids=BROKEN_REGISTRIES.keys()
+)
+def test_broken_registry_is_usage_error_naming_file_and_tool(
+    tmp_path, capsys, edit, index
+):
+    data = default_tools_data()
+    edit(data["tools"])
+    registry_path = tmp_path / "tools.yaml"
+    registry_path.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+    plans = tmp_path / "plans.txt"
+    plans.write_text("Step 1: no_retrieval()\n", encoding="utf-8")
+    assert main(["validate", str(plans), "--registry", str(registry_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{registry_path}: tools[{index}]" in err
+    assert "Traceback" not in err
+
+
+class TestEntryRules:
+    """The types enforce the registry file's rules, so a registry built in
+    code is held to them too."""
+
+    def test_parameter_name_must_be_an_identifier(self):
+        with pytest.raises(ValueError, match="invalid parameter name"):
+            ParamSpec("Bad Name", True)
+
+    def test_variants_and_paraphrases_must_be_strings(self):
+        with pytest.raises(ValueError, match="invalid variant name"):
+            VariantPool(("tool_a", 5), ("does a",))
+        with pytest.raises(ValueError, match="paraphrases"):
+            VariantPool(("tool_a",), (5,))
+
+    @pytest.mark.parametrize(
+        "params, usage, message",
+        [
+            (
+                (ParamSpec("query", True), ParamSpec("query", False)),
+                'Step 1: tool_a(query="x")',
+                "duplicate parameter 'query'",
+            ),
+            ((), "Step 1: tool_b()", "example_usage calls 'tool_b'"),
+        ],
+    )
+    def test_tool_spec_rules(self, params, usage, message):
+        with pytest.raises(ValueError, match=message):
+            ToolSpec("tool_a", params, "does a", usage, "extension")
+
+
+def test_variant_colliding_across_the_two_documents_is_located():
+    # extended_registry's two documents, the extension's second tool
+    # claiming a variant of the default's first
+    path, text = _packaged("extension_tools.yaml")
+    clash = text.replace("casual_chat_reply]", "help_center]")
+    assert clash != text
+    with pytest.raises(SchemaError) as excinfo:
+        _build([_packaged("default_tools.yaml"), (path, clash)])
+    assert str(excinfo.value).startswith(f"{path}: tools[1]: variant 'help_center'")
+    assert isinstance(excinfo.value.__cause__, AmbiguousVariantError)
