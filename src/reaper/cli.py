@@ -152,6 +152,7 @@ def cmd_forge(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import (
+        UnknownGoldClassError,
         UnknownGoldToolError,
         evaluate,
         load_gold,
@@ -160,14 +161,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     _check_paths([args.pred, args.gold, args.registry], [args.out])
     registry = _load_registry(args.registry)
+    if args.omitted_tool is not None and not registry.has_tool(args.omitted_tool):
+        raise ValueError(f"--omitted-tool: unknown tool {args.omitted_tool!r}")
     predictions = load_predictions(args.pred)
     gold = load_gold(args.gold)
     try:
         report = evaluate(predictions, gold, registry, omitted_tool=args.omitted_tool)
-    except UnknownGoldToolError as exc:
+    except (UnknownGoldToolError, UnknownGoldClassError) as exc:
         # the gold examples are the file's records in order
         where = [where for where, _ in read_jsonl(Path(args.gold))][exc.index]
-        raise SchemaError(args.gold, f"{where}.gold_plan", str(exc)) from exc
+        field = "gold_plan" if isinstance(exc, UnknownGoldToolError) else "class"
+        raise SchemaError(args.gold, f"{where}.{field}", str(exc)) from exc
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(payload)
     if args.out:

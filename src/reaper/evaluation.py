@@ -17,6 +17,9 @@ Definitions used throughout:
 * Every gold plan must name registered tools only (under any variant): no
   prediction could match one that does not, so it raises
   :class:`UnknownGoldToolError` instead of being scored.
+* Every gold class must be the ``class_label`` of a registered tool or
+  ``"invalid"``: any other would add a ``per_class`` row that no prediction
+  can support, so it raises :class:`UnknownGoldClassError`.
 * Argument accuracy is restricted to gold plans that use the tools whose
   arguments are query rewrites rather than the query itself
   (``prod_search`` and ``shipment_status`` in the shipped registry); values
@@ -61,6 +64,20 @@ class UnknownGoldToolError(ReaperError):
         )
         self.index = index
         self.name = name
+
+
+class UnknownGoldClassError(ReaperError):
+    """A gold example's class is neither a registry tool's ``class_label``
+    nor ``"invalid"``; ``index`` is the example's position in the gold
+    sequence."""
+
+    def __init__(self, index: int, example: GoldExample):
+        super().__init__(
+            f"gold example {index} ({example.input.query!r}) has class "
+            f"{example.class_label!r}, which no registry tool carries"
+        )
+        self.index = index
+        self.class_label = example.class_label
 
 
 @dataclass(frozen=True)
@@ -111,10 +128,13 @@ def _canonical_sequence(
 
 
 def _check_gold(gold: Sequence[GoldExample], registry: ToolRegistry) -> None:
+    classes = {spec.class_label for spec in registry} | {INVALID_CLASS}
     for index, example in enumerate(gold):
         for step in example.gold_plan.steps:
             if not registry.has_tool(step.tool_name):
                 raise UnknownGoldToolError(index, example, step.tool_name)
+        if example.class_label not in classes:
+            raise UnknownGoldClassError(index, example)
 
 
 def predicted_class(plan: Plan | None, registry: ToolRegistry) -> str:

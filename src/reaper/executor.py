@@ -26,7 +26,7 @@ from typing import Protocol
 
 from .boundary import post_json
 from .errors import ReaperError
-from .plan import ContextRef, Literal, Plan, PlanStep, StepRef
+from .plan import ContextRef, Literal, Plan, PlanStep, StepRef, _trusted
 from .registry import NO_RETRIEVAL_TOOL, ToolRegistry
 
 
@@ -57,11 +57,14 @@ class StepStatus(str, Enum):
     SKIPPED = "skipped"
 
 
+_Args = tuple[tuple[str, str], ...]  # a step's resolved arguments
+
+
 @dataclass(frozen=True)
 class StepResult:
     index: int
     tool: str  # canonical name
-    resolved_args: tuple[tuple[str, str], ...]
+    resolved_args: _Args
     output: Mapping[str, object] | None
     latency_ms: float
     status: StepStatus
@@ -81,7 +84,8 @@ class ExecutionTrace:
 
 def _dependencies(step: PlanStep) -> tuple[int, ...]:
     """Indices of the steps ``step`` references, ascending, each once."""
-    return tuple(sorted({v.step for _, v in step.args if isinstance(v, StepRef)}))
+    refs = [v.step for _, v in step.args if isinstance(v, StepRef)]
+    return tuple(sorted(set(refs))) if len(refs) > 1 else tuple(refs)
 
 
 def dependency_graph(plan: Plan) -> list[tuple[int, int]]:
@@ -109,7 +113,7 @@ def _resolve_args(
     step: PlanStep,
     results: Sequence[StepResult | None],
     context: Mapping[str, str] | None,
-) -> tuple[tuple[str, str], ...]:
+) -> _Args:
     """``step``'s arguments as text; ``results`` holds the plan's entries in
     step order, those ``step`` references recorded."""
     resolved = []
@@ -205,6 +209,86 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
+def _start(needed: tuple[int, ...], results: Sequence[StepResult | None]) -> float:
+    """When a step whose dependencies ``needed`` all succeeded starts."""
+    return max([results[k - 1].finished_ms for k in needed], default=0.0)
+
+
+def _timed_out(
+    index: int, tool: str, started: float, args: _Args, timeout_ms: float, why: str
+) -> StepResult:
+    return _trusted(
+        StepResult, index=index, tool=tool, resolved_args=args, output=None,
+        latency_ms=float(timeout_ms), status=StepStatus.FAILED,
+        error=f"Timeout: exceeded {timeout_ms} ms ({why})", started_ms=started,
+        finished_ms=started + timeout_ms,
+    )
+
+
+def _skipped(
+    index: int, tool: str, needed: tuple[int, ...], results: Sequence[StepResult | None]
+) -> StepResult | None:
+    """The entry of a step whose dependencies ``needed`` are recorded, when
+    one of them did not succeed."""
+    if needed:
+        blocked = [k for k in needed if results[k - 1].status is not StepStatus.OK]
+        if blocked:
+            reason = f"skipped: depends on step(s) {', '.join(map(str, blocked))}"
+            return _trusted(
+                StepResult, index=index, tool=tool, resolved_args=(), output=None,
+                latency_ms=0.0, status=StepStatus.SKIPPED, error=reason,
+                started_ms=None, finished_ms=None,
+            )
+    return None
+
+
+def _outcome(
+    step: PlanStep, tool: str, needed: tuple[int, ...],
+    results: Sequence[StepResult | None], retriever: Retriever | None,
+    timeout_ms: float | None, context: Mapping[str, str] | None,
+    catch: type[BaseException],
+) -> StepResult:
+    """The terminal entry of a step whose dependencies all succeeded. An
+    exception of type ``catch`` fails the step, as does a retriever output
+    that is not a mapping or a latency that is not finite and non-negative."""
+    started = _start(needed, results) if needed else 0.0
+    args: _Args = ()
+    try:
+        args = _resolve_args(step, results, context)
+        if tool == NO_RETRIEVAL_TOOL:
+            output, latency = {}, 0.0
+        elif retriever is None:
+            raise RetrieverError("no retriever configured")
+        else:
+            output, latency = retriever.invoke(tool, dict(args))
+            # exact float and dict first: each ABC check costs about a microsecond
+            if not (
+                (type(latency) is float or isinstance(latency, numbers.Real))
+                and math.isfinite(latency)
+                and latency >= 0
+            ):
+                raise RetrieverError(f"invalid latency {latency!r}")
+            if type(output) is not dict and not isinstance(output, Mapping):
+                raise RetrieverError(
+                    f"output must be a mapping, got {type(output).__name__}"
+                )
+            latency = float(latency)
+        if timeout_ms is not None and latency > timeout_ms:
+            why = f"retriever took {latency} ms"
+            return _timed_out(step.index, tool, started, args, timeout_ms, why)
+    except catch as exc:
+        return _trusted(
+            StepResult, index=step.index, tool=tool, resolved_args=args, output=None,
+            latency_ms=0.0, status=StepStatus.FAILED, started_ms=started,
+            finished_ms=started, error=f"{type(exc).__name__}: {exc}",
+        )
+    return _trusted(
+        StepResult, index=step.index, tool=tool, resolved_args=args, output=output,
+        latency_ms=latency, status=StepStatus.OK, error=None, started_ms=started,
+        finished_ms=started + latency,
+    )
+
+
 def execute_plan(
     plan: Plan,
     registry: ToolRegistry,
@@ -257,87 +341,16 @@ def execute_plan(
     if timeout_ms is not None and timeout_ms < 0:
         raise ValueError(f"timeout_ms must not be negative, got {timeout_ms!r}")
     dependencies = [_dependencies(step) for step in plan.steps]
-    results: list[StepResult | None] = [None] * len(plan.steps)
-    inline = retriever is None or getattr(retriever, "simulated_clock", False)
-    # Total on the pool: a lost entry would leave the caller waiting forever.
-    catch = Exception if inline else BaseException
-
-    def call(
-        tool: str, args: tuple[tuple[str, str], ...]
-    ) -> tuple[Mapping[str, object], float]:
-        """(output, latency_ms) of one retrieval; raises if it failed."""
-        if tool == NO_RETRIEVAL_TOOL:
-            return {}, 0.0
-        if retriever is None:
-            raise RetrieverError("no retriever configured")
-        output, latency = retriever.invoke(tool, dict(args))
-        # exact float and dict first: each ABC check costs about a microsecond
-        if not (
-            (type(latency) is float or isinstance(latency, numbers.Real))
-            and math.isfinite(latency)
-            and latency >= 0
-        ):
-            raise RetrieverError(f"invalid latency {latency!r}")
-        if type(output) is not dict and not isinstance(output, Mapping):
-            raise RetrieverError(
-                f"output must be a mapping, got {type(output).__name__}"
-            )
-        return output, float(latency)
-
-    def start_of(position: int) -> float:
-        """When a step whose dependencies are recorded starts."""
-        done = [results[k - 1].finished_ms for k in dependencies[position]]
-        return max(done, default=0.0)
-
-    def timed_out(
-        position: int, started: float, args: tuple[tuple[str, str], ...], why: str
-    ) -> StepResult:
-        return StepResult(
-            plan.steps[position].index, tools[position], args, None,
-            float(timeout_ms), StepStatus.FAILED,
-            f"Timeout: exceeded {timeout_ms} ms ({why})", started, started + timeout_ms,
-        )
-
-    def skipped(position: int) -> StepResult | None:
-        """The entry of a step whose dependencies are recorded, when one of
-        them did not succeed."""
-        blocked = [
-            k for k in dependencies[position]
-            if results[k - 1].status is not StepStatus.OK
-        ]
-        if not blocked:
-            return None
-        reason = f"skipped: depends on step(s) {', '.join(map(str, blocked))}"
-        return StepResult(
-            plan.steps[position].index, tools[position], (), None, 0.0,
-            StepStatus.SKIPPED, reason,
-        )
-
-    def outcome(position: int) -> StepResult:
-        """The terminal entry of a step whose dependencies all succeeded."""
-        step, tool = plan.steps[position], tools[position]
-        started = start_of(position)
-        args: tuple[tuple[str, str], ...] = ()
-        try:
-            args = _resolve_args(step, results, context)
-            output, latency = call(tool, args)
-            if timeout_ms is not None and latency > timeout_ms:
-                return timed_out(position, started, args, f"retriever took {latency} ms")
-        except catch as exc:
-            return StepResult(
-                step.index, tool, args, None, 0.0, StepStatus.FAILED,
-                f"{type(exc).__name__}: {exc}", started, started,
-            )
-        return StepResult(
-            step.index, tool, args, output, latency, StepStatus.OK, None,
-            started, started + latency,
-        )
-
-    if inline:
-        for position in range(len(plan.steps)):
-            results[position] = skipped(position) or outcome(position)
+    results: list[StepResult | None] = []
+    if retriever is None or getattr(retriever, "simulated_clock", False):
+        for step, tool, needed in zip(plan.steps, tools, dependencies):
+            results.append(_skipped(step.index, tool, needed, results) or _outcome(
+                step, tool, needed, results, retriever, timeout_ms, context, Exception
+            ))
         return _trace(results)
 
+    # A plan's step at position p has index p + 1.
+    results = [None] * len(plan.steps)
     waiting = [len(needed) for needed in dependencies]
     children: list[list[int]] = [[] for _ in plan.steps]
     for position, needed in enumerate(dependencies):
@@ -365,7 +378,7 @@ def execute_plan(
         for child in children[position]:
             waiting[child] -= 1
             if not waiting[child]:
-                skip = skipped(child)
+                skip = _skipped(child + 1, tools[child], dependencies[child], results)
                 if skip is None:
                     ready.append(child)
                 else:
@@ -380,7 +393,11 @@ def execute_plan(
         queued is not called, and a result that comes in after its step
         timed out is dropped."""
         while results[position] is None:
-            result = outcome(position)
+            # total: a lost entry would leave the caller waiting forever
+            result = _outcome(
+                plan.steps[position], tools[position], dependencies[position],
+                results, retriever, timeout_ms, context, BaseException,
+            )
             with lock:
                 if results[position] is not None:
                     return
@@ -406,8 +423,11 @@ def execute_plan(
                 args = _resolve_args(plan.steps[position], results, context)
             except ResolutionError:
                 args = ()
+            started = _start(dependencies[position], results)
             why = "no result by the wall-clock deadline"
-            record(position, timed_out(position, start_of(position), args, why))
+            record(position, _timed_out(
+                position + 1, tools[position], started, args, timeout_ms, why
+            ))
 
     roots = [position for position, count in enumerate(waiting) if not count]
     deadlines.update(dict.fromkeys(roots, time.monotonic() + budget_s))
@@ -428,7 +448,8 @@ def execute_plan(
 def _trace(results: Sequence[StepResult]) -> ExecutionTrace:
     """The trace of a plan's entries; the makespan is the latest finish."""
     finished = [r.finished_ms for r in results if r.finished_ms is not None]
-    return ExecutionTrace(tuple(results), critical_path_ms=max(finished, default=0.0))
+    critical = max(finished, default=0.0)
+    return _trusted(ExecutionTrace, steps=tuple(results), critical_path_ms=critical)
 
 
 @dataclass(frozen=True)

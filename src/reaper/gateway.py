@@ -58,16 +58,16 @@ class ScriptedStub:
                 raise InvalidFixtureError(
                     f"stub entry {key!r} does not parse: {exc}"
                 ) from exc
-        self._table = dict(table)
+        # case-insensitive so fixtures keyed on query fragments keep matching
+        # however the customer capitalized them; folded once, in table order
+        self._table = [(key.casefold(), plan_text) for key, plan_text in table.items()]
         self._default = default
         self.latency_ms = latency_ms
 
     def complete(self, prompt: str) -> tuple[str, float]:
-        # case-insensitive so fixtures keyed on query fragments keep matching
-        # however the customer capitalized them
         section = prompt.rsplit(INPUT_HEADER, 1)[-1].casefold()
-        for key, plan_text in self._table.items():
-            if key.casefold() in section:
+        for key, plan_text in self._table:
+            if key in section:
                 return plan_text, self.latency_ms
         return self._default, self.latency_ms
 

@@ -27,10 +27,11 @@ and message, comes from ``_LineParser`` alone.
 
 ``PlanStep(...)`` and ``Plan(...)`` check every invariant of a step and a
 plan, so a plan cannot be built invalid. Two callers build steps through the
-private ``PlanStep._trusted`` instead, which checks nothing: ``parse_plan``,
-whose two paths enforce each step invariant before a step exists, and
-``rename_tools``, whose input steps are valid and which checks the one tool
-name it changes. Both still build the plan through ``Plan(...)``.
+private ``_trusted`` instead, which checks nothing: ``parse_plan``, whose two
+paths enforce each step invariant before a step exists, and ``rename_tools``,
+whose input steps are valid and which checks the one tool name it changes.
+Both still build the plan through ``Plan(...)``. The executor builds its
+trace entries, which have no checks to skip, through ``_trusted`` too.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Mapping, NoReturn, Union
+from typing import TYPE_CHECKING, Mapping, NoReturn, TypeVar, Union
 
 from .errors import ReaperError, UnknownToolError
 
@@ -115,6 +116,19 @@ class ContextRef:
 
 ArgValue = Union[Literal, StepRef, ContextRef]
 
+_Frozen = TypeVar("_Frozen")
+
+
+def _trusted(cls: type[_Frozen], **fields: object) -> _Frozen:
+    """An instance of the frozen dataclass ``cls`` with every one of its
+    ``fields`` set directly rather than by ``__init__``: no per-field
+    ``object.__setattr__`` and no ``__post_init__``. The caller has already
+    checked ``fields`` against every invariant the class enforces; a
+    ``PlanStep``'s ``args`` must be a tuple."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
 
 @dataclass(frozen=True)
 class PlanStep:
@@ -150,16 +164,6 @@ class PlanStep:
                     raise ValueError(f"invalid context field: {value.field!r}")
             elif not isinstance(value, Literal):
                 raise TypeError(f"unsupported argument value: {value!r}")
-
-    @classmethod
-    def _trusted(
-        cls, index: int, tool_name: str, args: tuple[tuple[str, ArgValue], ...]
-    ) -> "PlanStep":
-        """A step from fields the caller has already checked against every
-        invariant ``__post_init__`` enforces; ``args`` must be a tuple."""
-        step = object.__new__(cls)
-        step.__dict__.update(index=index, tool_name=tool_name, args=args)
-        return step
 
 
 @dataclass(frozen=True)
@@ -320,7 +324,7 @@ class _LineParser:
             )
         # the lexer took every name as an identifier, rejected duplicate
         # parameters and forward references, and matched the index to the line
-        return PlanStep._trusted(index, tool, tuple(args))
+        return _trusted(PlanStep, index=index, tool_name=tool, args=tuple(args))
 
 
 def _match_step(line: str, line_no: int) -> PlanStep | None:
@@ -333,7 +337,7 @@ def _match_step(line: str, line_no: int) -> PlanStep | None:
     pos = header.end()
     args: list[tuple[str, ArgValue]] = []
     if pos == len(line) - 1 and line[pos] == ")":
-        return PlanStep._trusted(line_no, header[2], ())
+        return _trusted(PlanStep, index=line_no, tool_name=header[2], args=())
     while True:
         match = _ARG.match(line, pos)
         if match is None:
@@ -352,7 +356,9 @@ def _match_step(line: str, line_no: int) -> PlanStep | None:
         if close:
             if len(args) > 1 and len({n for n, _ in args}) < len(args):
                 return None  # a duplicate parameter
-            return PlanStep._trusted(line_no, header[2], tuple(args))
+            return _trusted(
+                PlanStep, index=line_no, tool_name=header[2], args=tuple(args)
+            )
         pos = match.end()
 
 
@@ -370,19 +376,23 @@ def parse_plan(text: str) -> Plan:
 def render_value(value: ArgValue) -> str:
     """Canonical surface form of one argument value."""
     if isinstance(value, Literal):
-        escaped = (
-            value.text.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-        )
-        return f'"{escaped}"'
+        # most literals hold none of the three, and ``in`` costs less than
+        # a ``replace`` that finds nothing
+        text = value.text
+        if "\\" in text:
+            text = text.replace("\\", "\\\\")
+        if '"' in text:
+            text = text.replace('"', '\\"')
+        if "\n" in text:
+            text = text.replace("\n", "\\n")
+        return f'"{text}"'
     if isinstance(value, StepRef):
         return f"${value.step}" + (f".{value.field}" if value.field else "")
     return f"$context.{value.field}"
 
 
 def render_step(step: PlanStep) -> str:
-    args = ", ".join(f"{name}={render_value(value)}" for name, value in step.args)
+    args = ", ".join([f"{name}={render_value(value)}" for name, value in step.args])
     return f"Step {step.index}: {step.tool_name}({args})"
 
 
@@ -410,7 +420,9 @@ def validate_plan(plan: Plan, registry: "ToolRegistry") -> list[Violation]:
             )
             continue
         present = {name for name, _ in step.args}
-        known = {p.name for p in spec.params}
+        known, required = spec._param_names
+        if required <= present <= known:
+            continue
         for param in spec.params:
             if param.required and param.name not in present:
                 violations.append(
@@ -455,6 +467,6 @@ def rename_tools(plan: Plan, mapping: Mapping[str, str]) -> Plan:
         if name != step.tool_name:
             if not IDENT_RE.match(name):
                 raise ValueError(f"invalid tool name: {name!r}")
-            step = PlanStep._trusted(step.index, name, step.args)
+            step = _trusted(PlanStep, index=step.index, tool_name=name, args=step.args)
         steps.append(step)
     return Plan(tuple(steps))

@@ -114,6 +114,15 @@ class ToolSpec:
         return tuple(p for p in self.params if p.required)
 
     @cached_property
+    def _param_names(self) -> tuple[frozenset[str], frozenset[str]]:
+        """The (known, required) parameter names; kept with the immutable
+        spec: ``validate_plan`` checks every step against them."""
+        return (
+            frozenset(p.name for p in self.params),
+            frozenset(p.name for p in self.params if p.required),
+        )
+
+    @cached_property
     def _prompt_entry(self) -> str:
         """The tool's entry in a prompt's tool block, after its ``N. ``;
         kept with the immutable spec: a forge run shows each presented spec

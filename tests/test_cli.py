@@ -270,6 +270,24 @@ class TestEval:
         assert "'compare_prices'" in err
         assert "Traceback" not in err
 
+    def test_unknown_gold_class_names_the_gold_line(self, tmp_path, capsys):
+        gold, pred = write_gold_and_pred(tmp_path)
+        gold.write_text(gold.read_text().replace('"no_retrieval"}', '"no_retrievall"}'))
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{gold}: line 3.class: " in captured.err
+        assert "'no_retrievall'" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_unknown_omitted_tool_is_usage_error(self, tmp_path, capsys):
+        gold, pred = write_gold_and_pred(tmp_path)
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold),
+                     "--omitted-tool", "compare_prices"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--omitted-tool: unknown tool 'compare_prices'" in captured.err
+
 
 # ``reaper eval`` output on write_gold_and_pred's files with the second
 # prediction answered by no_retrieval, as first written

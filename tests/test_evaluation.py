@@ -5,6 +5,7 @@ from reaper.evaluation import (
     EmptyDenominatorError,
     GoldExample,
     LengthMismatchError,
+    UnknownGoldClassError,
     UnknownGoldToolError,
     argument_accuracy,
     evaluate,
@@ -315,3 +316,36 @@ class TestUnknownGoldTool:
     def test_argument_accuracy_rejects_it_too(self, registry):
         with pytest.raises(UnknownGoldToolError):
             argument_accuracy(PERFECT[:3], self.BAD_GOLD, registry)
+
+
+class TestUnknownGoldClass:
+    # a misspelt class would add a per_class row no prediction can support
+    BAD_GOLD = GOLD_SET[:2] + [
+        gold("compare these", 'Step 1: prod_search(keywords="a")', "product_searchh")
+    ]
+
+    def test_class_no_tool_carries_is_rejected(self, registry):
+        with pytest.raises(UnknownGoldClassError) as excinfo:
+            evaluate(PERFECT[:3], self.BAD_GOLD, registry)
+        assert excinfo.value.index == 2
+        assert excinfo.value.class_label == "product_searchh"
+        assert str(excinfo.value) == (
+            "gold example 2 ('compare these') has class 'product_searchh', "
+            "which no registry tool carries"
+        )
+        with pytest.raises(UnknownGoldClassError):
+            argument_accuracy(PERFECT[:3], self.BAD_GOLD, registry)
+
+    def test_class_of_a_removed_tool_is_rejected(self, registry):
+        # the class of a tool outside the registry scored is unknown too
+        narrowed = registry.without("review_summary")
+        example = gold("reviews", "Step 1: no_retrieval()", "review_summary")
+        with pytest.raises(UnknownGoldClassError):
+            tool_selection_metrics([None], [example], narrowed)
+
+    def test_every_tool_class_and_invalid_are_accepted(self, registry):
+        labels = sorted({spec.class_label for spec in registry} | {"invalid"})
+        examples = [gold(label, "Step 1: no_retrieval()", label) for label in labels]
+        report = tool_selection_metrics([None] * len(labels), examples, registry)
+        assert set(report.confusion) == set(labels)
+

@@ -1,5 +1,7 @@
 import collections
+import dataclasses
 import fractions
+import json
 import math
 import os
 import random
@@ -21,14 +23,16 @@ import reaper.executor as executor_mod
 from reaper.errors import UnknownToolError
 from reaper.executor import (
     CannedCall,
+    ExecutionTrace,
     HttpRetriever,
     RetrieverError,
+    StepResult,
     StepStatus,
     dependency_graph,
     execute_plan,
     mock_retriever,
 )
-from reaper.plan import parse_plan
+from reaper.plan import Literal, StepRef, parse_plan
 
 from .httpserve import json_server
 from .plangen import generator_registry, random_plan
@@ -918,6 +922,136 @@ class TestTimingInvariants:
                 for retriever in (simulated, WallClock(simulated))
             )
             assert repr(pooled) == repr(inline)
+
+
+# Random plans the inline oracle test checks: about 0.1 s of tier-1 time.
+ORACLE_PLANS = 300
+
+
+def _oracle_field(output, path):
+    """``path`` read from ``output`` as ``$k.path`` text, or None if absent."""
+    value = output
+    for part in path.split("."):
+        if not isinstance(value, dict) or part not in value:
+            return None
+        value = value[part]
+    return value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
+
+
+def _oracle_trace(plan, calls, timeout_ms, context):
+    """The trace ``execute_plan`` must return for ``plan`` on
+    ``mock_retriever(calls)``, worked out step by step from the documented
+    contract and built with the public constructors."""
+    entries = []
+    for step in plan.steps:
+        needed = sorted({v.step for _, v in step.args if isinstance(v, StepRef)})
+        blocked = [k for k in needed if entries[k - 1].status is not StepStatus.OK]
+        if blocked:
+            reason = "skipped: depends on step(s) " + ", ".join(map(str, blocked))
+            entries.append(StepResult(
+                step.index, step.tool_name, (), None, 0.0, StepStatus.SKIPPED, reason
+            ))
+            continue
+        started = max([entries[k - 1].finished_ms for k in needed], default=0.0)
+        args, error = [], None
+        for name, value in step.args:
+            if isinstance(value, Literal):
+                args.append((name, value.text))
+            elif isinstance(value, StepRef):
+                path = value.field or "text"
+                text = _oracle_field(entries[value.step - 1].output, path)
+                if text is None:
+                    error = (
+                        f"ResolutionError: step {value.step} output has no "
+                        f"field {path!r}"
+                    )
+                    break
+                args.append((name, text))
+            elif context is None or value.field not in context:
+                error = f"ResolutionError: no context field {value.field!r} available"
+                break
+            else:
+                args.append((name, context[value.field]))
+        if error is not None:  # an unresolved step holds no arguments
+            args = []
+        call = calls.get(step.tool_name)
+        if error is None and call is None:
+            error = f"UnconfiguredToolError: no canned output for tool {step.tool_name!r}"
+        elif error is None and call.error is not None:
+            error = f"RetrieverError: {call.error}"
+        if error is not None:
+            entries.append(StepResult(
+                step.index, step.tool_name, tuple(args), None, 0.0,
+                StepStatus.FAILED, error, started, started,
+            ))
+        elif timeout_ms is not None and call.latency_ms > timeout_ms:
+            entries.append(StepResult(
+                step.index, step.tool_name, tuple(args), None, float(timeout_ms),
+                StepStatus.FAILED,
+                f"Timeout: exceeded {timeout_ms} ms (retriever took "
+                f"{call.latency_ms} ms)",
+                started, started + timeout_ms,
+            ))
+        else:
+            entries.append(StepResult(
+                step.index, step.tool_name, tuple(args), dict(call.output),
+                call.latency_ms, StepStatus.OK, None, started,
+                started + call.latency_ms,
+            ))
+    finished = [e.finished_ms for e in entries if e.finished_ms is not None]
+    return ExecutionTrace(tuple(entries), max(finished, default=0.0))
+
+
+def _hash_or_error(value):
+    try:
+        return hash(value)
+    except TypeError as exc:  # an entry holding an output dict
+        return str(exc)
+
+
+def test_inline_rule_matches_an_independent_oracle():
+    # Canned latencies, injected errors, unconfigured tools, outputs missing
+    # a referenced field, budgets that some latencies meet or exceed (an int one,
+    # and NaN and infinity, which set none), with and without a context.
+    rng = random.Random(2718)
+    registry = generator_registry()
+    seen = collections.Counter()
+    for _ in range(ORACLE_PLANS):
+        plan = random_plan(rng)
+        calls = {}
+        for name in registry.canonical_names:
+            if rng.random() < 0.1:
+                continue
+            output = {"text": "t", "product_id": "p", "a": {"b": "c"}}
+            if rng.random() < 0.2:
+                del output[rng.choice(["text", "product_id", "a"])]
+            calls[name] = CannedCall(
+                output,
+                latency_ms=rng.choice([0.0, 2.5, 5.0, 40.0, 50.0, 250.0]),
+                error="down" if rng.random() < 0.1 else None,
+            )
+        timeout_ms = rng.choice([None, None, 100, 40.0, math.nan, math.inf])
+        context = rng.choice([None, {"product_id": "x", "page_title": "y"}])
+        trace = execute_plan(plan, registry, mock_retriever(calls), timeout_ms, context)
+        expected = _oracle_trace(plan, calls, timeout_ms, context)
+        assert trace == expected
+        assert repr(trace) == repr(expected)
+        assert _hash_or_error(trace) == _hash_or_error(expected)
+        for got, want in zip(trace.steps, expected.steps):
+            seen[(want.status, (want.error or "").split(":")[0])] += 1
+            assert repr(got) == repr(want)
+            assert _hash_or_error(got) == _hash_or_error(want)
+            assert dataclasses.replace(got) == want
+            assert dataclasses.replace(got, error="e") == dataclasses.replace(
+                want, error="e"
+            )
+        rebuilt = dataclasses.replace(trace, critical_path_ms=-1.0)
+        assert rebuilt == dataclasses.replace(expected, critical_path_ms=-1.0)
+    # every kind of outcome came up
+    assert {error for status, error in seen if status is StepStatus.FAILED} == {
+        "ResolutionError", "UnconfiguredToolError", "RetrieverError", "Timeout"
+    }
+    assert {status for status, _ in seen} == set(StepStatus)
 
 
 def test_independent_steps_dispatch_concurrently(registry):

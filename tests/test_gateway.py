@@ -12,6 +12,7 @@ from reaper.plan import ParseErrorKind, PlanParseError, parse_plan, render_plan
 from reaper.prompt import (
     DEFAULT_ROLE,
     DEFAULT_SYSTEM_INSTRUCTION,
+    INPUT_HEADER,
     PromptSpec,
     QueryInput,
 )
@@ -65,6 +66,14 @@ class TestScriptedStub:
         )
         plan, _ = generate_plan(stub, make_spec(registry, "galaxy memory question"))
         assert len(plan) == 1
+
+    def test_keys_that_fold_alike_match_in_table_order(self):
+        # "STRASSE" and "straße" both fold to "strasse"
+        a, b = "Step 1: no_retrieval()", 'Step 1: prod_search(keywords="x")'
+        prompt = f"Tools: straße\n{INPUT_HEADER}\nQuery: shoes for the STRASSE"
+        assert ScriptedStub({"STRASSE": a, "straße": b}, b).complete(prompt)[0] == a
+        assert ScriptedStub({"straße": b, "STRASSE": a}, a).complete(prompt)[0] == b
+        assert ScriptedStub({"tools": a}, b).complete(prompt)[0] == b
 
     def test_unparseable_fixture_rejected_at_construction(self):
         with pytest.raises(InvalidFixtureError):
