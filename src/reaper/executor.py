@@ -26,7 +26,7 @@ from typing import Protocol
 
 from .boundary import post_json
 from .errors import ReaperError
-from .plan import ContextRef, Literal, Plan, PlanStep, StepRef, _trusted
+from .plan import Literal, Plan, PlanStep, StepRef, _trusted
 from .registry import NO_RETRIEVAL_TOOL, ToolRegistry
 
 
@@ -41,10 +41,7 @@ class UnconfiguredToolError(RetrieverError):
 class Retriever(Protocol):
     """``invoke`` returns a tool call's output fields and its latency in
     milliseconds, or raises. A retriever that only simulates its latencies
-    declares the class attribute ``simulated_clock = True``, and
-    :func:`execute_plan` runs its steps in the calling thread, in step order,
-    with no wall-clock deadline. Without it the retriever is on the wall
-    clock, and its steps run on a shared thread pool."""
+    declares ``simulated_clock = True``, which picks :func:`execute_plan`'s rule."""
 
     def invoke(
         self, tool: str, args: Mapping[str, str]
@@ -55,6 +52,10 @@ class StepStatus(str, Enum):
     OK = "ok"
     FAILED = "failed"
     SKIPPED = "skipped"
+
+
+# The members as globals: reading one off the Enum class costs about 8 times as much.
+_OK, _FAILED, _SKIPPED = StepStatus.OK, StepStatus.FAILED, StepStatus.SKIPPED
 
 
 _Args = tuple[tuple[str, str], ...]  # a step's resolved arguments
@@ -84,8 +85,7 @@ class ExecutionTrace:
 
 def _dependencies(step: PlanStep) -> tuple[int, ...]:
     """Indices of the steps ``step`` references, ascending, each once."""
-    refs = [v.step for _, v in step.args if isinstance(v, StepRef)]
-    return tuple(sorted(set(refs))) if len(refs) > 1 else tuple(refs)
+    return tuple(sorted({v.step for _, v in step.args if isinstance(v, StepRef)}))
 
 
 def dependency_graph(plan: Plan) -> list[tuple[int, int]]:
@@ -94,54 +94,64 @@ def dependency_graph(plan: Plan) -> list[tuple[int, int]]:
 
 
 class ResolutionError(ReaperError):
-    """A step's arguments cannot be built from earlier outputs or the
-    context."""
+    """A step's arguments cannot be built from earlier outputs or the context."""
 
 
 def _lookup(output: Mapping[str, object], path: str, producer: int) -> object:
     current: object = output
     for part in path.split("."):
-        if not isinstance(current, Mapping) or part not in current:
-            raise ResolutionError(
-                f"step {producer} output has no field {path!r}"
-            )
+        # an exact dict first: the ABC check costs about ten times as much
+        mapping = type(current) is dict or isinstance(current, Mapping)
+        if not mapping or part not in current:
+            raise ResolutionError(f"step {producer} output has no field {path!r}")
         current = current[part]
     return current
 
 
-def _resolve_args(
-    step: PlanStep,
-    results: Sequence[StepResult | None],
-    context: Mapping[str, str] | None,
-) -> _Args:
-    """``step``'s arguments as text; ``results`` holds the plan's entries in
-    step order, those ``step`` references recorded."""
-    resolved = []
+def _prepare(
+    step: PlanStep, results: Sequence[StepResult | None],
+    context: Mapping[str, str] | None, catch: type[BaseException],
+) -> tuple[tuple[int, ...], float, _Args, str | None]:
+    """Read ``step``'s arguments in one pass; ``results`` holds the entries
+    of the producers they reference. Returns the producers that did not
+    succeed, in argument order; the start, the latest finish of the others;
+    the arguments as text, or ``()`` if one cannot be built; and the error
+    the first of those raised, of type ``catch``. Nothing is resolved past
+    that argument or a blocked producer."""
+    blocked, started, resolved, error = (), 0.0, [], None
     for name, value in step.args:
-        if isinstance(value, Literal):
-            text = value.text
-        elif isinstance(value, StepRef):
-            path = value.field or "text"
-            found = _lookup(results[value.step - 1].output, path, value.step)
-            if isinstance(found, str):
-                text = found
+        try:
+            if isinstance(value, Literal):
+                text = value.text
+            elif isinstance(value, StepRef):
+                producer = results[value.step - 1]
+                if producer.status is not _OK:
+                    blocked += (value.step,)
+                    continue
+                if producer.finished_ms > started:
+                    started = producer.finished_ms
+                if error is not None or blocked:
+                    continue
+                path = value.field or "text"
+                text = _lookup(producer.output, path, value.step)
+                if not isinstance(text, str):
+                    try:
+                        text = json.dumps(text, ensure_ascii=False, allow_nan=False)
+                    except (TypeError, ValueError) as exc:
+                        raise ResolutionError(
+                            f"step {value.step} field {path!r} is not JSON: {exc}"
+                        ) from None
+            elif error is not None or blocked:  # a ContextRef, the one other kind
+                continue
+            elif context is None or value.field not in context:
+                raise ResolutionError(f"no context field {value.field!r} available")
             else:
-                try:
-                    text = json.dumps(found, ensure_ascii=False, allow_nan=False)
-                except (TypeError, ValueError) as exc:
-                    raise ResolutionError(
-                        f"step {value.step} field {path!r} is not JSON: {exc}"
-                    ) from None
-        elif isinstance(value, ContextRef):
-            if context is None or value.field not in context:
-                raise ResolutionError(
-                    f"no context field {value.field!r} available"
-                )
-            text = context[value.field]
-        else:  # pragma: no cover - ArgValue is a closed union
-            raise TypeError(f"unsupported argument value: {value!r}")
+                text = context[value.field]
+        except catch as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            continue
         resolved.append((name, text))
-    return tuple(resolved)
+    return blocked, started, () if error else tuple(resolved), error
 
 
 class _Pool:
@@ -188,8 +198,7 @@ _pool_lock = threading.Lock()
 
 
 def _shared_pool() -> _Pool:
-    """The pool every plan in this process submits steps to, made on first
-    use."""
+    """The pool every plan in this process submits steps to, made on first use."""
     global _pool
     with _pool_lock:
         if _pool is None:
@@ -209,92 +218,69 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _start(needed: tuple[int, ...], results: Sequence[StepResult | None]) -> float:
-    """When a step whose dependencies ``needed`` all succeeded starts."""
-    return max([results[k - 1].finished_ms for k in needed], default=0.0)
-
-
 def _timed_out(
     index: int, tool: str, started: float, args: _Args, timeout_ms: float, why: str
 ) -> StepResult:
-    return _trusted(
-        StepResult, index=index, tool=tool, resolved_args=args, output=None,
-        latency_ms=float(timeout_ms), status=StepStatus.FAILED,
-        error=f"Timeout: exceeded {timeout_ms} ms ({why})", started_ms=started,
-        finished_ms=started + timeout_ms,
-    )
+    return _trusted(StepResult, {
+        "index": index, "tool": tool, "resolved_args": args, "output": None,
+        "latency_ms": float(timeout_ms), "status": _FAILED,
+        "error": f"Timeout: exceeded {timeout_ms} ms ({why})",
+        "started_ms": started, "finished_ms": started + timeout_ms,
+    })
 
 
-def _skipped(
-    index: int, tool: str, needed: tuple[int, ...], results: Sequence[StepResult | None]
-) -> StepResult | None:
-    """The entry of a step whose dependencies ``needed`` are recorded, when
-    one of them did not succeed."""
-    if needed:
-        blocked = [k for k in needed if results[k - 1].status is not StepStatus.OK]
-        if blocked:
-            reason = f"skipped: depends on step(s) {', '.join(map(str, blocked))}"
-            return _trusted(
-                StepResult, index=index, tool=tool, resolved_args=(), output=None,
-                latency_ms=0.0, status=StepStatus.SKIPPED, error=reason,
-                started_ms=None, finished_ms=None,
-            )
-    return None
+def _skipped(index: int, tool: str, blocked: tuple[int, ...]) -> StepResult:
+    """The entry of a step whose producers ``blocked`` did not succeed."""
+    steps = ", ".join(map(str, sorted(set(blocked))))
+    return _trusted(StepResult, {
+        "index": index, "tool": tool, "resolved_args": (), "output": None,
+        "latency_ms": 0.0, "status": _SKIPPED, "started_ms": None, "finished_ms": None,
+        "error": f"skipped: depends on step(s) {steps}",
+    })
 
 
 def _outcome(
-    step: PlanStep, tool: str, needed: tuple[int, ...],
-    results: Sequence[StepResult | None], retriever: Retriever | None,
-    timeout_ms: float | None, context: Mapping[str, str] | None,
+    index: int, tool: str, started: float, args: _Args, error: str | None,
+    retriever: Retriever | None, timeout_ms: float | None,
     catch: type[BaseException],
 ) -> StepResult:
-    """The terminal entry of a step whose dependencies all succeeded. An
-    exception of type ``catch`` fails the step, as does a retriever output
-    that is not a mapping or a latency that is not finite and non-negative."""
-    started = _start(needed, results) if needed else 0.0
-    args: _Args = ()
-    try:
-        args = _resolve_args(step, results, context)
-        if tool == NO_RETRIEVAL_TOOL:
-            output, latency = {}, 0.0
-        elif retriever is None:
-            raise RetrieverError("no retriever configured")
-        else:
-            output, latency = retriever.invoke(tool, dict(args))
-            # exact float and dict first: each ABC check costs about a microsecond
-            if not (
-                (type(latency) is float or isinstance(latency, numbers.Real))
-                and math.isfinite(latency)
-                and latency >= 0
-            ):
-                raise RetrieverError(f"invalid latency {latency!r}")
-            if type(output) is not dict and not isinstance(output, Mapping):
-                raise RetrieverError(
-                    f"output must be a mapping, got {type(output).__name__}"
-                )
-            latency = float(latency)
-        if timeout_ms is not None and latency > timeout_ms:
-            why = f"retriever took {latency} ms"
-            return _timed_out(step.index, tool, started, args, timeout_ms, why)
-    except catch as exc:
-        return _trusted(
-            StepResult, index=step.index, tool=tool, resolved_args=args, output=None,
-            latency_ms=0.0, status=StepStatus.FAILED, started_ms=started,
-            finished_ms=started, error=f"{type(exc).__name__}: {exc}",
-        )
-    return _trusted(
-        StepResult, index=step.index, tool=tool, resolved_args=args, output=output,
-        latency_ms=latency, status=StepStatus.OK, error=None, started_ms=started,
-        finished_ms=started + latency,
-    )
+    """The entry of a step :func:`_prepare` found unblocked, failed by its
+    resolution ``error``, an exception of type ``catch`` from the call, an
+    output that is not a mapping or a latency not finite and non-negative."""
+    output, latency, status = None, 0.0, _FAILED
+    if error is None:
+        try:
+            if tool == NO_RETRIEVAL_TOOL:
+                output = {}
+            elif retriever is None:
+                raise RetrieverError("no retriever configured")
+            else:
+                output, latency = retriever.invoke(tool, dict(args))
+                # exact float and dict first: each ABC check costs about a microsecond
+                real = type(latency) is float or isinstance(latency, numbers.Real)
+                if not (real and math.isfinite(latency) and latency >= 0):
+                    raise RetrieverError(f"invalid latency {latency!r}")
+                if type(output) is not dict and not isinstance(output, Mapping):
+                    kind = type(output).__name__
+                    raise RetrieverError(f"output must be a mapping, got {kind}")
+                latency = float(latency)
+            if timeout_ms is not None and latency > timeout_ms:
+                why = f"retriever took {latency} ms"
+                return _timed_out(index, tool, started, args, timeout_ms, why)
+            status = _OK
+        except catch as exc:
+            output, latency = None, 0.0
+            error = f"{type(exc).__name__}: {exc}"
+    return _trusted(StepResult, {
+        "index": index, "tool": tool, "resolved_args": args, "output": output,
+        "latency_ms": latency, "status": status, "error": error,
+        "started_ms": started, "finished_ms": started + latency,
+    })
 
 
 def execute_plan(
-    plan: Plan,
-    registry: ToolRegistry,
-    retriever: Retriever | None = None,
-    timeout_ms: float | None = None,
-    context: Mapping[str, str] | None = None,
+    plan: Plan, registry: ToolRegistry, retriever: Retriever | None = None,
+    timeout_ms: float | None = None, context: Mapping[str, str] | None = None,
 ) -> ExecutionTrace:
     """Run a validated plan; returns a complete trace, never raises for
     per-step failures.
@@ -304,11 +290,19 @@ def execute_plan(
     :class:`~reaper.errors.UnknownToolError` with no retriever call. A
     retriever call that raises, returns an output that is not a mapping or a
     latency that is not a finite, non-negative number fails its step, as does
-    a ``$k.field`` value that is not JSON (a set, bytes, NaN, ...). A step
-    with a dependency that did not succeed is skipped and never called.
+    a ``$k.field`` value that is not JSON (a set, bytes, NaN, ...).
 
-    A step starts on the simulated clock the moment its last dependency
-    finishes and lasts the latency its retriever reports.
+    A step's arguments are read once, in argument order, when its last
+    dependency is recorded, and three rules order what that finds. *Skip
+    beats failure:* a step with a dependency that did not succeed is skipped
+    and never called, even when another of its arguments cannot be resolved;
+    its reason names each such dependency once, ascending. *Start time:* a
+    step starts on the simulated clock at the latest finish of all its
+    dependencies, those after an unresolvable argument included, and lasts
+    the latency its retriever reports. *First error wins:* the first
+    argument that cannot be resolved names the error of its failed step,
+    which holds ``resolved_args=()``.
+
     ``critical_path_ms`` is the makespan on that clock, the latest
     ``finished_ms`` of any step; measured wall time is not part of the trace.
     ``timeout_ms`` is a per-step budget: a step reporting a latency over it
@@ -340,17 +334,25 @@ def execute_plan(
     tools = [registry.canonical_of(step.tool_name) for step in plan.steps]
     if timeout_ms is not None and timeout_ms < 0:
         raise ValueError(f"timeout_ms must not be negative, got {timeout_ms!r}")
-    dependencies = [_dependencies(step) for step in plan.steps]
-    results: list[StepResult | None] = []
-    if retriever is None or getattr(retriever, "simulated_clock", False):
-        for step, tool, needed in zip(plan.steps, tools, dependencies):
-            results.append(_skipped(step.index, tool, needed, results) or _outcome(
-                step, tool, needed, results, retriever, timeout_ms, context, Exception
-            ))
-        return _trace(results)
+    if retriever is not None and not getattr(retriever, "simulated_clock", False):
+        return _trace(_on_pool(plan, tools, retriever, timeout_ms, context))
+    results: list[StepResult] = []
+    for step, tool in zip(plan.steps, tools):
+        blocked, started, args, error = _prepare(step, results, context, Exception)
+        results.append(_skipped(step.index, tool, blocked) if blocked else _outcome(
+            step.index, tool, started, args, error, retriever, timeout_ms, Exception
+        ))
+    return _trace(results)
 
-    # A plan's step at position p has index p + 1.
+
+def _on_pool(
+    plan: Plan, tools: list[str], retriever: Retriever, timeout_ms: float | None,
+    context: Mapping[str, str] | None,
+) -> list[StepResult]:
+    """:func:`execute_plan`'s wall-clock rule; step position p has index p + 1."""
+    dependencies = [_dependencies(step) for step in plan.steps]
     results = [None] * len(plan.steps)
+    prepared: list[tuple | None] = [None] * len(plan.steps)  # _prepare's, once ready
     waiting = [len(needed) for needed in dependencies]
     children: list[list[int]] = [[] for _ in plan.steps]
     for position, needed in enumerate(dependencies):
@@ -365,9 +367,8 @@ def execute_plan(
     deadlines: dict[int, float] = {}  # dispatched step -> its time.monotonic() deadline
 
     def record(position: int, result: StepResult) -> list[int]:
-        """Under ``lock``: store a step's terminal entry, skip each step it
-        blocked, and return the steps it made ready, each given its
-        deadline."""
+        """Under ``lock``: store a step's entry, prepare each step whose last
+        dependency it was, skip those blocked, return the others with deadlines."""
         nonlocal unrecorded
         results[position] = result
         deadlines.pop(position, None)
@@ -378,25 +379,27 @@ def execute_plan(
         for child in children[position]:
             waiting[child] -= 1
             if not waiting[child]:
-                skip = _skipped(child + 1, tools[child], dependencies[child], results)
-                if skip is None:
-                    ready.append(child)
+                step = plan.steps[child]
+                prepared[child] = _prepare(step, results, context, BaseException)
+                blocked = prepared[child][0]
+                if blocked:
+                    record(child, _skipped(child + 1, tools[child], blocked))
                 else:
-                    record(child, skip)
+                    ready.append(child)
         if ready:
             deadlines.update(dict.fromkeys(ready, time.monotonic() + budget_s))
         return ready
 
     def run(position: int) -> None:
-        """Record a step in this thread, then go on with the first step it
-        made ready and dispatch the others. A step that timed out while
-        queued is not called, and a result that comes in after its step
-        timed out is dropped."""
+        """Record a step in this thread, then go on with the first step it made
+        ready and dispatch the others. A step that timed out while queued is
+        not called; a result that comes after its step timed out is dropped."""
         while results[position] is None:
             # total: a lost entry would leave the caller waiting forever
+            _, started, args, error = prepared[position]
             result = _outcome(
-                plan.steps[position], tools[position], dependencies[position],
-                results, retriever, timeout_ms, context, BaseException,
+                position + 1, tools[position], started, args, error, retriever,
+                timeout_ms, BaseException,
             )
             with lock:
                 if results[position] is not None:
@@ -416,20 +419,9 @@ def execute_plan(
             except RuntimeError:
                 run(position)
 
-    def expire(now: float) -> None:
-        """Under ``lock``: time out every step past its deadline."""
-        for position in [p for p, due in deadlines.items() if due <= now]:
-            try:
-                args = _resolve_args(plan.steps[position], results, context)
-            except ResolutionError:
-                args = ()
-            started = _start(dependencies[position], results)
-            why = "no result by the wall-clock deadline"
-            record(position, _timed_out(
-                position + 1, tools[position], started, args, timeout_ms, why
-            ))
-
     roots = [position for position, count in enumerate(waiting) if not count]
+    for position in roots:
+        prepared[position] = _prepare(plan.steps[position], (), context, BaseException)
     deadlines.update(dict.fromkeys(roots, time.monotonic() + budget_s))
     dispatch(roots)
     while True:
@@ -438,18 +430,27 @@ def execute_plan(
                 break
             now = time.monotonic()
             due = min(deadlines.values())
-            if due <= now:
-                expire(now)
+            if due <= now:  # time out every step past its deadline
+                for position in [p for p, at in deadlines.items() if at <= now]:
+                    _, started, args, _ = prepared[position]
+                    why = "no result by the wall-clock deadline"
+                    record(position, _timed_out(
+                        position + 1, tools[position], started, args, timeout_ms, why
+                    ))
                 continue
         settled.acquire(timeout=min(due - now, threading.TIMEOUT_MAX))
-    return _trace(results)
+    return results
 
 
 def _trace(results: Sequence[StepResult]) -> ExecutionTrace:
     """The trace of a plan's entries; the makespan is the latest finish."""
-    finished = [r.finished_ms for r in results if r.finished_ms is not None]
-    critical = max(finished, default=0.0)
-    return _trusted(ExecutionTrace, steps=tuple(results), critical_path_ms=critical)
+    critical = 0.0
+    for result in results:  # a list comprehension would build a function per call
+        finished = result.finished_ms
+        if finished is not None and finished > critical:
+            critical = finished
+    fields = {"steps": tuple(results), "critical_path_ms": critical}
+    return _trusted(ExecutionTrace, fields)
 
 
 @dataclass(frozen=True)
@@ -487,10 +488,8 @@ def mock_retriever(config: Mapping[str, CannedCall]) -> Retriever:
 
 class HttpRetriever:
     """Adapter for tools exposed as ``POST {base_url}/{tool}`` JSON endpoints.
-
     Latencies are measured wall-clock milliseconds; non-200 responses and
-    transport errors raise :class:`RetrieverError`.
-    """
+    transport errors raise :class:`RetrieverError`."""
 
     def __init__(self, base_url: str, timeout_ms: float = 10_000.0):
         self.base_url = base_url.rstrip("/")

@@ -30,8 +30,10 @@ plan, so a plan cannot be built invalid. Two callers build steps through the
 private ``_trusted`` instead, which checks nothing: ``parse_plan``, whose two
 paths enforce each step invariant before a step exists, and ``rename_tools``,
 whose input steps are valid and which checks the one tool name it changes.
-Both still build the plan through ``Plan(...)``. The executor builds its
-trace entries, which have no checks to skip, through ``_trusted`` too.
+Both build their plan through ``_trusted`` too: a parsed plan has a step for
+every line, numbered from 1 by line, and a renamed plan keeps its input's
+steps and indices. The executor builds its trace entries, which have no
+checks to skip, through ``_trusted`` as well.
 """
 
 from __future__ import annotations
@@ -119,12 +121,13 @@ ArgValue = Union[Literal, StepRef, ContextRef]
 _Frozen = TypeVar("_Frozen")
 
 
-def _trusted(cls: type[_Frozen], **fields: object) -> _Frozen:
+def _trusted(cls: type[_Frozen], fields: dict[str, object]) -> _Frozen:
     """An instance of the frozen dataclass ``cls`` with every one of its
-    ``fields`` set directly rather than by ``__init__``: no per-field
-    ``object.__setattr__`` and no ``__post_init__``. The caller has already
-    checked ``fields`` against every invariant the class enforces; a
-    ``PlanStep``'s ``args`` must be a tuple."""
+    ``fields``, given by name, set directly rather than by ``__init__``: no
+    per-field ``object.__setattr__`` and no ``__post_init__``. The caller has
+    already checked ``fields`` against every invariant the class enforces; a
+    ``PlanStep``'s ``args`` and a ``Plan``'s ``steps`` must be tuples. (A
+    dict literal is built faster than the same keyword arguments.)"""
     instance = object.__new__(cls)
     instance.__dict__.update(fields)
     return instance
@@ -324,7 +327,9 @@ class _LineParser:
             )
         # the lexer took every name as an identifier, rejected duplicate
         # parameters and forward references, and matched the index to the line
-        return _trusted(PlanStep, index=index, tool_name=tool, args=tuple(args))
+        return _trusted(
+            PlanStep, {"index": index, "tool_name": tool, "args": tuple(args)}
+        )
 
 
 def _match_step(line: str, line_no: int) -> PlanStep | None:
@@ -337,7 +342,9 @@ def _match_step(line: str, line_no: int) -> PlanStep | None:
     pos = header.end()
     args: list[tuple[str, ArgValue]] = []
     if pos == len(line) - 1 and line[pos] == ")":
-        return _trusted(PlanStep, index=line_no, tool_name=header[2], args=())
+        return _trusted(
+            PlanStep, {"index": line_no, "tool_name": header[2], "args": ()}
+        )
     while True:
         match = _ARG.match(line, pos)
         if match is None:
@@ -356,9 +363,8 @@ def _match_step(line: str, line_no: int) -> PlanStep | None:
         if close:
             if len(args) > 1 and len({n for n, _ in args}) < len(args):
                 return None  # a duplicate parameter
-            return _trusted(
-                PlanStep, index=line_no, tool_name=header[2], args=tuple(args)
-            )
+            fields = {"index": line_no, "tool_name": header[2], "args": tuple(args)}
+            return _trusted(PlanStep, fields)
         pos = match.end()
 
 
@@ -370,7 +376,7 @@ def parse_plan(text: str) -> Plan:
         if step is None:
             step = _LineParser(line, line_no).parse()
         steps.append(step)
-    return Plan(tuple(steps))
+    return _trusted(Plan, {"steps": tuple(steps)})
 
 
 def render_value(value: ArgValue) -> str:
@@ -467,6 +473,8 @@ def rename_tools(plan: Plan, mapping: Mapping[str, str]) -> Plan:
         if name != step.tool_name:
             if not IDENT_RE.match(name):
                 raise ValueError(f"invalid tool name: {name!r}")
-            step = _trusted(PlanStep, index=step.index, tool_name=name, args=step.args)
+            step = _trusted(
+                PlanStep, {"index": step.index, "tool_name": name, "args": step.args}
+            )
         steps.append(step)
-    return Plan(tuple(steps))
+    return _trusted(Plan, {"steps": tuple(steps)})

@@ -32,7 +32,9 @@ from reaper.executor import (
     execute_plan,
     mock_retriever,
 )
-from reaper.plan import Literal, StepRef, parse_plan
+from reaper.plan import (
+    ContextRef, Literal, Plan, PlanStep, StepRef, _trusted, parse_plan,
+)
 
 from .httpserve import json_server
 from .plangen import generator_registry, random_plan
@@ -922,6 +924,102 @@ class TestTimingInvariants:
                 for retriever in (simulated, WallClock(simulated))
             )
             assert repr(pooled) == repr(inline)
+
+
+@pytest.mark.parametrize(
+    "rule", [mock_retriever, lambda calls: WallClock(mock_retriever(calls))],
+    ids=["simulated", "wall-clock"],
+)
+class TestOrderingRules:
+    def test_skip_beats_failure(self, registry, rule):
+        # the first argument cannot be resolved, a later one names a failed step
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            "Step 2: prod_qna(product_id=$context.missing, query=$1)"
+        )
+        retriever = rule({"prod_search": CannedCall({}, 5.0, error="down")})
+        trace = execute_plan(plan, registry, retriever, context={"page_title": "t"})
+        assert trace.step(1).status is StepStatus.FAILED
+        assert (trace.step(2).status, trace.step(2).error) == (
+            StepStatus.SKIPPED, "skipped: depends on step(s) 1"
+        )
+        assert trace.step(2).resolved_args == ()
+
+    def test_start_counts_producers_after_the_failing_argument(self, registry, rule):
+        # two unresolvable arguments: the first names the error; step 2,
+        # referenced after both, still sets the start
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            'Step 2: customer_support(query="returns")\n'
+            "Step 3: prod_qna(product_id=$1.missing, query=$context.absent, "
+            "aspect=$2)"
+        )
+        retriever = rule({
+            "prod_search": CannedCall({"text": "t"}, 10.0),
+            "customer_support": CannedCall({"text": "t"}, 250.0),
+        })
+        failed = execute_plan(plan, registry, retriever).step(3)
+        assert failed.status is StepStatus.FAILED
+        assert failed.error == "ResolutionError: step 1 output has no field 'missing'"
+        assert (failed.started_ms, failed.finished_ms) == (250.0, 250.0)
+        assert failed.resolved_args == ()
+
+    def test_skip_reason_lists_each_blocked_step_once_ascending(self, registry, rule):
+        plan = parse_plan(
+            'Step 1: prod_search(keywords="mug")\n'
+            'Step 2: review_summary(product_id="B0R")\n'
+            "Step 3: prod_qna(b=$2, a=$1, c=$2)"
+        )
+        retriever = rule({
+            "prod_search": CannedCall({}, error="down"),
+            "review_summary": CannedCall({}, error="down"),
+        })
+        trace = execute_plan(plan, registry, retriever)
+        assert trace.step(3).error == "skipped: depends on step(s) 1, 2"
+
+
+class _CountingArgs(tuple):
+    """A step's arguments that count how often they are iterated."""
+
+    def __new__(cls, items):
+        args = super().__new__(cls, items)
+        args.iterations = 0
+        return args
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_inline_rule_reads_each_steps_arguments_once(registry):
+    # Every kind of argument and outcome: OK, a failed call, a resolution
+    # error, a skip, no_retrieval and a step without arguments.
+    spec = [
+        ("prod_search", [("keywords", Literal("mug"))]),
+        ("customer_support", [("query", ContextRef("page_title"))]),
+        ("review_summary", [("product_id", StepRef(1, "product_id"))]),
+        ("prod_qna", [("product_id", StepRef(1, "missing")), ("query", StepRef(2))]),
+        ("shipment_status", [("query", StepRef(3)), ("order", StepRef(4))]),
+        ("no_retrieval", []),
+    ]
+    steps = tuple(
+        _trusted(PlanStep, {
+            "index": index, "tool_name": tool, "args": _CountingArgs(args)
+        })
+        for index, (tool, args) in enumerate(spec, start=1)
+    )
+    plan = Plan(steps)
+    retriever = mock_retriever({
+        "prod_search": CannedCall({"text": "t", "product_id": "B0"}, 5.0),
+        "customer_support": CannedCall({"text": "t"}, 7.0),
+        "review_summary": CannedCall({}, error="down"),
+    })
+    for calls in (1, 2):
+        trace = execute_plan(plan, registry, retriever, context={"page_title": "t"})
+        assert [s.status.value for s in trace.steps] == [
+            "ok", "ok", "failed", "failed", "skipped", "ok"
+        ]
+        assert [step.args.iterations for step in steps] == [calls] * len(steps)
 
 
 # Random plans the inline oracle test checks: about 0.1 s of tier-1 time.

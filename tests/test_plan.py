@@ -347,6 +347,7 @@ def test_trusted_constructors_equal_validating_ones(rng, mapping):
     parsed = parse_plan(render_plan(random_plan(rng)))
     for plan in (parsed, rename_tools(parsed, mapping)):
         rebuilt = _rebuilt(plan)
+        assert type(plan.steps) is tuple
         assert plan == rebuilt
         assert hash(plan) == hash(rebuilt)
         assert render_plan(plan) == render_plan(rebuilt)
