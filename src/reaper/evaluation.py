@@ -20,6 +20,10 @@ Definitions used throughout:
 * Every gold class must be the ``class_label`` of a registered tool or
   ``"invalid"``: any other would add a ``per_class`` row that no prediction
   can support, so it raises :class:`UnknownGoldClassError`.
+* The instruction-following score counts a plan as violating when any of
+  its steps names the omitted tool under any of its variants, whatever
+  its other steps name, unknown tools included; a plan that did not parse
+  never violates.
 * Argument accuracy is restricted to gold plans that use the tools whose
   arguments are query rewrites rather than the query itself
   (``prod_search`` and ``shipment_status`` in the shipped registry); values
@@ -263,16 +267,16 @@ def instruction_following_score(
     omitted_tool: str,
     registry: ToolRegistry,
 ) -> float:
-    """1 minus the fraction of plans that use the omitted tool under any of
-    its name variants."""
+    """1 minus the fraction of plans with a step that names the omitted tool
+    under any of its name variants, whatever the other steps name."""
     if not predictions:
         raise EmptyDenominatorError("no predictions")
-    omitted = registry.canonical_of(omitted_tool)
-    violating = 0
-    for prediction in predictions:
-        sequence = _canonical_sequence(prediction, registry) or []
-        if omitted in sequence:
-            violating += 1
+    names = frozenset(registry.variants_of(omitted_tool))
+    violating = sum(
+        prediction is not None
+        and any(step.tool_name in names for step in prediction.steps)
+        for prediction in predictions
+    )
     # single division keeps the score an exact multiple of 1/N
     return (len(predictions) - violating) / len(predictions)
 

@@ -12,13 +12,12 @@ and entries, a memo of presented tool specs keyed by name strings, each
 demonstration's canonical tool set, and each renaming for one choice of
 variant names, which keeps its rendered text. Each task's evolved prompt is
 built from these tables, with one registry, the presented one (see
-:func:`~reaper.forge.tevo.tevo_evolve`). The CLI's embedder hashes each
-distinct token once. Both die with the run. What outlives a run is
-bounded: the one-entry identity memos of the last prompt prefix
-(``build_prompt``) and of the last task's rendered plan (``ttg_transform``,
-which renders it once for all of a task's secondary records), and
-``tevo._presented`` with the tool-block text each presented spec keeps,
-bounded by the registry's variant space.
+:func:`~reaper.forge.tevo.tevo_evolve`); each task keeps its rendered gold
+plan and input lines for all of its secondary records. The CLI's embedder
+hashes each distinct token once. All of these die with the run. What
+outlives a run is bounded: the one-entry identity memo of the last prompt
+prefix (``build_prompt``), and ``tevo._presented`` with the tool-block text
+each presented spec keeps, bounded by the registry's variant space.
 """
 
 from __future__ import annotations
@@ -64,7 +63,7 @@ def generate_records(
     records = [
         TrainingRecord(
             prompt=build_prompt(spec),
-            target=render_plan(evolve_target(task, spec, registry)),
+            target=render_plan(evolve_target(task, spec)),
             task_kind=TaskKind.PRIMARY,
             source_id=source_id,
         )

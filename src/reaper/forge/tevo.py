@@ -8,10 +8,11 @@ sampled variants, so its canonical tool sequence is stable by construction.
 
 Everything a task reads that does not depend on the task is prepared once
 per run in :class:`_PreparedPool`: the registry's order and entries, the
-presented specs, the demonstrations' tool sets and their renamings. A task
-then builds one registry, the presented one, through the validating
-``ToolRegistry(...)``; the subset it keeps is drawn by the helper that
-``subset_with`` draws with, without building the subset registry.
+presented specs, the demonstrations' tool sets, all resolved when the pool
+is prepared, and their renamings. A task then builds one registry, the
+presented one, through the validating ``ToolRegistry(...)``; the subset it
+keeps is drawn by the helper that ``subset_with`` draws with, without
+building the subset registry.
 """
 
 from __future__ import annotations
@@ -51,16 +52,18 @@ def _presented(spec: ToolSpec, shown: str, description: str) -> ToolSpec:
 class _PreparedPool(Sequence):
     """A demonstration pool prepared against one registry, so that the work
     that is the same for every task is done once per run. It holds the
-    registry's order and entries and a memo of the presented specs, keyed
-    by name strings; a demonstration's canonical tool set is computed when a
-    task first needs it, and each demonstration is renamed once per
-    distinct choice of variant names for the tools its plan names. It reads
-    as the pool itself.
+    registry's order and entries, a memo of the presented specs keyed by
+    name strings, and each demonstration's written tool names, their
+    canonical tools and its canonical tool set; each demonstration is
+    renamed once per distinct choice of variant names for the tools its
+    plan names. It reads as the pool itself.
 
-    Memos are keyed by position and by tuples of names, never by value.
-    :func:`~reaper.forge.pipeline.forge_run` makes one per run and drops it
-    with the run; :func:`tevo_evolve` makes a throwaway one when it is given
-    a plain pool or one prepared against another registry."""
+    A demonstration that names a tool the registry does not know raises
+    :class:`~reaper.errors.UnknownToolError` here, before any record is
+    made. Memos are keyed by position and by tuples of names, never by
+    value. :func:`~reaper.forge.pipeline.forge_run` makes one per run and
+    drops it with the run; :func:`tevo_evolve` makes a throwaway one when
+    it is given a plain pool or one prepared against another registry."""
 
     def __init__(self, pool: Sequence[InContextExample], registry: ToolRegistry):
         self._pool = tuple(pool)
@@ -69,15 +72,18 @@ class _PreparedPool(Sequence):
         self.entries = {name: registry.entry(name) for name in self.order}
         self._presented: dict[tuple[str, str], ToolSpec] = {}
         self.queries = [example.input.query for example in self._pool]
-        self._tools: list[frozenset[str] | None] = [None] * len(self._pool)
         # the distinct tool names each plan writes, in first-use order:
         # ``rename_tools`` looks up nothing else
         self._written = [
             tuple(dict.fromkeys(step.tool_name for step in ex.target_plan.steps))
             for ex in self._pool
         ]
-        # the canonical tool of each written name, filled in by ``tools``
-        self._canonical: list[tuple[str, ...] | None] = [None] * len(self._pool)
+        # the canonical tool of each written name
+        self._canonical = [
+            tuple(registry.canonical_of(name) for name in written)
+            for written in self._written
+        ]
+        self.tools = [frozenset(canonical) for canonical in self._canonical]
         self._renamed: dict[tuple[int, ...], InContextExample] = {}
 
     def __len__(self) -> int:
@@ -97,21 +103,9 @@ class _PreparedPool(Sequence):
             )
         return spec
 
-    def tools(self, k: int) -> frozenset[str]:
-        """The canonical tool set of demonstration ``k``, computed when a
-        task first needs it; a tool the registry does not know raises then."""
-        tools = self._tools[k]
-        if tools is None:
-            canonical = self._canonical[k] = tuple(
-                self.registry.canonical_of(name) for name in self._written[k]
-            )
-            tools = self._tools[k] = frozenset(canonical)
-        return tools
-
     def renamed(self, k: int, names: dict[str, str]) -> InContextExample:
         """Demonstration ``k`` with each tool name its plan writes, canonical
-        or a variant, renamed to the name ``names`` gives its canonical tool.
-        Call ``tools(k)`` first."""
+        or a variant, renamed to the name ``names`` gives its canonical tool."""
         shown = [names[canonical] for canonical in self._canonical[k]]
         key = (k, *shown)
         example = self._renamed.get(key)
@@ -164,7 +158,7 @@ def tevo_evolve(
     candidates = [
         k
         for k, shown in enumerate(demos.queries)
-        if shown != query and demos.tools(k) <= kept
+        if shown != query and demos.tools[k] <= kept
     ]
     chosen = rng.sample(candidates, min(cfg.example_count, len(candidates)))
     return PromptSpec(
@@ -176,14 +170,10 @@ def tevo_evolve(
     )
 
 
-def evolve_target(
-    task: PrimaryTask, spec: PromptSpec, registry: ToolRegistry
-):
+def evolve_target(task: PrimaryTask, spec: PromptSpec):
     """The gold plan rewritten with the tool names an evolved prompt uses:
     each name it writes, canonical or a variant, becomes the name the prompt
-    shows for that tool. ``spec.tools`` knows every variant of the tools it
-    shows, so ``registry``, the one the prompt was evolved from, is not
-    consulted."""
+    shows for that tool, which ``spec.tools`` knows by every variant."""
     return rename_tools(
         task.target,
         {

@@ -15,8 +15,7 @@ import hashlib
 import random
 
 from ..errors import ReaperError
-from ..plan import render_plan, render_value, tool_sequence
-from ..prompt import input_lines
+from ..plan import render_value, tool_sequence
 from ..registry import ToolRegistry
 from .records import PrimaryTask, TaskKind, TrainingRecord
 
@@ -59,12 +58,6 @@ def _require_steps(task: PrimaryTask, kind: TaskKind, plan_text: str) -> list[st
 # The kinds that draw from their seeded generator; the others build none.
 _DRAWING_KINDS = frozenset((TaskKind.T4, TaskKind.T5, TaskKind.T6, TaskKind.T7))
 
-# (task, rendered gold plan, input block) of the last task transformed: a
-# task's secondary records are made one after another. Rebound whole, never
-# mutated, so a thread reads one consistent entry; holding the task keeps
-# its id from being reused.
-_last_task: tuple[PrimaryTask, str, str] | None = None
-
 
 def ttg_transform(
     task: PrimaryTask,
@@ -73,20 +66,11 @@ def ttg_transform(
     rng_seed: int,
     source_id: str | None = None,
 ) -> TrainingRecord:
-    """Build one secondary training record; deterministic in ``rng_seed``.
-
-    Consecutive calls on the same task object render its gold plan and
-    input lines once (an identity memo of one entry)."""
-    global _last_task
+    """Build one secondary training record; deterministic in ``rng_seed``."""
     rng = random.Random(rng_seed) if kind in _DRAWING_KINDS else None
     sid = source_id if source_id is not None else _default_source_id(task)
-    memo = _last_task
-    if memo is not None and memo[0] is task:
-        _, plan_text, input_block = memo
-    else:
-        plan_text = render_plan(task.target)
-        input_block = "\n".join(input_lines(task.input))
-        _last_task = (task, plan_text, input_block)
+    plan_text = task._plan_text
+    input_block = task._input_block
 
     if kind is TaskKind.T1:
         prompt = (

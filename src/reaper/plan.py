@@ -48,24 +48,30 @@ from .errors import ReaperError, UnknownToolError
 if TYPE_CHECKING:
     from .registry import ToolRegistry
 
-IDENT_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
+# The DSL's three tokens: an integer, an identifier and a string literal's
+# body. The classes are ASCII: ``str.isdigit`` would also accept digits such
+# as ``²``. A line never holds a newline, so ``.`` after a backslash takes
+# any char.
+_INT = r"[0-9]+"
+_IDENT = r"[a-z][a-z0-9_]*"
+_STRING_BODY = r'(?:[^"\\]|\\.)*'
 
-# Tokens of the line lexer, matched at a position with ``Pattern.match``. The
-# classes are ASCII: ``str.isdigit`` would also accept digits such as ``²``.
-_INT_TOKEN = re.compile(r"[0-9]+")
-_IDENT_TOKEN = re.compile(r"[a-z][a-z0-9_]*")
-# A line never holds a newline, so ``.`` after a backslash takes any char.
-_STRING_TOKEN = re.compile(r'"((?:[^"\\]|\\.)*)"')
+IDENT_RE = re.compile(rf"{_IDENT}\Z")
+
+# Tokens of the line lexer, matched at a position with ``Pattern.match``.
+_INT_TOKEN = re.compile(_INT)
+_IDENT_TOKEN = re.compile(_IDENT)
+_STRING_TOKEN = re.compile(f'"({_STRING_BODY})"')
 _ESCAPE = re.compile(r"\\(.)")
 
 # The whole-line fast path: the ``Step N: tool(`` header, then one match per
 # ``name=value`` followed by ``, `` or by the ``)`` that ends the line. The
 # value groups are a string literal's body, a step reference's number and
 # ``.field`` path, and a context field.
-_HEADER = re.compile(r"Step ([0-9]+): ([a-z][a-z0-9_]*)\(")
+_HEADER = re.compile(rf"Step ({_INT}): ({_IDENT})\(")
 _ARG = re.compile(
-    r'([a-z][a-z0-9_]*)=(?:"((?:[^"\\]|\\.)*)"'
-    r"|\$([0-9]+)((?:\.[a-z][a-z0-9_]*)*)|\$context\.([a-z][a-z0-9_]*))"
+    rf'({_IDENT})=(?:"({_STRING_BODY})"'
+    rf"|\$({_INT})((?:\.{_IDENT})*)|\$context\.({_IDENT}))"
     r"(?:, |(\))\Z)"
 )
 

@@ -110,9 +110,6 @@ class ToolSpec:
                     f"{step.tool_name!r}, not {self.canonical_name!r}"
                 )
 
-    def required_params(self) -> tuple[ParamSpec, ...]:
-        return tuple(p for p in self.params if p.required)
-
     @cached_property
     def _param_names(self) -> tuple[frozenset[str], frozenset[str]]:
         """The (known, required) parameter names; kept with the immutable

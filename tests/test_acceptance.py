@@ -482,7 +482,7 @@ def test_c9_tevo_label_stability():
             spec = tevo_evolve(
                 task, registry, cfg, rng_seed=serial, example_pool=pool
             )
-            evolved = evolve_target(task, spec, registry)
+            evolved = evolve_target(task, spec)
             if tool_sequence(evolved, registry) == tool_sequence(
                 task.target, registry
             ):

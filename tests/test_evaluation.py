@@ -195,6 +195,21 @@ class TestInstructionFollowing:
         with pytest.raises(EmptyDenominatorError):
             instruction_following_score([], "prod_qna", registry)
 
+    def test_an_unknown_tool_does_not_hide_the_omitted_one(self, registry):
+        plans = [
+            parse_plan('Step 1: prod_qna(product_id="B0X", query="q")'),
+            parse_plan(
+                'Step 1: compare_prices(query="x")\n'
+                'Step 2: product_facts(product_id="B0X", query="q")'
+            ),
+            parse_plan(
+                'Step 1: compare_prices(query="x")\n'
+                'Step 2: prod_search(keywords="x")'
+            ),
+            None,
+        ]
+        assert instruction_following_score(plans, "prod_qna", registry) == 0.5
+
 
 def chain_retriever(latency=50.0):
     return mock_retriever(

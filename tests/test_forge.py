@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 import weakref
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from reaper import prompt as prompt_module
 from reaper.cli import main
 from reaper.embedding import HashingEmbedder, ZeroVectorError, cosine
-from reaper.errors import SchemaError
+from reaper.errors import SchemaError, UnknownToolError
 from reaper.forge import dqs, pipeline, tevo, ttg
 from reaper.forge import (
     DqsConfig,
@@ -133,7 +134,7 @@ class TestTevo:
         # seed recorded once: presents prod_qna as product_facts
         cfg = ForgeConfig(extra_tool_count=2)
         spec = tevo_evolve(kettle_task, registry, cfg, rng_seed=0)
-        target = evolve_target(kettle_task, spec, registry)
+        target = evolve_target(kettle_task, spec)
         assert render_plan(target) == (
             'Step 1: product_facts(product_id=$context.product_id, '
             'query="does it whistle")'
@@ -219,7 +220,7 @@ class TestTevo:
             for example_pool in (pool, prepared):
                 spec = tevo_evolve(task, registry, cfg, seed, example_pool=example_pool)
                 block = set(spec.tools.canonical_names)
-                target = evolve_target(task, spec, registry)
+                target = evolve_target(task, spec)
                 assert {step.tool_name for step in target.steps} <= block
                 assert tool_sequence(target, registry) == ["shipment_status", "prod_qna"]
                 assert len(spec.examples) == 2
@@ -322,7 +323,7 @@ def test_evolve_equals_the_plain_algorithm(case):
     assert spec.examples == oracle.examples
     assert spec.input == oracle.input
     assert build_prompt(spec) == build_prompt(oracle)
-    assert evolve_target(task, spec, registry) == evolve_target(task, oracle, registry)
+    assert evolve_target(task, spec) == evolve_target(task, oracle)
 
 
 class TestTtg:
@@ -417,8 +418,9 @@ class TestTtg:
     def test_each_task_shows_its_own_plan_and_input(
         self, registry, galaxy_task, kettle_task
     ):
-        # the last task's renders are reused only for the same task object
-        for task in (galaxy_task, kettle_task, galaxy_task, kettle_task):
+        # a copy with another plan keeps none of the original's renders
+        copied = replace(galaxy_task, target=kettle_task.target)
+        for task in (galaxy_task, kettle_task, galaxy_task, copied, kettle_task):
             record = ttg_transform(task, TaskKind.T1, registry, rng_seed=0)
             assert record.prompt.endswith("Plan:\n" + render_plan(task.target))
             record = ttg_transform(task, TaskKind.T3, registry, rng_seed=0)
@@ -691,6 +693,31 @@ class TestForgeRun:
             assert set(record) == {"prompt", "target", "task_kind", "source_id"}
             assert record["prompt"] and record["target"]
 
+    def test_a_demonstration_naming_an_unknown_tool_fails_before_any_record(
+        self, registry, provider, tmp_path, monkeypatch
+    ):
+        pool = [
+            *load_example_pool(),
+            InContextExample(
+                QueryInput("which kettle is cheaper"),
+                parse_plan('Step 1: compare_prices(query="kettles")'),
+            ),
+        ]
+        with pytest.raises(UnknownToolError, match="compare_prices"):
+            tevo._PreparedPool(pool, registry)
+
+        def no_records(*args, **kwargs):
+            raise AssertionError("a record was generated")
+
+        monkeypatch.setattr(pipeline, "generate_records", no_records)
+        cfg = ForgeConfig(tasks_per_query=2, tevo_seed=1, generic_fraction=0.0)
+        with pytest.raises(UnknownToolError, match="compare_prices"):
+            forge_run(
+                self.write_tasks(6), registry, cfg, DqsConfig(0, 1), provider,
+                tmp_path / "data.jsonl", example_pool=pool,
+            )
+        assert list(tmp_path.iterdir()) == []
+
 
 def test_write_records_removes_partial_output(tmp_path):
     class Boom:
@@ -799,13 +826,16 @@ class TestRunScope:
 
         monkeypatch.setattr(pipeline, "tevo_evolve", watching)
         cfg = ForgeConfig(tasks_per_query=2, tevo_seed=3, generic_fraction=0.0)
+        tasks = TestForgeRun().write_tasks(12)
+        task_refs = [weakref.ref(task) for task in tasks]
         forge_run(
-            TestForgeRun().write_tasks(12), registry, cfg, DqsConfig(0, 3),
-            provider, tmp_path / "data.jsonl",
+            tasks, registry, cfg, DqsConfig(0, 3), provider, tmp_path / "data.jsonl"
         )
+        del tasks
         assert len(demonstrations) > len(distinct)  # renamed once, shown often
         gc.collect()
         assert pools[0]() is None
+        assert all(ref() is None for ref in task_refs)
         # build_prompt keeps the last prompt's examples (its one-entry memo)
         # until it renders another prompt; no other demonstration survives
         last = {id(example) for example in prompt_module._last_prefix[3]}
