@@ -45,9 +45,13 @@ def post_json(
 
 def read_jsonl(source: Path | Traversable) -> Iterator[tuple[str, dict]]:
     """``("line N", record)`` for each non-blank line of a JSONL file or
-    packaged resource; a line that is not a JSON object raises."""
+    packaged resource; a line that is not a JSON object raises.
+
+    Lines end at ``\n`` only: reading decodes ``\r\n`` and ``\r`` to it,
+    and U+2028, U+2029 and U+0085, which ``str.splitlines`` would also
+    split at, are legal raw inside a JSON string."""
     text = source.read_text(encoding="utf-8")
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         where = f"line {line_no}"

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -55,10 +56,11 @@ def _check_paths(inputs: Sequence[str | None], outputs: Sequence[str | None]) ->
 
 
 def read_plan_blocks(path: str | Path) -> list[str]:
-    """Plan texts from a file of blank-line-separated blocks."""
+    """Plan texts from a file of blank-line-separated blocks. Lines end at
+    ``\n`` only (see :func:`~reaper.boundary.read_jsonl`)."""
     blocks: list[str] = []
     current: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").split("\n"):
         line = raw.rstrip()
         if not line:
             if current:
@@ -268,7 +270,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``reaper`` argument parser, built once per process and shared by
+    every :func:`main` call: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="reaper",
         description="Retrieval-plan toolkit: validate, forge, eval, bench, plan.",

@@ -4,24 +4,41 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cache
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..boundary import read_jsonl, typed_field
 from ..errors import SchemaError
 from .records import ForgeConfig, MixManifest, TaskKind, TrainingRecord
+
+if TYPE_CHECKING:
+    from importlib.resources.abc import Traversable
 
 
 def load_generic_pool(path: str | Path | None = None) -> list[dict]:
     """Load a generic instruction pool (JSONL of prompt/target pairs, with an
     optional stable ``id``); the shipped 200-record stand-in when ``path`` is
     None. Each field must be a non-empty string; an ``id`` that is absent or
-    null takes the default ``gen-NNNN`` from the record's position."""
+    null takes the default ``gen-NNNN`` from the record's position.
+
+    The shipped pool is read and checked once per process; each call
+    returns new dicts, so a caller that edits a record changes no later
+    call. A named file is read on every call."""
     if path is None:
-        source = resources.files("reaper.data").joinpath("generic_pool.jsonl")
-    else:
-        source = Path(path)
+        return [dict(record) for record in _shipped_generic_pool()]
+    return _read_generic_pool(Path(path))
+
+
+@cache
+def _shipped_generic_pool() -> tuple[dict, ...]:
+    return tuple(
+        _read_generic_pool(resources.files("reaper.data").joinpath("generic_pool.jsonl"))
+    )
+
+
+def _read_generic_pool(source: Path | Traversable) -> list[dict]:
     pool = []
     for where, record in read_jsonl(source):
         for key, optional in (("prompt", False), ("target", False), ("id", True)):

@@ -17,7 +17,11 @@ plan and input lines for all of its secondary records. The CLI's embedder
 hashes each distinct token once. All of these die with the run. What
 outlives a run is bounded: the one-entry identity memo of the last prompt
 prefix (``build_prompt``), and ``tevo._presented`` with the tool-block text
-each presented spec keeps, bounded by the registry's variant space.
+each presented spec keeps, bounded by the registry's variant space. What
+depends only on the installed package belongs to no run and is built once
+per process: the shipped registries, the shipped demonstration and generic
+pools, and the CLI's argument parser. A file the caller names (a registry,
+an example pool or a generic pool) is read again by every run.
 """
 
 from __future__ import annotations

@@ -32,14 +32,27 @@ class NotApplicableError(ReaperError):
         self.kind = kind
 
 
+# Module-level aliases: reading a member off the Enum class costs several
+# times a global read, and every record tests its kind.
+_T1, _T2, _T3, _T4, _T5, _T6, _T7 = (
+    TaskKind.T1, TaskKind.T2, TaskKind.T3, TaskKind.T4, TaskKind.T5, TaskKind.T6,
+    TaskKind.T7,
+)
+
+# The applicable kinds by (multi-step plan, some step has arguments), in
+# T1..T7 order: T2, T4 and T5 need two steps, T6 an argument.
+_APPLICABLE = {
+    (False, False): (_T1, _T3, _T7),
+    (False, True): (_T1, _T3, _T6, _T7),
+    (True, False): (_T1, _T2, _T3, _T4, _T5, _T7),
+    (True, True): (_T1, _T2, _T3, _T4, _T5, _T6, _T7),
+}
+
+
 def applicable_kinds(task: PrimaryTask) -> list[TaskKind]:
     """Secondary kinds valid for this task, in fixed T1..T7 order."""
-    kinds = [TaskKind.T1, TaskKind.T3, TaskKind.T7]
-    if len(task.target) >= 2:
-        kinds += [TaskKind.T2, TaskKind.T4, TaskKind.T5]
-    if any(step.args for step in task.target.steps):
-        kinds.append(TaskKind.T6)
-    return sorted(kinds, key=lambda k: k.value)
+    steps = task.target.steps
+    return list(_APPLICABLE[len(steps) >= 2, any(step.args for step in steps)])
 
 
 def _default_source_id(task: PrimaryTask) -> str:
@@ -56,7 +69,7 @@ def _require_steps(task: PrimaryTask, kind: TaskKind, plan_text: str) -> list[st
 
 
 # The kinds that draw from their seeded generator; the others build none.
-_DRAWING_KINDS = frozenset((TaskKind.T4, TaskKind.T5, TaskKind.T6, TaskKind.T7))
+_DRAWING_KINDS = frozenset((_T4, _T5, _T6, _T7))
 
 
 def ttg_transform(
@@ -72,14 +85,14 @@ def ttg_transform(
     plan_text = task._plan_text
     input_block = task._input_block
 
-    if kind is TaskKind.T1:
+    if kind is _T1:
         prompt = (
             "Write the customer question that the retrieval plan below was "
             f"made to answer.\n\nPlan:\n{plan_text}"
         )
         return TrainingRecord(prompt, task.input.query, kind, sid)
 
-    if kind is TaskKind.T2:
+    if kind is _T2:
         lines = _require_steps(task, kind, plan_text)
         keep = (len(lines) + 1) // 2
         prompt = (
@@ -89,7 +102,7 @@ def ttg_transform(
         )
         return TrainingRecord(prompt, "\n".join(lines[keep:]), kind, sid)
 
-    if kind is TaskKind.T3:
+    if kind is _T3:
         target = ", ".join(tool_sequence(task.target, registry))
         prompt = (
             "Name the tools needed to answer the customer question, in call "
@@ -97,7 +110,7 @@ def ttg_transform(
         )
         return TrainingRecord(prompt, target, kind, sid)
 
-    if kind is TaskKind.T4:
+    if kind is _T4:
         lines = _require_steps(task, kind, plan_text)
         masked = rng.randrange(len(lines))
         shown = lines[:masked] + [MASKED_STEP_TOKEN] + lines[masked + 1 :]
@@ -108,7 +121,7 @@ def ttg_transform(
         )
         return TrainingRecord(prompt, lines[masked], kind, sid)
 
-    if kind is TaskKind.T5:
+    if kind is _T5:
         lines = _require_steps(task, kind, plan_text)
         order = list(range(len(lines)))
         while order == sorted(order):
@@ -120,7 +133,7 @@ def ttg_transform(
         )
         return TrainingRecord(prompt, plan_text, kind, sid)
 
-    if kind is TaskKind.T6:
+    if kind is _T6:
         slots = [
             (step.index, name)
             for step in task.target.steps
@@ -148,7 +161,7 @@ def ttg_transform(
         )
         return TrainingRecord(prompt, masked_value, kind, sid)
 
-    if kind is TaskKind.T7:
+    if kind is _T7:
         used = sorted(set(tool_sequence(task.target, registry)))
         withheld = rng.choice(used)
         offered = [

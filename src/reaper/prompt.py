@@ -13,7 +13,7 @@ so the rendered prompt contains no surface form of that tool.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -172,18 +172,28 @@ def adversarial_omit(spec: PromptSpec, tool: str) -> PromptSpec:
 def load_example_pool(path: str | Path | None = None) -> list[InContextExample]:
     """Load the demonstration pool (shipped pool when ``path`` is None).
 
+    The shipped pool is read and checked once per process; each call
+    returns a new list of the same immutable examples. A named file is read
+    on every call.
+
     YAML schema: ``examples: [{query, context?, plan}, ...]``; a malformed
     document raises :class:`SchemaError` naming the path and the field."""
     if path is None:
-        source = "reaper/data/example_pool.yaml"
-        text = (
-            resources.files("reaper.data")
-            .joinpath("example_pool.yaml")
-            .read_text(encoding="utf-8")
-        )
-    else:
-        source = str(path)
-        text = Path(path).read_text(encoding="utf-8")
+        return list(_shipped_example_pool())
+    return _read_example_pool(Path(path).read_text(encoding="utf-8"), str(path))
+
+
+@cache
+def _shipped_example_pool() -> tuple[InContextExample, ...]:
+    text = (
+        resources.files("reaper.data")
+        .joinpath("example_pool.yaml")
+        .read_text(encoding="utf-8")
+    )
+    return tuple(_read_example_pool(text, "reaper/data/example_pool.yaml"))
+
+
+def _read_example_pool(text: str, source: str) -> list[InContextExample]:
     data = read_yaml(text, source)
     if not isinstance(data, dict) or not isinstance(data.get("examples"), list):
         raise SchemaError(

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -322,9 +322,9 @@ def _build(documents: Iterable[tuple[str, str]]) -> ToolRegistry:
 
 
 def load_registry(path: str | Path) -> ToolRegistry:
-    """Load a registry config file; a malformed config, or a name variant
-    that two tools claim, raises :class:`SchemaError` naming the file and
-    the tool."""
+    """Load a registry config file, read anew on every call; a malformed
+    config, or a name variant that two tools claim, raises
+    :class:`SchemaError` naming the file and the tool."""
     return _build([(str(path), Path(path).read_text(encoding="utf-8"))])
 
 
@@ -333,12 +333,17 @@ def _packaged(name: str) -> tuple[str, str]:
     return f"reaper/data/{name}", text
 
 
+@cache
 def default_registry() -> ToolRegistry:
-    """The shipped six-tool registry covering the six evaluation classes."""
+    """The shipped six-tool registry covering the six evaluation classes.
+    Built once per process and shared by every caller: a registry is
+    immutable, and the packaged file cannot change while the process runs."""
     return _build([_packaged("default_tools.yaml")])
 
 
+@cache
 def extended_registry() -> ToolRegistry:
     """The default registry's six tools followed by the two extension tools
-    of ``extension_tools.yaml``."""
+    of ``extension_tools.yaml``; built once per process and shared, like
+    :func:`default_registry`."""
     return _build([_packaged("default_tools.yaml"), _packaged("extension_tools.yaml")])

@@ -372,6 +372,74 @@ def test_malformed_jsonl_line_is_usage_error_naming_file_and_line(
     assert "Traceback" not in err
 
 
+# Characters that str.splitlines() breaks a line at but JSON keeps raw inside
+# a string, as json.dumps(..., ensure_ascii=False) and the forge write them.
+UNICODE_BREAKS = {"U+2028": "\u2028", "U+2029": "\u2029", "U+0085": "\x85"}
+
+
+@pytest.mark.parametrize("char", UNICODE_BREAKS.values(), ids=UNICODE_BREAKS.keys())
+class TestUnicodeLineBreaks:
+    def forge(self, tmp_path, char, *extra):
+        tasks = tmp_path / "tasks.jsonl"
+        record = {"query": f"red{char}shoes", "context": None,
+                  "plan": f'Step 1: prod_search(keywords="red{char}shoes")'}
+        tasks.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+        out = tmp_path / "t.jsonl"
+        code = main(["forge", "--tasks", str(tasks), "--out", str(out),
+                     "--tasks-per-query", "2", *extra])
+        return code, out
+
+    def test_task_query_is_read_whole(self, tmp_path, capsys, char):
+        code, out = self.forge(tmp_path, char, "--generic-fraction", "0")
+        assert code == 0, capsys.readouterr().err
+        assert char in out.read_text(encoding="utf-8")
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").split("\n") if line]
+        [primary] = [r for r in records if r["task_kind"] == "primary"]
+        assert f"Query: red{char}shoes" in primary["prompt"]
+
+    def test_forge_output_reads_back_as_a_generic_pool(self, tmp_path, capsys, char):
+        code, first = self.forge(tmp_path, char, "--generic-fraction", "0")
+        assert code == 0, capsys.readouterr().err
+        pool = tmp_path / "pool.jsonl"
+        first.rename(pool)
+        code, out = self.forge(tmp_path, char, "--generic-pool", str(pool))
+        assert code == 0, capsys.readouterr().err
+        generic = [json.loads(line) for line in out.read_text(encoding="utf-8").split("\n")
+                   if line and json.loads(line)["task_kind"] == "generic"]
+        assert len(generic) == 2
+        assert all(char in r["prompt"] for r in generic)
+
+    def test_line_numbers_count_newlines_only(self, tmp_path, capsys, char):
+        tasks = tmp_path / "tasks.jsonl"
+        good = {"query": f"red{char}shoes", "context": None, "plan": "Step 1: no_retrieval()"}
+        tasks.write_text(json.dumps(good, ensure_ascii=False) + "\n{\n", encoding="utf-8")
+        assert main(["forge", "--tasks", str(tasks), "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert f"{tasks}: line 2: not valid JSON" in capsys.readouterr().err
+
+    def test_plan_file_string_literal_is_read_whole(self, tmp_path, capsys, char):
+        plans = tmp_path / "plans.txt"
+        plans.write_text(
+            f'Step 1: prod_search(keywords="red{char}shoes")\n\nStep 1: no_retrieval()\n',
+            encoding="utf-8",
+        )
+        assert main(["validate", str(plans)]) == 0
+        assert "checked 2 plan(s): clean" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_crlf_and_cr_end_lines(tmp_path, capsys, newline):
+    tasks = tmp_path / "tasks.jsonl"
+    good = json.dumps({"query": "q", "context": None, "plan": "Step 1: no_retrieval()"})
+    tasks.write_bytes(f"{good}{newline}{{{newline}".encode())
+    assert main(["forge", "--tasks", str(tasks), "--out", str(tmp_path / "t.jsonl")]) == 2
+    assert f"{tasks}: line 2: not valid JSON" in capsys.readouterr().err
+    plans = tmp_path / "plans.txt"
+    text = GALAXY_PLAN_TEXT + "\n\nStep 1: no_retrieval()\n"
+    plans.write_bytes(text.replace("\n", newline).encode())
+    assert main(["validate", str(plans)]) == 0
+    assert "checked 2 plan(s): clean" in capsys.readouterr().out
+
+
 def forge_with_generic_pool(tmp_path, generic_records):
     """Forge two tasks mixed with the whole of ``generic_records``; returns
     the exit code, the generic pool's path and the written records."""
