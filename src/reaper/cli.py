@@ -28,7 +28,7 @@ from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .boundary import plan_field, read_jsonl
+from .boundary import read_jsonl
 from .embedding import HashingEmbedder, VectorError
 from .errors import ReaperError, SchemaError
 from .plan import Plan, PlanParseError, parse_plan, render_plan, validate_plan
@@ -36,7 +36,7 @@ from .registry import ToolRegistry, default_registry, load_registry
 
 if TYPE_CHECKING:
     from .executor import Retriever
-    from .forge.records import PrimaryTask
+    from .prompt import InContextExample
 
 DEFAULT_SEED = 1729
 
@@ -73,16 +73,12 @@ def read_plan_blocks(path: str | Path) -> list[str]:
     return blocks
 
 
-def load_tasks(path: str | Path) -> list[PrimaryTask]:
-    """Task JSONL: {"query", "context", "plan"} per line."""
-    from .forge.records import PrimaryTask
-    from .prompt import QueryInput
+def load_tasks(path: str | Path) -> list[InContextExample]:
+    """Task JSONL: {"query", "context", "plan"} per line, a demonstration's shape."""
+    from .prompt import InContextExample
 
     return [
-        PrimaryTask(
-            input=QueryInput.from_record(record, str(path), where),
-            target=plan_field(record, "plan", str(path), where),
-        )
+        InContextExample.from_record(record, str(path), where)
         for where, record in read_jsonl(Path(path))
     ]
 
@@ -127,6 +123,14 @@ def cmd_forge(args: argparse.Namespace) -> int:
     )
     registry = _load_registry(args.registry)
     tasks = load_tasks(args.tasks)
+    for index, task in enumerate(tasks):
+        for step in task.target_plan.steps:
+            if not registry.has_tool(step.tool_name):
+                # the tasks are the file's records in order
+                where = [where for where, _ in read_jsonl(Path(args.tasks))][index]
+                raise SchemaError(
+                    args.tasks, f"{where}.plan", f"unknown tool: {step.tool_name!r}"
+                )
     cfg = ForgeConfig(
         tasks_per_query=args.tasks_per_query,
         tevo_seed=args.seed,
@@ -209,8 +213,11 @@ class _BenchRetriever:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    from .evaluation import latency_bench
+    from .evaluation import check_latency_ms, latency_bench
 
+    check_latency_ms("--llm-single", args.llm_single)
+    check_latency_ms("--llm-step", args.llm_step)
+    check_latency_ms("--tool-latency", args.tool_latency)
     _check_paths([args.plans, args.registry], [])
     registry = _load_registry(args.registry)
     retriever: Retriever = _BenchRetriever(args.tool_latency)

@@ -259,14 +259,6 @@ class SimilarityMatrix:
 
     values: np.ndarray
 
-    @property
-    def rows(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def cols(self) -> int:
-        return int(self.values.shape[1])
-
 
 def similarity_matrix(
     provider: EmbeddingProvider,

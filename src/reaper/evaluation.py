@@ -32,6 +32,7 @@ Definitions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -281,6 +282,12 @@ def instruction_following_score(
     return (len(predictions) - violating) / len(predictions)
 
 
+def check_latency_ms(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be a finite number of 0 or more, got {value}")
+
+
 def latency_bench(
     plan: Plan,
     llm_latency_single_ms: float,
@@ -291,7 +298,10 @@ def latency_bench(
     """Compare one-call planning against interleaved planning on the same
     tool latencies: the single-shot planner pays one model call and the
     dependency-parallel tool schedule, the interleaved agent pays one model
-    call per step and runs tools sequentially."""
+    call per step and runs tools sequentially. A single-shot total of 0 ms,
+    where the speedup is undefined, raises :class:`ValueError`."""
+    check_latency_ms("llm_latency_single_ms", llm_latency_single_ms)
+    check_latency_ms("llm_latency_per_step_ms", llm_latency_per_step_ms)
     trace = execute_plan(plan, registry, retriever)
     failed = [s for s in trace.steps if s.status is not StepStatus.OK]
     if failed:
@@ -301,6 +311,8 @@ def latency_bench(
         )
     tool_total = sum(step.latency_ms for step in trace.steps)
     single_shot = llm_latency_single_ms + trace.critical_path_ms
+    if single_shot == 0:
+        raise ValueError("single-shot latency is 0 ms, so the speedup is undefined")
     interleaved = llm_latency_per_step_ms * len(trace.steps) + tool_total
     return LatencyStats(
         single_shot_ms=single_shot,

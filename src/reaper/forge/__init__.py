@@ -14,7 +14,6 @@ _EXPORTS = {
         "DqsConfig",
         "ForgeConfig",
         "MixManifest",
-        "PrimaryTask",
         "SECONDARY_KINDS",
         "TaskKind",
         "TrainingRecord",

@@ -12,9 +12,9 @@ and entries, a memo of presented tool specs keyed by name strings, each
 demonstration's canonical tool set, and each renaming for one choice of
 variant names, which keeps its rendered text. Each task's evolved prompt is
 built from these tables, with one registry, the presented one (see
-:func:`~reaper.forge.tevo.tevo_evolve`); each task keeps its rendered gold
-plan and input lines for all of its secondary records. The CLI's embedder
-hashes each distinct token once. All of these die with the run. What
+:func:`~reaper.forge.tevo.tevo_evolve`); each task, an ``InContextExample``,
+keeps its rendered gold plan and input lines for all of its secondary records.
+The CLI's embedder hashes each distinct token once. All of these die with the run. What
 outlives a run is bounded: the one-entry identity memo of the last prompt
 prefix (``build_prompt``), and ``tevo._presented`` with the tool-block text
 each presented spec keeps, bounded by the registry's variant space. What
@@ -37,14 +37,7 @@ from ..prompt import InContextExample, build_prompt, load_example_pool
 from ..registry import ToolRegistry
 from .dqs import dqs_sample_indices
 from .mixer import load_generic_pool, mix_dataset
-from .records import (
-    DqsConfig,
-    ForgeConfig,
-    MixManifest,
-    PrimaryTask,
-    TaskKind,
-    TrainingRecord,
-)
+from .records import DqsConfig, ForgeConfig, MixManifest, TaskKind, TrainingRecord
 from .tevo import _PreparedPool, evolve_target, tevo_evolve
 from .ttg import applicable_kinds, ttg_transform
 
@@ -52,14 +45,14 @@ _SEED_STRIDE = 1_000_003
 
 
 def generate_records(
-    task: PrimaryTask,
+    task: InContextExample,
     registry: ToolRegistry,
     cfg: ForgeConfig,
     rng_seed: int,
     source_id: str,
     example_pool: Sequence[InContextExample] | None = None,
 ) -> list[TrainingRecord]:
-    """All ``tasks_per_query`` records for one surviving query."""
+    """All ``tasks_per_query`` records for the labeled example ``task``."""
     rng = random.Random(rng_seed)
     spec = tevo_evolve(
         task, registry, cfg, rng.randrange(2**31), example_pool=example_pool
@@ -101,7 +94,7 @@ def write_records(records: Sequence[TrainingRecord], out: str | Path) -> None:
 
 
 def forge_run(
-    tasks: Sequence[PrimaryTask],
+    tasks: Sequence[InContextExample],
     registry: ToolRegistry,
     cfg: ForgeConfig,
     dqs_cfg: DqsConfig,
@@ -110,7 +103,8 @@ def forge_run(
     q_initial: Sequence[str] | None = None,
     example_pool: Sequence[InContextExample] | None = None,
 ) -> MixManifest:
-    """Run the full pipeline and write the mixed dataset to ``out``.
+    """Run the full pipeline over the labeled examples ``tasks``, which may
+    also serve as ``example_pool``, and write the mixed dataset to ``out``.
 
     ``q_initial`` is the curated reference pool for diverse sampling; when
     omitted, the task pool itself is used, which makes the sampling stage an

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from enum import Enum
-from functools import cached_property
 from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 
-from ..plan import Plan, render_plan
-from ..prompt import DEFAULT_EXAMPLE_COUNT, QueryInput, input_lines
+from ..prompt import DEFAULT_EXAMPLE_COUNT
 
 
 def _quote(text: str) -> str:
@@ -42,25 +40,6 @@ SECONDARY_KINDS = (
     TaskKind.T6,
     TaskKind.T7,
 )
-
-
-@dataclass(frozen=True)
-class PrimaryTask:
-    """One labeled planning example: customer input and its gold plan."""
-
-    input: QueryInput
-    target: Plan
-
-    @cached_property
-    def _plan_text(self) -> str:
-        """The gold plan's text, kept with the immutable task: each of its
-        secondary records shows it."""
-        return render_plan(self.target)
-
-    @cached_property
-    def _input_block(self) -> str:
-        """The customer input's prompt lines, kept with the task likewise."""
-        return "\n".join(input_lines(self.input))
 
 
 @dataclass(frozen=True)

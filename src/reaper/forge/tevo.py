@@ -1,10 +1,10 @@
 """Prompt evolution: semantics-preserving perturbation of the planner prompt.
 
-For a given labeled task the evolved prompt keeps the tools the gold plan
-needs, adds a random subset of distractor tools, presents every tool under a
-sampled name variant and description paraphrase, and samples the in-context
-demonstrations. The gold plan is unchanged up to renaming tools to the
-sampled variants, so its canonical tool sequence is stable by construction.
+For a labeled task (an ``InContextExample``) the evolved prompt keeps the tools
+the gold plan needs, adds a random subset of distractor tools, presents every
+tool under a sampled name variant and description paraphrase, and samples the
+in-context demonstrations. The gold plan is unchanged up to renaming tools to
+the sampled variants, so its canonical tool sequence is stable by construction.
 
 Everything a task reads that does not depend on the task is prepared once
 per run in :class:`_PreparedPool`: the registry's order and entries, the
@@ -31,7 +31,7 @@ from ..prompt import (
     load_example_pool,
 )
 from ..registry import ToolRegistry, ToolSpec, VariantPool, _draw_extras
-from .records import ForgeConfig, PrimaryTask
+from .records import ForgeConfig
 
 
 @cache
@@ -119,14 +119,15 @@ class _PreparedPool(Sequence):
 
 
 def tevo_evolve(
-    task: PrimaryTask,
+    task: InContextExample,
     registry: ToolRegistry,
     cfg: ForgeConfig,
     rng_seed: int,
     example_pool: Sequence[InContextExample] | None = None,
 ) -> PromptSpec:
-    """Produce an evolved prompt spec for ``task``; deterministic in
-    ``rng_seed``. The distractor count is capped at the tools available.
+    """Produce an evolved prompt spec for the labeled example ``task``;
+    deterministic in ``rng_seed``. The distractor count is capped at the
+    tools available, and no demonstration shares ``task``'s query.
 
     The draws are those of :func:`~reaper.registry.subset_with`, then a
     name and a paraphrase per kept tool in registry order, then the
@@ -139,7 +140,7 @@ def tevo_evolve(
     else:
         demos = _PreparedPool(example_pool, registry)
     rng = random.Random(rng_seed)
-    needed = set(tool_sequence(task.target, registry))
+    needed = set(tool_sequence(task.target_plan, registry))
     extra = min(cfg.extra_tool_count, len(demos.order) - len(needed))
     kept = _draw_extras(demos.order, needed, extra, rng.randrange(2**31))
 
@@ -170,14 +171,14 @@ def tevo_evolve(
     )
 
 
-def evolve_target(task: PrimaryTask, spec: PromptSpec):
+def evolve_target(task: InContextExample, spec: PromptSpec):
     """The gold plan rewritten with the tool names an evolved prompt uses:
     each name it writes, canonical or a variant, becomes the name the prompt
     shows for that tool, which ``spec.tools`` knows by every variant."""
     return rename_tools(
-        task.target,
+        task.target_plan,
         {
             step.tool_name: spec.tools.canonical_of(step.tool_name)
-            for step in task.target.steps
+            for step in task.target_plan.steps
         },
     )

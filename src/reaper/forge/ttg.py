@@ -1,5 +1,5 @@
 """Secondary task generation: derive related training tasks from a labeled
-planning example.
+planning example, an :class:`~reaper.prompt.InContextExample`.
 
 Seven transformations are supported (see :class:`TaskKind`): writing the
 query a plan answers, completing a truncated plan, naming the needed tools,
@@ -16,8 +16,9 @@ import random
 
 from ..errors import ReaperError
 from ..plan import render_value, tool_sequence
+from ..prompt import InContextExample
 from ..registry import ToolRegistry
-from .records import PrimaryTask, TaskKind, TrainingRecord
+from .records import TaskKind, TrainingRecord
 
 MASKED_STEP_TOKEN = "[MASKED_STEP]"
 MASKED_PARAM_TOKEN = "[MASKED_PARAM]"
@@ -49,21 +50,21 @@ _APPLICABLE = {
 }
 
 
-def applicable_kinds(task: PrimaryTask) -> list[TaskKind]:
-    """Secondary kinds valid for this task, in fixed T1..T7 order."""
-    steps = task.target.steps
+def applicable_kinds(task: InContextExample) -> list[TaskKind]:
+    """Secondary kinds valid for the labeled example ``task``, in T1..T7 order."""
+    steps = task.target_plan.steps
     return list(_APPLICABLE[len(steps) >= 2, any(step.args for step in steps)])
 
 
-def _default_source_id(task: PrimaryTask) -> str:
+def _default_source_id(task: InContextExample) -> str:
     digest = hashlib.sha1(task.input.query.encode("utf-8")).hexdigest()
     return f"q-{digest[:12]}"
 
 
-def _require_steps(task: PrimaryTask, kind: TaskKind, plan_text: str) -> list[str]:
+def _require_steps(task: InContextExample, kind: TaskKind, plan_text: str) -> list[str]:
     """The lines of the task's rendered plan, one per step; a single-step
     plan raises."""
-    if len(task.target) < 2:
+    if len(task.target_plan) < 2:
         raise NotApplicableError(kind, "plan has a single step")
     return plan_text.split("\n")
 
@@ -73,13 +74,14 @@ _DRAWING_KINDS = frozenset((_T4, _T5, _T6, _T7))
 
 
 def ttg_transform(
-    task: PrimaryTask,
+    task: InContextExample,
     kind: TaskKind,
     registry: ToolRegistry,
     rng_seed: int,
     source_id: str | None = None,
 ) -> TrainingRecord:
-    """Build one secondary training record; deterministic in ``rng_seed``."""
+    """Build one secondary training record from the labeled example
+    ``task``; deterministic in ``rng_seed``."""
     rng = random.Random(rng_seed) if kind in _DRAWING_KINDS else None
     sid = source_id if source_id is not None else _default_source_id(task)
     plan_text = task._plan_text
@@ -103,7 +105,7 @@ def ttg_transform(
         return TrainingRecord(prompt, "\n".join(lines[keep:]), kind, sid)
 
     if kind is _T3:
-        target = ", ".join(tool_sequence(task.target, registry))
+        target = ", ".join(tool_sequence(task.target_plan, registry))
         prompt = (
             "Name the tools needed to answer the customer question, in call "
             "order, separated by commas.\n\n" + input_block
@@ -136,13 +138,13 @@ def ttg_transform(
     if kind is _T6:
         slots = [
             (step.index, name)
-            for step in task.target.steps
+            for step in task.target_plan.steps
             for name, _ in step.args
         ]
         if not slots:
             raise NotApplicableError(kind, "plan has no arguments")
         target_index, target_param = rng.choice(slots)
-        masked_step = task.target.steps[target_index - 1]
+        masked_step = task.target_plan.steps[target_index - 1]
         masked_value = render_value(dict(masked_step.args)[target_param])
         masked_args = ", ".join(
             f"{name}={MASKED_PARAM_TOKEN}"
@@ -162,7 +164,7 @@ def ttg_transform(
         return TrainingRecord(prompt, masked_value, kind, sid)
 
     if kind is _T7:
-        used = sorted(set(tool_sequence(task.target, registry)))
+        used = sorted(set(tool_sequence(task.target_plan, registry)))
         withheld = rng.choice(used)
         offered = [
             name for name in registry.canonical_names if name != withheld

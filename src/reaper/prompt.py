@@ -68,14 +68,31 @@ class QueryInput:
 
 @dataclass(frozen=True)
 class InContextExample:
+    """One labeled planning example, a forge task or a prompt demonstration.
+    Its renderings are kept with it: a forge shows a task's input and plan in
+    each of its records, and each renamed demonstration in many prompts."""
+
     input: QueryInput
     target_plan: Plan
 
+    @classmethod
+    def from_record(cls, record: dict, path: str, where: str) -> "InContextExample":
+        """The ``query``, optional ``context`` and ``plan`` of a JSONL record
+        or a YAML mapping."""
+        query_input = QueryInput.from_record(record, path, where)
+        return cls(query_input, plan_field(record, "plan", path, where))
+
+    @cached_property
+    def _input_block(self) -> str:
+        return "\n".join(input_lines(self.input))
+
+    @cached_property
+    def _plan_text(self) -> str:
+        return render_plan(self.target_plan)
+
     @cached_property
     def _prompt_text(self) -> str:
-        """The demonstration's input lines and plan as a prompt shows them,
-        kept with the immutable example: a forge run shows each renamed
-        demonstration in many prompts."""
+        """Built without the two above, which a demonstration never reads."""
         return "\n".join(
             [*input_lines(self.input), "Plan:", render_plan(self.target_plan)]
         )
@@ -204,10 +221,5 @@ def _read_example_pool(text: str, source: str) -> list[InContextExample]:
         where = f"examples[{i}]"
         if not isinstance(entry, dict):
             raise SchemaError(source, where, "expected a mapping")
-        pool.append(
-            InContextExample(
-                input=QueryInput.from_record(entry, source, where),
-                target_plan=plan_field(entry, "plan", source, where),
-            )
-        )
+        pool.append(InContextExample.from_record(entry, source, where))
     return pool

@@ -26,7 +26,6 @@ from reaper.executor import (
 from reaper.forge import (
     DqsConfig,
     ForgeConfig,
-    PrimaryTask,
     dqs_sample_indices,
     evolve_target,
     forge_run,
@@ -37,6 +36,7 @@ from reaper.plan import parse_plan, render_plan, tool_sequence
 from reaper.prompt import (
     DEFAULT_ROLE,
     DEFAULT_SYSTEM_INSTRUCTION,
+    InContextExample,
     PromptSpec,
     QueryInput,
     adversarial_omit,
@@ -86,7 +86,7 @@ def _forge_tasks(count):
         else:
             plan = f'Step 1: customer_support(query="policy topic {i}")'
         tasks.append(
-            PrimaryTask(
+            InContextExample(
                 QueryInput(f"forge question {i:03d} about {chr(97 + i % 26)}"),
                 parse_plan(plan),
             )
@@ -451,26 +451,26 @@ def test_c9_tevo_label_stability():
         registry = default_registry()
         pool = load_example_pool()
         tasks = [
-            PrimaryTask(
+            InContextExample(
                 QueryInput("how much memory is on my galaxy phone"),
                 parse_plan(GALAXY_PLAN_TEXT),
             ),
-            PrimaryTask(
+            InContextExample(
                 QueryInput("does this kettle whistle", "Copper Whistling Kettle"),
                 parse_plan(
                     'Step 1: prod_qna(product_id=$context.product_id, '
                     'query="does it whistle")'
                 ),
             ),
-            PrimaryTask(
+            InContextExample(
                 QueryInput("wireless earbuds under 50"),
                 parse_plan('Step 1: prod_search(keywords="wireless earbuds")'),
             ),
-            PrimaryTask(
+            InContextExample(
                 QueryInput("how do i cancel an order"),
                 parse_plan('Step 1: customer_support(query="cancel an order")'),
             ),
-            PrimaryTask(
+            InContextExample(
                 QueryInput("tell me a joke"),
                 parse_plan("Step 1: no_retrieval()"),
             ),
@@ -484,7 +484,7 @@ def test_c9_tevo_label_stability():
             )
             evolved = evolve_target(task, spec)
             if tool_sequence(evolved, registry) == tool_sequence(
-                task.target, registry
+                task.target_plan, registry
             ):
                 stable += 1
         assert stable == 500

@@ -25,6 +25,11 @@ CHAIN_PLAN = (
     "Step 3: review_summary(product_id=$2.product_id)"
 )
 
+TWO_STEP_PLAN = (
+    'Step 1: prod_search(keywords="red shoes")\n'
+    'Step 2: prod_qna(product_id=$1.product_id, query="size")'
+)
+
 
 def write_tasks(path, n):
     lines = []
@@ -186,6 +191,20 @@ class TestForge:
                   "--extreme-pairs", "1"])
         assert excinfo.value.code == 2
         assert "unrecognized arguments: --extreme-pairs" in capsys.readouterr().err
+
+    def test_unknown_tool_names_its_line_before_any_record(self, tmp_path, capsys):
+        tasks = tmp_path / "tasks.jsonl"
+        rows = [
+            {"query": "red shoes", "context": None, "plan": "Step 1: no_retrieval()"},
+            {"query": "cheaper kettle", "plan": 'Step 1: compare_prices(a="x")'},
+        ]
+        tasks.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["forge", "--tasks", str(tasks),
+                     "--out", str(tmp_path / "t.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tasks}: line 2.plan: unknown tool: 'compare_prices'" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [tasks]
 
     def test_missing_output_directory_fails_fast(self, tmp_path, capsys):
         tasks = tmp_path / "tasks.jsonl"
@@ -590,6 +609,42 @@ class TestBench:
         plans.write_text(CHAIN_PLAN + "\n\nStep 1 broken\n")
         assert main(["bench", str(plans)]) == 1
         assert "plan 2: parse error" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [
+            ("--llm-single", "-100"),
+            ("--llm-single", "nan"),
+            ("--llm-step", "inf"),
+            ("--tool-latency", "-5"),
+            ("--tool-latency", "inf"),
+        ],
+    )
+    def test_latency_that_is_negative_or_not_finite_is_usage_error(
+        self, tmp_path, capsys, option, value
+    ):
+        plans = tmp_path / "plan.txt"
+        plans.write_text(TWO_STEP_PLAN + "\n")
+        assert main(["bench", str(plans), option, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{option} must be a finite number of 0 or more" in captured.err
+
+    def test_zero_single_shot_total_is_usage_error(self, tmp_path, capsys):
+        # the speedup would divide by zero
+        plans = tmp_path / "plan.txt"
+        plans.write_text(TWO_STEP_PLAN + "\n")
+        args = ["--llm-single", "0", "--llm-step", "0", "--tool-latency", "0"]
+        assert main(["bench", str(plans), *args]) == 2
+        assert "speedup is undefined" in capsys.readouterr().err
+
+    def test_zero_latencies_are_accepted(self, tmp_path, capsys):
+        plans = tmp_path / "plan.txt"
+        plans.write_text(TWO_STEP_PLAN + "\n")
+        assert main(["bench", str(plans), "--llm-step", "0", "--tool-latency", "0"]) == 0
+        row = capsys.readouterr().out.splitlines()[-1].split()
+        assert [float(x) for x in row[2:]] == [207.0, 0.0, 0.0]
 
 
 class TestPlan:

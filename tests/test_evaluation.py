@@ -267,6 +267,29 @@ class TestLatencyBench:
             )
             assert stats.speedup > 1.0
 
+    @pytest.mark.parametrize(
+        "single, step, name",
+        [
+            (-100.0, 2000.0, "llm_latency_single_ms"),
+            (float("nan"), 2000.0, "llm_latency_single_ms"),
+            (207.0, float("inf"), "llm_latency_per_step_ms"),
+            (207.0, -1.0, "llm_latency_per_step_ms"),
+        ],
+    )
+    def test_latency_that_is_negative_or_not_finite_rejected(
+        self, registry, single, step, name
+    ):
+        with pytest.raises(ValueError, match=name):
+            latency_bench(
+                parse_plan(THREE_CHAIN), single, step, chain_retriever(), registry
+            )
+
+    def test_zero_single_shot_total_rejected(self, registry):
+        with pytest.raises(ValueError, match="speedup is undefined"):
+            latency_bench(
+                parse_plan(THREE_CHAIN), 0.0, 0.0, chain_retriever(0.0), registry
+            )
+
     def test_failing_step_rejected(self, registry):
         with pytest.raises(ReaperError):
             latency_bench(

@@ -27,7 +27,6 @@ from reaper.forge import (
     MASKED_STEP_TOKEN,
     NO_VALID_PLAN,
     NotApplicableError,
-    PrimaryTask,
     TaskKind,
     TrainingRecord,
     applicable_kinds,
@@ -70,14 +69,14 @@ from .test_cli import GOLDEN_ARGS, GOLDEN_OUT_SHA256, GOLDEN_TASKS
 
 @pytest.fixture()
 def galaxy_task(galaxy_plan):
-    return PrimaryTask(
+    return InContextExample(
         QueryInput("how much memory is on my galaxy phone"), galaxy_plan
     )
 
 
 @pytest.fixture()
 def kettle_task():
-    return PrimaryTask(
+    return InContextExample(
         QueryInput("does this kettle whistle", "Copper Whistling Kettle"),
         parse_plan(
             'Step 1: prod_qna(product_id=$context.product_id, query="does it whistle")'
@@ -87,7 +86,7 @@ def kettle_task():
 
 @pytest.fixture()
 def small_talk_task():
-    return PrimaryTask(
+    return InContextExample(
         QueryInput("what is your favorite color"),
         parse_plan("Step 1: no_retrieval()"),
     )
@@ -175,7 +174,7 @@ class TestTevo:
         monkeypatch.setattr(tevo, "parse_plan", counting_parse)
         tevo._presented.cache_clear()
         tasks = [
-            PrimaryTask(QueryInput(f"question {i}"), parse_plan(GALAXY_PLAN_TEXT))
+            InContextExample(QueryInput(f"question {i}"), parse_plan(GALAXY_PLAN_TEXT))
             for i in range(50)
         ]
         cfg = ForgeConfig(extra_tool_count=2)
@@ -191,7 +190,7 @@ class TestTevo:
     def test_variant_named_gold_plans_and_demonstrations_are_renamed(self, registry):
         # plans written with variant names: every name in the target and in
         # the demonstrations must be one the prompt's tool block shows
-        task = PrimaryTask(
+        task = InContextExample(
             QueryInput("how much memory is on my galaxy phone"),
             parse_plan(
                 'Step 1: order_tracker(query="galaxy phone order")\n'
@@ -233,7 +232,7 @@ def _evolve_oracle(task, registry, cfg, rng_seed, example_pool):
     registry over the presented specs, and every demonstration's tools
     resolved again for each task."""
     rng = random.Random(rng_seed)
-    needed = set(tool_sequence(task.target, registry))
+    needed = set(tool_sequence(task.target_plan, registry))
     extra = min(cfg.extra_tool_count, len(registry) - len(needed))
     subset = subset_with(registry, needed, extra, seed=rng.randrange(2**31))
     names, entries = {}, []
@@ -295,7 +294,7 @@ def _evolve_cases(draw):
         for i, name in enumerate(tools, start=1)
     ]
     query = draw(st.sampled_from([_POOL[0].input.query, _POOL[1].input.query, "unseen"]))
-    task = PrimaryTask(QueryInput(query), parse_plan("\n".join(lines)))
+    task = InContextExample(QueryInput(query), parse_plan("\n".join(lines)))
     cfg = ForgeConfig(
         extra_tool_count=draw(st.integers(0, len(registry))),
         example_count=draw(st.integers(0, len(_POOL))),
@@ -340,7 +339,7 @@ class TestTtg:
         assert record.target == lines[1]
 
     def test_t2_three_step_keeps_two(self, registry):
-        task = PrimaryTask(
+        task = InContextExample(
             QueryInput("compare mugs"),
             parse_plan(
                 'Step 1: prod_search(keywords="mug")\n'
@@ -356,7 +355,7 @@ class TestTtg:
         assert record.target == "shipment_status, prod_qna"
 
     def test_t3_canonicalizes_variants(self, registry):
-        task = PrimaryTask(
+        task = InContextExample(
             QueryInput("is it heavy", "Cast Iron Pan"),
             parse_plan(
                 'Step 1: product_facts(product_id=$context.product_id, query="weight")'
@@ -419,10 +418,10 @@ class TestTtg:
         self, registry, galaxy_task, kettle_task
     ):
         # a copy with another plan keeps none of the original's renders
-        copied = replace(galaxy_task, target=kettle_task.target)
+        copied = replace(galaxy_task, target_plan=kettle_task.target_plan)
         for task in (galaxy_task, kettle_task, galaxy_task, copied, kettle_task):
             record = ttg_transform(task, TaskKind.T1, registry, rng_seed=0)
-            assert record.prompt.endswith("Plan:\n" + render_plan(task.target))
+            assert record.prompt.endswith("Plan:\n" + render_plan(task.target_plan))
             record = ttg_transform(task, TaskKind.T3, registry, rng_seed=0)
             assert record.prompt.endswith("\n".join(input_lines(task.input)))
 
@@ -643,7 +642,7 @@ class TestForgeRun:
             else:
                 plan = "Step 1: no_retrieval()"
             tasks.append(
-                PrimaryTask(
+                InContextExample(
                     QueryInput(f"synthetic question {i} about {chr(97 + i % 26)}"),
                     parse_plan(plan),
                 )
@@ -692,6 +691,26 @@ class TestForgeRun:
             record = json.loads(line)
             assert set(record) == {"prompt", "target", "task_kind", "source_id"}
             assert record["prompt"] and record["target"]
+
+    def test_a_task_list_serves_as_its_own_example_pool(
+        self, registry, provider, tmp_path
+    ):
+        # tasks and demonstrations are one type; a task never sees itself
+        out = tmp_path / "data.jsonl"
+        tasks = self.write_tasks(12)
+        cfg = ForgeConfig(tasks_per_query=1, tevo_seed=3, generic_fraction=0.0)
+        manifest = forge_run(
+            tasks, registry, cfg, DqsConfig(0, 3), provider, out, example_pool=tasks
+        )
+        assert manifest.reaper_count == 12
+        shown = 0
+        for line in out.read_text().splitlines():
+            examples, own_input = json.loads(line)["prompt"].split("### Input:\n")
+            own_query = own_input.split("\n")[0]
+            assert own_query.startswith("Query: synthetic question ")
+            assert own_query + "\n" not in examples
+            shown += examples.count("\nQuery: synthetic question ")
+        assert shown > 0
 
     def test_a_demonstration_naming_an_unknown_tool_fails_before_any_record(
         self, registry, provider, tmp_path, monkeypatch
@@ -840,7 +859,7 @@ class TestRunScope:
         # until it renders another prompt; no other demonstration survives
         last = {id(example) for example in prompt_module._last_prefix[3]}
         assert {id(ref()) for ref in demonstrations if ref() is not None} <= last
-        task = PrimaryTask(QueryInput("an unrelated question"), parse_plan(GALAXY_PLAN_TEXT))
+        task = InContextExample(QueryInput("an unrelated question"), parse_plan(GALAXY_PLAN_TEXT))
         build_prompt(tevo_evolve(task, registry, cfg, rng_seed=0))
         gc.collect()
         assert all(ref() is None for ref in demonstrations)
