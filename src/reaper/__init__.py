@@ -8,14 +8,16 @@ a dependency-aware executor, and an evaluation harness.
 The public names below resolve on first access (PEP 562), so importing
 ``reaper`` loads none of the submodules. The ``reaper`` subcommands load:
 
-- every one: the plan language, the registry with its YAML reader, the
-  prompt builder and the gateway; ``validate`` and ``plan`` nothing more;
+- every one: the plan language, the registry, the prompt builder and the
+  gateway; ``validate`` and ``plan`` nothing more;
 - ``eval`` and ``bench``: :mod:`reaper.evaluation` and the executor, and
   the executor's thread pool (``queue.SimpleQueue`` and daemon threads)
   once a plan fans out;
 - ``forge``: the forge, and numpy with the first embedding.
 
-``requests`` is imported only when an HTTP adapter makes its first call.
+``requests`` is imported only when an HTTP adapter makes its first call, and
+PyYAML only when a caller names a YAML file: the shipped registries and
+demonstrations are JSON.
 """
 
 import importlib

@@ -1,8 +1,10 @@
 """The places where data enters the toolkit: JSON posted to a remote
-service (``post_json``), JSONL files (``read_jsonl``) and YAML documents
-(``read_yaml``). Malformed input raises a typed error: the caller's error
-class for a service, :class:`SchemaError` with the file (and the line, for
-JSONL) for a file.
+service (``post_json``), JSONL files (``read_jsonl``) and the YAML documents
+a caller names (``read_yaml``). Malformed input raises a typed error: the
+caller's error class for a service, :class:`SchemaError` with the file (and
+the line, for JSONL) for a file. The files the package ships are JSON, read
+with :func:`json.loads`, so a process that names no YAML file never imports
+PyYAML.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import json
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
-
-import yaml
 
 from .errors import ReaperError, SchemaError
 from .plan import Plan, PlanParseError, parse_plan
@@ -64,16 +64,17 @@ def read_jsonl(source: Path | Traversable) -> Iterator[tuple[str, dict]]:
         yield where, record
 
 
-# libyaml's parser where PyYAML was built with it, else the pure-Python one;
-# both load a document to equal data, and libyaml is several times faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def read_yaml(text: str, path: str) -> object:
     """The YAML document ``text`` read from ``path``, with safe tags only;
     text that is not YAML raises."""
+    import yaml  # deferred: only a file a caller names is YAML
+
+    # libyaml's parser where PyYAML was built with it, else the pure-Python
+    # one; both load a document to equal data, and libyaml is several times
+    # faster
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
-        return yaml.load(text, Loader=_YAML_LOADER)
+        return yaml.load(text, Loader=loader)
     except yaml.YAMLError as exc:
         raise SchemaError(path, "-", f"not valid YAML: {exc}") from exc
 

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .boundary import read_jsonl
 from .embedding import HashingEmbedder, VectorError
-from .errors import ReaperError, SchemaError
+from .errors import ReaperError, SchemaError, UnknownToolError
 from .plan import Plan, PlanParseError, parse_plan, render_plan, validate_plan
 from .registry import ToolRegistry, default_registry, load_registry
 
@@ -116,6 +116,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_forge(args: argparse.Namespace) -> int:
     from .forge.pipeline import forge_run
     from .forge.records import DqsConfig, ForgeConfig
+    from .prompt import load_example_pool
 
     _check_paths(
         [args.tasks, args.registry, args.generic_pool],
@@ -148,6 +149,17 @@ def cmd_forge(args: argparse.Namespace) -> int:
         for where, record in read_jsonl(Path(args.tasks)):
             if record["query"] == exc.text:
                 raise SchemaError(args.tasks, f"{where}.query", str(exc)) from exc
+        raise
+    except UnknownToolError as exc:
+        # the tasks' tools are checked above, so a shipped demonstration
+        # names a tool that the named registry lacks
+        for i, example in enumerate(load_example_pool()):
+            if any(step.tool_name == exc.name for step in example.target_plan.steps):
+                raise SchemaError(
+                    "reaper/data/example_pool.json",
+                    f"examples[{i}].plan",
+                    f"unknown tool {exc.name!r} (registry {args.registry})",
+                ) from exc
         raise
     payload = json.dumps(manifest.to_dict(), indent=2)
     print(payload)

@@ -12,6 +12,7 @@ so the rendered prompt contains no surface form of that tool.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib import resources
@@ -58,7 +59,7 @@ class QueryInput:
     @classmethod
     def from_record(cls, record: dict, path: str, where: str) -> "QueryInput":
         """The ``query`` and optional ``context`` fields of a JSONL record or
-        a YAML mapping."""
+        a pool document's entry."""
         query = typed_field(record, "query", str, path, where)
         if not query:
             raise SchemaError(path, f"{where}.query", "must be non-empty")
@@ -78,7 +79,7 @@ class InContextExample:
     @classmethod
     def from_record(cls, record: dict, path: str, where: str) -> "InContextExample":
         """The ``query``, optional ``context`` and ``plan`` of a JSONL record
-        or a YAML mapping."""
+        or a pool document's entry."""
         query_input = QueryInput.from_record(record, path, where)
         return cls(query_input, plan_field(record, "plan", path, where))
 
@@ -187,31 +188,37 @@ def adversarial_omit(spec: PromptSpec, tool: str) -> PromptSpec:
 
 
 def load_example_pool(path: str | Path | None = None) -> list[InContextExample]:
-    """Load the demonstration pool (shipped pool when ``path`` is None).
+    """Load the demonstration pool: the shipped ``data/example_pool.json``
+    when ``path`` is None, else the YAML file at ``path``.
 
     The shipped pool is read and checked once per process; each call
     returns a new list of the same immutable examples. A named file is read
-    on every call.
+    on every call. The shipped demonstrations write canonical tool names;
+    TEVO, the forge's prompt evolution, renames them to the variants it
+    samples.
 
-    YAML schema: ``examples: [{query, context?, plan}, ...]``; a malformed
-    document raises :class:`SchemaError` naming the path and the field."""
+    Schema: ``examples: [{query, context?, plan}, ...]``, which the shipped
+    file follows in JSON; a malformed document raises :class:`SchemaError`
+    naming the path and the field."""
     if path is None:
         return list(_shipped_example_pool())
-    return _read_example_pool(Path(path).read_text(encoding="utf-8"), str(path))
+    text = Path(path).read_text(encoding="utf-8")
+    return _read_example_pool(read_yaml(text, str(path)), str(path))
 
 
 @cache
 def _shipped_example_pool() -> tuple[InContextExample, ...]:
     text = (
         resources.files("reaper.data")
-        .joinpath("example_pool.yaml")
+        .joinpath("example_pool.json")
         .read_text(encoding="utf-8")
     )
-    return tuple(_read_example_pool(text, "reaper/data/example_pool.yaml"))
+    return tuple(_read_example_pool(json.loads(text), "reaper/data/example_pool.json"))
 
 
-def _read_example_pool(text: str, source: str) -> list[InContextExample]:
-    data = read_yaml(text, source)
+def _read_example_pool(data: object, source: str) -> list[InContextExample]:
+    """The demonstrations of a pool document, ``data`` as read from
+    ``source``."""
     if not isinstance(data, dict) or not isinstance(data.get("examples"), list):
         raise SchemaError(
             source, "examples", "document must be a mapping with an 'examples' list"

@@ -1,9 +1,13 @@
 """Tool registry: canonical tool specs, name/description variant pools, lookup.
 
-The registry is loaded from a YAML document (see ``data/default_tools.yaml``)
-and is immutable afterwards. Every tool carries a pool of alternative names
-and description paraphrases used by the prompt-evolution stage, and a
-``class_label`` tying it to one of the evaluation classes.
+A registry is read from a YAML document that a caller names
+(:func:`load_registry`) and is immutable afterwards. The shipped registries,
+``data/default_tools.json`` and ``data/extension_tools.json``, follow the
+same schema in JSON, which YAML also reads; they are read with :mod:`json`,
+so a process that names no YAML file never imports PyYAML. Every tool
+carries a pool of alternative names and description paraphrases used by the
+prompt-evolution stage, and a ``class_label`` tying it to one of the
+evaluation classes.
 
 YAML schema (all fields required unless noted)::
 
@@ -22,11 +26,13 @@ tool; paraphrases are non-empty strings; the example usage is a plan that
 calls only the tool itself; no two tools share a name or a variant. The
 types and :class:`ToolRegistry` enforce these rules, so a registry built in
 code is held to them too; the loader names the file and ``tools[i]`` of
-the entry that breaks one.
+the entry that breaks one. The shipped variant names all contain an
+underscore, so they cannot collide with prose.
 """
 
 from __future__ import annotations
 
+import json
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -291,18 +297,18 @@ def _entry(block: object, path: str, where: str) -> tuple[ToolSpec, VariantPool]
     return spec, pool
 
 
-def _build(documents: Iterable[tuple[str, str]]) -> ToolRegistry:
-    """One registry from the tools of each ``(path, text)`` YAML document in
-    turn. The types and the registry check each entry as it is read, so a
-    check fails while its entry is the current one; this only locates the
-    failure, as a :class:`SchemaError` naming the file and ``tools[i]``."""
+def _build(documents: Iterable[tuple[str, object]]) -> ToolRegistry:
+    """One registry from the tools of each ``(path, data)`` registry
+    document in turn, ``data`` as read from the file. The types and the
+    registry check each entry as it is read, so a check fails while its entry
+    is the current one; this only locates the failure, as a
+    :class:`SchemaError` naming the file and ``tools[i]``."""
     path, where = "-", "tools"
 
     def entries() -> Iterator[tuple[ToolSpec, VariantPool]]:
         nonlocal path, where
-        for path, text in documents:
+        for path, data in documents:
             where = "tools"
-            data = read_yaml(text, path)
             if not isinstance(data, dict) or "tools" not in data:
                 raise SchemaError(
                     path, where, "document must be a mapping with 'tools'"
@@ -322,15 +328,17 @@ def _build(documents: Iterable[tuple[str, str]]) -> ToolRegistry:
 
 
 def load_registry(path: str | Path) -> ToolRegistry:
-    """Load a registry config file, read anew on every call; a malformed
+    """Load a registry YAML file, read anew on every call; a malformed
     config, or a name variant that two tools claim, raises
     :class:`SchemaError` naming the file and the tool."""
-    return _build([(str(path), Path(path).read_text(encoding="utf-8"))])
+    text = Path(path).read_text(encoding="utf-8")
+    return _build([(str(path), read_yaml(text, str(path)))])
 
 
-def _packaged(name: str) -> tuple[str, str]:
+def _packaged(name: str) -> tuple[str, object]:
+    """The shipped JSON document ``name``, as ``(path, data)``."""
     text = resources.files("reaper.data").joinpath(name).read_text(encoding="utf-8")
-    return f"reaper/data/{name}", text
+    return f"reaper/data/{name}", json.loads(text)
 
 
 @cache
@@ -338,12 +346,12 @@ def default_registry() -> ToolRegistry:
     """The shipped six-tool registry covering the six evaluation classes.
     Built once per process and shared by every caller: a registry is
     immutable, and the packaged file cannot change while the process runs."""
-    return _build([_packaged("default_tools.yaml")])
+    return _build([_packaged("default_tools.json")])
 
 
 @cache
 def extended_registry() -> ToolRegistry:
     """The default registry's six tools followed by the two extension tools
-    of ``extension_tools.yaml``; built once per process and shared, like
-    :func:`default_registry`."""
-    return _build([_packaged("default_tools.yaml"), _packaged("extension_tools.yaml")])
+    of ``extension_tools.json``; a variant that collides across the two files
+    raises. Built once per process and shared, like :func:`default_registry`."""
+    return _build([_packaged("default_tools.json"), _packaged("extension_tools.json")])

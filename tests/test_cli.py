@@ -6,12 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import reaper
 from reaper.cli import main
 from reaper.forge import dqs
 
 from .conftest import GALAXY_PLAN_TEXT
+from .test_registry import default_tools_data
 
 GOLDEN_TASKS = Path(__file__).parent / "data" / "forge_tasks.jsonl"
 GOLDEN_ARGS = ["--tasks-per-query", "8", "--generic-fraction", "0.5", "--seed", "7"]
@@ -205,6 +207,28 @@ class TestForge:
         assert f"{tasks}: line 2.plan: unknown tool: 'compare_prices'" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [tasks]
+
+    def test_demonstration_with_a_tool_the_registry_lacks_names_pool_and_registry(
+        self, tmp_path, capsys
+    ):
+        data = default_tools_data()
+        data["tools"] = [
+            tool for tool in data["tools"] if tool["canonical_name"] != "review_summary"
+        ]
+        registry = tmp_path / "tools.yaml"
+        registry.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+        tasks = tmp_path / "tasks.jsonl"
+        write_tasks(tasks, 2)
+        assert main(["forge", "--tasks", str(tasks), "--out", str(tmp_path / "t.jsonl"),
+                     "--registry", str(registry)]) == 2
+        err = capsys.readouterr().err
+        # the shipped pool's third demonstration is its review_summary one
+        assert (
+            "reaper/data/example_pool.json: examples[2].plan: "
+            f"unknown tool 'review_summary' (registry {registry})"
+        ) in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.iterdir()) == sorted([registry, tasks])
 
     def test_missing_output_directory_fails_fast(self, tmp_path, capsys):
         tasks = tmp_path / "tasks.jsonl"
@@ -537,6 +561,52 @@ loaded = [name for name in {PLAN_ONLY!r} if name in sys.modules]
 assert not loaded, f"reaper validate loaded {{loaded}}"
 assert reaper.cli.main(["plan", "how much memory is on my galaxy phone"]) == 0
 check("reaper plan")
+"""
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_the_shipped_registries_and_pool_load_no_yaml():
+    code = """
+import sys
+import reaper.cli
+from reaper.prompt import load_example_pool
+from reaper.registry import default_registry, extended_registry
+
+assert "yaml" not in sys.modules, "import reaper.cli loaded yaml"
+for load in (default_registry, extended_registry, load_example_pool):
+    load()
+    assert "yaml" not in sys.modules, f"{load.__name__}() loaded yaml"
+"""
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_validate_plan_and_forge_with_the_shipped_defaults_load_no_yaml(tmp_path):
+    plans = tmp_path / "plan.txt"
+    plans.write_text(GALAXY_PLAN_TEXT + "\n")
+    forge = ["forge", "--tasks", str(GOLDEN_TASKS), "--out", str(tmp_path / "t.jsonl")]
+    code = f"""
+import sys
+from reaper.cli import main
+
+for argv in ({["validate", str(plans)]!r}, ["plan", "where is my order"], {forge!r}):
+    assert main(argv) == 0, argv
+    assert "yaml" not in sys.modules, f"reaper {{argv[0]}} loaded yaml"
+"""
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_a_named_registry_yaml_loads_yaml(tmp_path):
+    path = tmp_path / "tools.yaml"
+    path.write_text(yaml.safe_dump(default_tools_data(), sort_keys=False))
+    code = f"""
+import sys
+from reaper.registry import load_registry
+
+assert len(load_registry({str(path)!r})) == 6
+assert "yaml" in sys.modules
 """
     result = run_fresh(code)
     assert result.returncode == 0, result.stderr

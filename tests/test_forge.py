@@ -597,6 +597,20 @@ class TestMix:
         _, manifest = mix_dataset([], pool, ForgeConfig(generic_fraction=1.0), 7)
         assert manifest.generic_count == len(pool)
 
+    @pytest.mark.parametrize(
+        "reaper_count, fraction, ratio",
+        # 0:take without reaper records, else 1:(generic per reaper record)
+        [(0, 1.0, "0:200"), (0, 0.5, "0:100"), (0, 0.0, "0:0"), (3, 0.5, "1:33.3")],
+    )
+    def test_ratio_is_generic_records_per_reaper_record(
+        self, reaper_count, fraction, ratio
+    ):
+        reaper_records = [make_record(i) for i in range(reaper_count)]
+        _, manifest = mix_dataset(
+            reaper_records, load_generic_pool(), ForgeConfig(generic_fraction=fraction), 7
+        )
+        assert manifest.ratio == ratio
+
     def test_shipped_pool_has_200_records(self):
         assert len(load_generic_pool()) == 200
 

@@ -289,7 +289,7 @@ def test_malformed_example_pool_names_path_and_field(tmp_path, text, field, mess
 def test_example_pool_from_a_path_equals_the_shipped_pool(tmp_path, pool):
     path = tmp_path / "pool.yaml"
     path.write_text(
-        resources.files("reaper.data").joinpath("example_pool.yaml").read_text("utf-8"),
+        resources.files("reaper.data").joinpath("example_pool.json").read_text("utf-8"),
         encoding="utf-8",
     )
     assert load_example_pool(path) == pool

@@ -1,3 +1,4 @@
+import json
 from importlib import resources
 
 import pytest
@@ -38,9 +39,9 @@ COMPATIBLE_PRODUCTS_BLOCK = {
 
 
 def default_tools_data():
-    return yaml.safe_load(
+    return json.loads(
         resources.files("reaper.data")
-        .joinpath("default_tools.yaml")
+        .joinpath("default_tools.json")
         .read_text(encoding="utf-8")
     )
 
@@ -71,7 +72,7 @@ class TestLoad:
         assert loaded.has_tool("compatible_products")
 
     def test_extended_registry_has_eight_tools(self, registry):
-        # the default's entries, then the two of extension_tools.yaml
+        # the default's entries, then the two of extension_tools.json
         extended = extended_registry()
         assert len(extended) == 8
         assert extended.canonical_of("small_talk_reply") == "human_small_talk"
@@ -220,14 +221,15 @@ def test_empty_registry_is_representable():
     sorted(
         entry.name
         for entry in resources.files("reaper.data").iterdir()
-        if entry.name.endswith(".yaml")
+        if entry.name.endswith(".json")
     ),
 )
 def test_read_yaml_equals_the_python_loader(name):
-    # read_yaml takes libyaml's parser where it is built; PyYAML's pure-Python
-    # SafeLoader is the reference for every shipped document
+    # each shipped JSON document is also a valid registry or pool YAML file:
+    # read_yaml, with libyaml's parser where it is built, and PyYAML's
+    # pure-Python SafeLoader both read it to what json reads
     text = resources.files("reaper.data").joinpath(name).read_text(encoding="utf-8")
-    assert read_yaml(text, name) == yaml.safe_load(text)
+    assert read_yaml(text, name) == yaml.safe_load(text) == json.loads(text)
 
 
 def _set(i, key, value):
@@ -244,7 +246,7 @@ def _add_param(i, name):
     return edit
 
 
-# each edit of default_tools.yaml, and the tools[i] it breaks
+# each edit of default_tools.json, and the tools[i] it breaks
 BROKEN_REGISTRIES = {
     "non-string-variant": (_set(0, "name_variants", ["customer_support", 5]), 0),
     "non-string-paraphrase": (_set(0, "description_paraphrases", [5]), 0),
@@ -314,10 +316,11 @@ class TestEntryRules:
 def test_variant_colliding_across_the_two_documents_is_located():
     # extended_registry's two documents, the extension's second tool
     # claiming a variant of the default's first
-    path, text = _packaged("extension_tools.yaml")
-    clash = text.replace("casual_chat_reply]", "help_center]")
-    assert clash != text
+    path, data = _packaged("extension_tools.json")
+    variants = data["tools"][1]["name_variants"]
+    assert variants[-1] == "casual_chat_reply"
+    variants[-1] = "help_center"
     with pytest.raises(SchemaError) as excinfo:
-        _build([_packaged("default_tools.yaml"), (path, clash)])
+        _build([_packaged("default_tools.json"), (path, data)])
     assert str(excinfo.value).startswith(f"{path}: tools[1]: variant 'help_center'")
     assert isinstance(excinfo.value.__cause__, AmbiguousVariantError)
