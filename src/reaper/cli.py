@@ -11,9 +11,12 @@ line). Only ``forge`` takes ``--seed`` (default 1729); equal seeds give it
 byte-identical output, and the other subcommands need no seed.
 
 Plan files hold one plan per block, blocks separated by blank lines. Task
-files for ``forge`` are JSONL with {"query", "context", "plan"}. ``forge``
-uses its task pool as its own diverse-sampling reference, so it drops no
-extreme pairs: a pool cannot outnumber itself once extremes are removed
+files for ``forge`` are JSONL with {"query", "context", "plan"}. A task whose
+plan fails :func:`~reaper.plan.validate_plan` exits 2 naming its line; a
+shipped demonstration that fails it is left out, with a note on stderr, by
+``forge`` and ``plan`` alike. ``forge`` uses its task pool as its own
+diverse-sampling reference, so it drops no extreme pairs: a pool cannot
+outnumber itself once extremes are removed
 (``DqsConfig.extreme_pairs`` applies with a curated reference). Gold and
 prediction files for ``eval`` follow the formats documented in
 :mod:`reaper.evaluation`.
@@ -30,7 +33,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .boundary import read_jsonl
 from .embedding import HashingEmbedder, VectorError
-from .errors import ReaperError, SchemaError, UnknownToolError
+from .errors import ReaperError, SchemaError
 from .plan import Plan, PlanParseError, parse_plan, render_plan, validate_plan
 from .registry import ToolRegistry, default_registry, load_registry
 
@@ -73,14 +76,35 @@ def read_plan_blocks(path: str | Path) -> list[str]:
     return blocks
 
 
-def load_tasks(path: str | Path) -> list[InContextExample]:
-    """Task JSONL: {"query", "context", "plan"} per line, a demonstration's shape."""
+def load_tasks(path: str | Path, registry: ToolRegistry) -> list[InContextExample]:
+    """Task JSONL: {"query", "context", "plan"} per line, a demonstration's
+    shape. The first violation of a plan against ``registry`` raises
+    :class:`SchemaError` naming its line."""
     from .prompt import InContextExample
 
-    return [
-        InContextExample.from_record(record, str(path), where)
-        for where, record in read_jsonl(Path(path))
-    ]
+    tasks = []
+    for where, record in read_jsonl(Path(path)):
+        tasks.append(InContextExample.from_record(record, str(path), where))
+        if violations := validate_plan(tasks[-1].target_plan, registry):
+            v = violations[0]
+            raise SchemaError(str(path), f"{where}.plan", f"{v.kind}: {v.message}")
+    return tasks
+
+
+def _demonstrations(registry: ToolRegistry) -> list[InContextExample]:
+    """The shipped demonstrations that validate clean against ``registry``,
+    with a note on stderr for each one left out."""
+    from .prompt import load_example_pool
+
+    kept = []
+    for i, example in enumerate(load_example_pool()):
+        if violations := validate_plan(example.target_plan, registry):
+            v = violations[0]
+            where = f"reaper/data/example_pool.json: examples[{i}].plan"
+            print(f"note: {where}: {v.kind}: {v.message}", file=sys.stderr)
+        else:
+            kept.append(example)
+    return kept
 
 
 def _check_plan_file(
@@ -116,22 +140,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_forge(args: argparse.Namespace) -> int:
     from .forge.pipeline import forge_run
     from .forge.records import DqsConfig, ForgeConfig
-    from .prompt import load_example_pool
 
     _check_paths(
         [args.tasks, args.registry, args.generic_pool],
         [args.out, args.manifest],
     )
     registry = _load_registry(args.registry)
-    tasks = load_tasks(args.tasks)
-    for index, task in enumerate(tasks):
-        for step in task.target_plan.steps:
-            if not registry.has_tool(step.tool_name):
-                # the tasks are the file's records in order
-                where = [where for where, _ in read_jsonl(Path(args.tasks))][index]
-                raise SchemaError(
-                    args.tasks, f"{where}.plan", f"unknown tool: {step.tool_name!r}"
-                )
+    tasks = load_tasks(args.tasks, registry)
+    # only for its notes: forge_run loads the pool and leaves out the same ones
+    _demonstrations(registry)
     cfg = ForgeConfig(
         tasks_per_query=args.tasks_per_query,
         tevo_seed=args.seed,
@@ -149,17 +166,6 @@ def cmd_forge(args: argparse.Namespace) -> int:
         for where, record in read_jsonl(Path(args.tasks)):
             if record["query"] == exc.text:
                 raise SchemaError(args.tasks, f"{where}.query", str(exc)) from exc
-        raise
-    except UnknownToolError as exc:
-        # the tasks' tools are checked above, so a shipped demonstration
-        # names a tool that the named registry lacks
-        for i, example in enumerate(load_example_pool()):
-            if any(step.tool_name == exc.name for step in example.target_plan.steps):
-                raise SchemaError(
-                    "reaper/data/example_pool.json",
-                    f"examples[{i}].plan",
-                    f"unknown tool {exc.name!r} (registry {args.registry})",
-                ) from exc
         raise
     payload = json.dumps(manifest.to_dict(), indent=2)
     print(payload)
@@ -252,22 +258,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     from .gateway import RemoteBackend, ScriptedStub, generate_plan
-    from .prompt import (
-        DEFAULT_ROLE,
-        DEFAULT_SYSTEM_INSTRUCTION,
-        PromptSpec,
-        QueryInput,
-        load_example_pool,
-    )
+    from .prompt import DEFAULT_ROLE, DEFAULT_SYSTEM_INSTRUCTION, PromptSpec, QueryInput
 
     if args.examples < 0:
         raise ValueError(f"--examples must be 0 or more, got {args.examples}")
     registry = _load_registry(args.registry)
-    pool = [
-        example
-        for example in load_example_pool()
-        if all(registry.has_tool(s.tool_name) for s in example.target_plan.steps)
-    ]
+    pool = _demonstrations(registry)
     spec = PromptSpec(
         role_text=DEFAULT_ROLE,
         system_instruction=DEFAULT_SYSTEM_INSTRUCTION,
@@ -286,7 +282,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
     plan, latency = generate_plan(backend, spec)
     print(render_plan(plan))
     print(f"latency_ms: {latency:.1f}", file=sys.stderr)
-    return 0
+    violations = validate_plan(plan, registry)
+    for violation in violations:
+        print(f"{violation.kind}: {violation.message}", file=sys.stderr)
+    return 1 if violations else 0
 
 
 @cache

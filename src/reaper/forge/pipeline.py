@@ -7,7 +7,9 @@ fewer kinds apply than are needed). The output JSONL is a pure function of
 the inputs and the configured seeds.
 
 Work that repeats within a run is done once per run. :func:`forge_run`
-prepares the demonstration pool against the registry: the registry's order
+prepares the demonstration pool against the registry, leaving out each
+demonstration that fails :func:`~reaper.plan.validate_plan`, the rule that
+the CLI's ``load_tasks`` holds each task to: the registry's order
 and entries, a memo of presented tool specs keyed by name strings, each
 demonstration's canonical tool set, and each renaming for one choice of
 variant names, which keeps its rendered text. Each task's evolved prompt is

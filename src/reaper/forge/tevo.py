@@ -8,11 +8,11 @@ the sampled variants, so its canonical tool sequence is stable by construction.
 
 Everything a task reads that does not depend on the task is prepared once
 per run in :class:`_PreparedPool`: the registry's order and entries, the
-presented specs, the demonstrations' tool sets, all resolved when the pool
-is prepared, and their renamings. A task then builds one registry, the
-presented one, through the validating ``ToolRegistry(...)``; the subset it
-keeps is drawn by the helper that ``subset_with`` draws with, without
-building the subset registry.
+presented specs, the tool sets of the demonstrations that validate clean,
+all resolved when the pool is prepared, and their renamings. A task then
+builds one registry, the presented one, through the validating
+``ToolRegistry(...)``; the subset it keeps is drawn by the helper that
+``subset_with`` draws with, without building the subset registry.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from collections.abc import Sequence
 from dataclasses import replace
 from functools import cache
 
-from ..plan import parse_plan, rename_tools, render_plan, tool_sequence
+from ..plan import parse_plan, rename_tools, render_plan, tool_sequence, validate_plan
 from ..prompt import (
     DEFAULT_ROLE,
     DEFAULT_SYSTEM_INSTRUCTION,
@@ -56,17 +56,19 @@ class _PreparedPool(Sequence):
     name strings, and each demonstration's written tool names, their
     canonical tools and its canonical tool set; each demonstration is
     renamed once per distinct choice of variant names for the tools its
-    plan names. It reads as the pool itself.
-
-    A demonstration that names a tool the registry does not know raises
-    :class:`~reaper.errors.UnknownToolError` here, before any record is
-    made. Memos are keyed by position and by tuples of names, never by
-    value. :func:`~reaper.forge.pipeline.forge_run` makes one per run and
-    drops it with the run; :func:`tevo_evolve` makes a throwaway one when
-    it is given a plain pool or one prepared against another registry."""
+    plan names. It reads as the pool less each demonstration whose plan
+    fails :func:`~reaper.plan.validate_plan` against the registry: a prompt
+    shows only demonstrations whose tools it shows, so leaving out one with
+    an unknown tool changes no prompt. Memos are keyed by position and by
+    tuples of names, never by value. :func:`~reaper.forge.pipeline.forge_run`
+    makes one per run and drops it with the run; :func:`tevo_evolve` makes a
+    throwaway one when it is given a plain pool or one prepared against
+    another registry."""
 
     def __init__(self, pool: Sequence[InContextExample], registry: ToolRegistry):
-        self._pool = tuple(pool)
+        self._pool = tuple(
+            ex for ex in pool if not validate_plan(ex.target_plan, registry)
+        )
         self.registry = registry
         self.order = registry.canonical_names
         self.entries = {name: registry.entry(name) for name in self.order}

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .boundary import plan_field, read_yaml, typed_field
 from .errors import SchemaError
-from .plan import Plan, render_plan
+from .plan import Plan, render_plan, tool_sequence
 from .registry import ToolRegistry
 
 DEFAULT_ROLE = (
@@ -178,11 +178,7 @@ def adversarial_omit(spec: PromptSpec, tool: str) -> PromptSpec:
     kept_examples = tuple(
         example
         for example in spec.examples
-        if canonical
-        not in {
-            spec.tools.canonical_of(step.tool_name)
-            for step in example.target_plan.steps
-        }
+        if canonical not in tool_sequence(example.target_plan, spec.tools)
     )
     return replace(spec, tools=spec.tools.without(canonical), examples=kept_examples)
 

@@ -15,9 +15,10 @@ GOLDEN_TASKS = Path(__file__).parent / "data" / "forge_tasks.jsonl"
 def forge_with_another_pool_and_registry(out: str) -> None:
     """The golden tasks and seed, forged against the extended registry and
     the demonstration pool in reverse order."""
+    registry = extended_registry()
     forge_run(
-        load_tasks(GOLDEN_TASKS),
-        extended_registry(),
+        load_tasks(GOLDEN_TASKS, registry),
+        registry,
         ForgeConfig(tasks_per_query=8, tevo_seed=7, generic_fraction=0.5),
         DqsConfig(seed=7),
         HashingEmbedder(),

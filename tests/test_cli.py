@@ -10,7 +10,9 @@ import yaml
 
 import reaper
 from reaper.cli import main
-from reaper.forge import dqs
+from reaper.forge import dqs, pipeline
+from reaper.plan import parse_plan, validate_plan
+from reaper.registry import load_registry
 
 from .conftest import GALAXY_PLAN_TEXT
 from .test_registry import default_tools_data
@@ -31,6 +33,14 @@ TWO_STEP_PLAN = (
     'Step 1: prod_search(keywords="red shoes")\n'
     'Step 2: prod_qna(product_id=$1.product_id, query="size")'
 )
+
+
+def write_extension_registry(path):
+    """A registry file of only the two tools of the shipped
+    ``extension_tools.json``, which no shipped demonstration uses."""
+    data = Path(reaper.__file__).parent / "data" / "extension_tools.json"
+    path.write_text(data.read_text(encoding="utf-8"), encoding="utf-8")
+    return path
 
 
 def write_tasks(path, n):
@@ -204,31 +214,69 @@ class TestForge:
         assert main(["forge", "--tasks", str(tasks),
                      "--out", str(tmp_path / "t.jsonl")]) == 2
         err = capsys.readouterr().err
-        assert f"{tasks}: line 2.plan: unknown tool: 'compare_prices'" in err
+        assert (
+            f"{tasks}: line 2.plan: UnknownTool: step 1: unknown tool 'compare_prices'"
+        ) in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == [tasks]
 
-    def test_demonstration_with_a_tool_the_registry_lacks_names_pool_and_registry(
-        self, tmp_path, capsys
+    def test_missing_parameter_names_its_line_before_any_record(
+        self, tmp_path, capsys, monkeypatch
     ):
-        data = default_tools_data()
-        data["tools"] = [
-            tool for tool in data["tools"] if tool["canonical_name"] != "review_summary"
-        ]
-        registry = tmp_path / "tools.yaml"
-        registry.write_text(yaml.safe_dump(data, sort_keys=False), encoding="utf-8")
+        # a task's plan is the target the forge trains on, so it must pass
+        # the check ``reaper validate`` makes, not only name known tools
+        def no_records(*args, **kwargs):
+            raise AssertionError("a record was generated")
+
+        monkeypatch.setattr(pipeline, "generate_records", no_records)
         tasks = tmp_path / "tasks.jsonl"
-        write_tasks(tasks, 2)
-        assert main(["forge", "--tasks", str(tasks), "--out", str(tmp_path / "t.jsonl"),
-                     "--registry", str(registry)]) == 2
+        row = {"query": "does it run small", "plan": 'Step 1: prod_qna(query="size")'}
+        tasks.write_text(json.dumps(row) + "\n")
+        out = tmp_path / "t.jsonl"
+        assert main(["forge", "--tasks", str(tasks), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        # the shipped pool's third demonstration is its review_summary one
         assert (
-            "reaper/data/example_pool.json: examples[2].plan: "
-            f"unknown tool 'review_summary' (registry {registry})"
+            f"{tasks}: line 1.plan: MissingParam: "
+            "step 1: prod_qna is missing required parameter 'product_id'"
         ) in err
         assert "Traceback" not in err
-        assert sorted(tmp_path.iterdir()) == sorted([registry, tasks])
+        assert not out.exists()
+
+    def test_a_registry_of_new_tools_forges_without_the_shipped_demonstrations(
+        self, tmp_path, capsys
+    ):
+        registry_path = write_extension_registry(tmp_path / "ext.yaml")
+        rows = [
+            {"query": "ink for my printer", "context": "Inkjet Printer",
+             "plan": 'Step 1: compatible_products(product_id="B0PRINTER1")'},
+            {"query": "hello there", "plan": "Step 1: human_small_talk()"},
+            {"query": "what fits my kettle",
+             "plan": 'Step 1: works_with_lookup(product_id="B0KETTLE", category="lids")'},
+        ]
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        out = tmp_path / "t.jsonl"
+        assert main(["forge", "--tasks", str(tasks), "--out", str(out),
+                     "--registry", str(registry_path), "--extra-tools", "0",
+                     "--tasks-per-query", "3"]) == 0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        # every shipped demonstration uses a tool this registry lacks: one
+        # note each, and none is shown
+        notes = [line for line in err.splitlines() if line.startswith("note: ")]
+        assert len(notes) == len(reaper.load_example_pool())
+        for i, note in enumerate(notes):
+            assert note.startswith(
+                f"note: reaper/data/example_pool.json: examples[{i}].plan: "
+                "UnknownTool: step 1: unknown tool "
+            )
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert all("Example 1:" not in record["prompt"] for record in records)
+        registry = load_registry(registry_path)
+        primaries = [r["target"] for r in records if r["task_kind"] == "primary"]
+        assert len(primaries) == len(rows)
+        for target in primaries:
+            assert validate_plan(parse_plan(target), registry) == []
 
     def test_missing_output_directory_fails_fast(self, tmp_path, capsys):
         tasks = tmp_path / "tasks.jsonl"
@@ -737,6 +785,18 @@ class TestPlan:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--examples must be 0 or more, got -1" in captured.err
+
+    def test_a_plan_the_registry_cannot_run_exits_1(self, tmp_path, capsys):
+        # the stub's fallback names a tool that a registry of new tools lacks
+        registry = write_extension_registry(tmp_path / "ext.yaml")
+        assert main(["plan", "ink for my printer", "--registry", str(registry)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "Step 1: no_retrieval()\n"
+        assert (
+            "UnknownTool: step 1: unknown tool 'no_retrieval'"
+            in captured.err.splitlines()
+        )
+        assert "Traceback" not in captured.err
 
     def test_zero_examples_is_accepted(self, capsys):
         assert main(["plan", "an unmatched question", "--examples", "0"]) == 0

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from reaper import prompt as prompt_module
 from reaper.cli import main
 from reaper.embedding import HashingEmbedder, ZeroVectorError, cosine
-from reaper.errors import SchemaError, UnknownToolError
+from reaper.errors import SchemaError
 from reaper.forge import dqs, pipeline, tevo, ttg
 from reaper.forge import (
     DqsConfig,
@@ -726,30 +726,31 @@ class TestForgeRun:
             shown += examples.count("\nQuery: synthetic question ")
         assert shown > 0
 
-    def test_a_demonstration_naming_an_unknown_tool_fails_before_any_record(
-        self, registry, provider, tmp_path, monkeypatch
+    def test_demonstrations_that_fail_validation_are_left_out(
+        self, registry, provider, tmp_path
     ):
-        pool = [
-            *load_example_pool(),
+        # one with an unknown tool and one missing a required parameter: a
+        # pool with them forges the same bytes as the pool without them
+        misfits = [
             InContextExample(
                 QueryInput("which kettle is cheaper"),
                 parse_plan('Step 1: compare_prices(query="kettles")'),
             ),
+            InContextExample(
+                QueryInput("does this jacket run small"),
+                parse_plan('Step 1: prod_qna(query="does it run small")'),
+            ),
         ]
-        with pytest.raises(UnknownToolError, match="compare_prices"):
-            tevo._PreparedPool(pool, registry)
-
-        def no_records(*args, **kwargs):
-            raise AssertionError("a record was generated")
-
-        monkeypatch.setattr(pipeline, "generate_records", no_records)
-        cfg = ForgeConfig(tasks_per_query=2, tevo_seed=1, generic_fraction=0.0)
-        with pytest.raises(UnknownToolError, match="compare_prices"):
+        cfg = ForgeConfig(tasks_per_query=1, tevo_seed=1, generic_fraction=0.0)
+        outputs = []
+        for pool in (load_example_pool(), [*misfits, *load_example_pool()]):
+            out = tmp_path / f"data{len(outputs)}.jsonl"
             forge_run(
-                self.write_tasks(6), registry, cfg, DqsConfig(0, 1), provider,
-                tmp_path / "data.jsonl", example_pool=pool,
+                self.write_tasks(12), registry, cfg, DqsConfig(0, 1), provider, out,
+                example_pool=pool,
             )
-        assert list(tmp_path.iterdir()) == []
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 def test_write_records_removes_partial_output(tmp_path):
