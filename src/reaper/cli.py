@@ -11,9 +11,11 @@ line). Only ``forge`` takes ``--seed`` (default 1729); equal seeds give it
 byte-identical output, and the other subcommands need no seed.
 
 Plan files hold one plan per block, blocks separated by blank lines. Task
-files for ``forge`` are JSONL with {"query", "context", "plan"}. A task whose
-plan fails :func:`~reaper.plan.validate_plan` exits 2 naming its line; a
-shipped demonstration that fails it is left out, with a note on stderr, by
+files for ``forge`` are JSONL with {"query", "context", "plan"}. A file is
+read once, whole, before the library holds each task or gold plan in it to
+one rule (:func:`~reaper.plan.check_labeled_plan`), so a malformed record
+exits 2 before a plan that fails the rule, each naming its line; a shipped
+demonstration that fails it is left out, with a note on stderr, by
 ``forge`` and ``plan`` alike. ``forge`` uses its task pool as its own
 diverse-sampling reference, so it drops no extreme pairs: a pool cannot
 outnumber itself once extremes are removed
@@ -28,13 +30,16 @@ import argparse
 import json
 import sys
 from functools import cache
+from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .boundary import read_jsonl
 from .embedding import HashingEmbedder, VectorError
 from .errors import ReaperError, SchemaError
-from .plan import Plan, PlanParseError, parse_plan, render_plan, validate_plan
+from .plan import (
+    LabeledPlanError, Plan, PlanParseError, parse_plan, render_plan, validate_plan
+)
 from .registry import ToolRegistry, default_registry, load_registry
 
 if TYPE_CHECKING:
@@ -61,34 +66,27 @@ def _check_paths(inputs: Sequence[str | None], outputs: Sequence[str | None]) ->
 def read_plan_blocks(path: str | Path) -> list[str]:
     """Plan texts from a file of blank-line-separated blocks. Lines end at
     ``\n`` only (see :func:`~reaper.boundary.read_jsonl`)."""
-    blocks: list[str] = []
-    current: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").split("\n"):
-        line = raw.rstrip()
-        if not line:
-            if current:
-                blocks.append("\n".join(current))
-                current = []
-        else:
-            current.append(line)
-    if current:
-        blocks.append("\n".join(current))
-    return blocks
+    lines = [raw.rstrip() for raw in Path(path).read_text(encoding="utf-8").split("\n")]
+    return ["\n".join(block) for filled, block in groupby(lines, bool) if filled]
 
 
-def load_tasks(path: str | Path, registry: ToolRegistry) -> list[InContextExample]:
-    """Task JSONL: {"query", "context", "plan"} per line, a demonstration's
-    shape. The first violation of a plan against ``registry`` raises
-    :class:`SchemaError` naming its line."""
+def _by_line(path: str, from_record) -> dict:
+    """A JSONL file's records read by ``from_record``, keyed by ``line N``
+    in file order: the one read of the file that errors are located in."""
+    return {where: from_record(r, path, where) for where, r in read_jsonl(Path(path))}
+
+
+def _locate(path: str, examples: dict, index: int, field: str, exc) -> SchemaError:
+    """``exc``, about example ``index`` of :func:`_by_line`'s ``examples``,
+    as a :class:`SchemaError` naming its line and ``field``."""
+    return SchemaError(path, f"{list(examples)[index]}.{field}", str(exc))
+
+
+def load_tasks(path: str) -> dict[str, InContextExample]:
+    """Task JSONL, {"query", "context", "plan"} per line, keyed by line."""
     from .prompt import InContextExample
 
-    tasks = []
-    for where, record in read_jsonl(Path(path)):
-        tasks.append(InContextExample.from_record(record, str(path), where))
-        if violations := validate_plan(tasks[-1].target_plan, registry):
-            v = violations[0]
-            raise SchemaError(str(path), f"{where}.plan", f"{v.kind}: {v.message}")
-    return tasks
+    return _by_line(path, InContextExample.from_record)
 
 
 def _demonstrations(registry: ToolRegistry) -> list[InContextExample]:
@@ -99,9 +97,8 @@ def _demonstrations(registry: ToolRegistry) -> list[InContextExample]:
     kept = []
     for i, example in enumerate(load_example_pool()):
         if violations := validate_plan(example.target_plan, registry):
-            v = violations[0]
             where = f"reaper/data/example_pool.json: examples[{i}].plan"
-            print(f"note: {where}: {v.kind}: {v.message}", file=sys.stderr)
+            print(f"note: {where}: {violations[0]}", file=sys.stderr)
         else:
             kept.append(example)
     return kept
@@ -123,7 +120,7 @@ def _check_plan_file(
             continue
         violations = validate_plan(plan, registry)
         for violation in violations:
-            print(f"plan {number}: {violation.kind}: {violation.message}")
+            print(f"plan {number}: {violation}")
         if not violations:
             clean.append((number, plan))
     return clean, len(blocks)
@@ -141,12 +138,12 @@ def cmd_forge(args: argparse.Namespace) -> int:
     from .forge.pipeline import forge_run
     from .forge.records import DqsConfig, ForgeConfig
 
-    _check_paths(
-        [args.tasks, args.registry, args.generic_pool],
-        [args.out, args.manifest],
-    )
+    inputs = [args.tasks, args.registry, args.generic_pool]
+    _check_paths(inputs, [args.out, args.manifest])
     registry = _load_registry(args.registry)
-    tasks = load_tasks(args.tasks, registry)
+    tasks = load_tasks(args.tasks)
+    if not tasks:
+        raise ValueError(f"{args.tasks}: the file holds no task")
     # only for its notes: forge_run loads the pool and leaves out the same ones
     _demonstrations(registry)
     cfg = ForgeConfig(
@@ -159,14 +156,14 @@ def cmd_forge(args: argparse.Namespace) -> int:
     dqs_cfg = DqsConfig(seed=args.seed)
     try:
         manifest = forge_run(
-            tasks, registry, cfg, dqs_cfg, HashingEmbedder(), args.out
+            list(tasks.values()), registry, cfg, dqs_cfg, HashingEmbedder(), args.out
         )
+    except LabeledPlanError as exc:
+        raise _locate(args.tasks, tasks, exc.index, "plan", exc.violation) from exc
     except VectorError as exc:
         # the task pool is its own DQS reference, so the text is a task's query
-        for where, record in read_jsonl(Path(args.tasks)):
-            if record["query"] == exc.text:
-                raise SchemaError(args.tasks, f"{where}.query", str(exc)) from exc
-        raise
+        index = [task.input.query for task in tasks.values()].index(exc.text)
+        raise _locate(args.tasks, tasks, index, "query", exc) from exc
     payload = json.dumps(manifest.to_dict(), indent=2)
     print(payload)
     if args.manifest:
@@ -176,11 +173,7 @@ def cmd_forge(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluation import (
-        UnknownGoldClassError,
-        UnknownGoldToolError,
-        evaluate,
-        load_gold,
-        load_predictions,
+        GoldExample, UnknownGoldClassError, evaluate, load_predictions
     )
 
     _check_paths([args.pred, args.gold, args.registry], [args.out])
@@ -188,14 +181,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.omitted_tool is not None and not registry.has_tool(args.omitted_tool):
         raise ValueError(f"--omitted-tool: unknown tool {args.omitted_tool!r}")
     predictions = load_predictions(args.pred)
-    gold = load_gold(args.gold)
+    gold = _by_line(args.gold, GoldExample.from_record)
     try:
-        report = evaluate(predictions, gold, registry, omitted_tool=args.omitted_tool)
-    except (UnknownGoldToolError, UnknownGoldClassError) as exc:
-        # the gold examples are the file's records in order
-        where = [where for where, _ in read_jsonl(Path(args.gold))][exc.index]
-        field = "gold_plan" if isinstance(exc, UnknownGoldToolError) else "class"
-        raise SchemaError(args.gold, f"{where}.{field}", str(exc)) from exc
+        report = evaluate(
+            predictions, list(gold.values()), registry, omitted_tool=args.omitted_tool
+        )
+    except LabeledPlanError as exc:
+        raise _locate(args.gold, gold, exc.index, "gold_plan", exc.violation) from exc
+    except UnknownGoldClassError as exc:
+        raise _locate(args.gold, gold, exc.index, "class", exc) from exc
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(payload)
     if args.out:
@@ -284,7 +278,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     print(f"latency_ms: {latency:.1f}", file=sys.stderr)
     violations = validate_plan(plan, registry)
     for violation in violations:
-        print(f"{violation.kind}: {violation.message}", file=sys.stderr)
+        print(violation, file=sys.stderr)
     return 1 if violations else 0
 
 

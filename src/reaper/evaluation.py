@@ -14,9 +14,9 @@ Definitions used throughout:
   matrix reproduces the report exactly.
 * ``tool_accuracy`` is the overall correct fraction under the sequence-exact
   rule above.
-* Every gold plan must name registered tools only (under any variant): no
-  prediction could match one that does not, so it raises
-  :class:`UnknownGoldToolError` instead of being scored.
+* Every gold plan is held to the one rule for a labeled plan, a forge
+  task's too: one that fails :func:`~reaper.plan.check_labeled_plan` could
+  match no valid prediction, so it raises instead of being scored.
 * Every gold class must be the ``class_label`` of a registered tool or
   ``"invalid"``: any other would add a ``per_class`` row that no prediction
   can support, so it raises :class:`UnknownGoldClassError`.
@@ -40,7 +40,9 @@ from typing import Sequence
 from .boundary import plan_field, read_jsonl, typed_field
 from .errors import ReaperError, UnknownToolError
 from .executor import Retriever, StepStatus, execute_plan
-from .plan import Literal, Plan, PlanParseError, parse_plan, render_value
+from .plan import (
+    Literal, Plan, PlanParseError, check_labeled_plan, parse_plan, render_value
+)
 from .prompt import QueryInput
 from .registry import NO_RETRIEVAL_TOOL, ToolRegistry
 
@@ -55,20 +57,6 @@ class LengthMismatchError(ReaperError):
 
 class EmptyDenominatorError(ReaperError):
     pass
-
-
-class UnknownGoldToolError(ReaperError):
-    """A gold plan names a tool the registry does not know. No prediction
-    could match it, so the gold set is rejected instead of scored;
-    ``index`` is the example's position in the gold sequence."""
-
-    def __init__(self, index: int, example: GoldExample, name: str):
-        super().__init__(
-            f"gold example {index} ({example.input.query!r}) names unknown "
-            f"tool {name!r}"
-        )
-        self.index = index
-        self.name = name
 
 
 class UnknownGoldClassError(ReaperError):
@@ -90,6 +78,15 @@ class GoldExample:
     input: QueryInput
     gold_plan: Plan
     class_label: str
+
+    @classmethod
+    def from_record(cls, record: dict, path: str, where: str) -> "GoldExample":
+        """A gold JSONL record's ``query``, ``context``, ``gold_plan``, ``class``."""
+        return cls(
+            QueryInput.from_record(record, path, where),
+            plan_field(record, "gold_plan", path, where),
+            typed_field(record, "class", str, path, where),
+        )
 
 
 @dataclass(frozen=True)
@@ -135,9 +132,7 @@ def _canonical_sequence(
 def _check_gold(gold: Sequence[GoldExample], registry: ToolRegistry) -> None:
     classes = {spec.class_label for spec in registry} | {INVALID_CLASS}
     for index, example in enumerate(gold):
-        for step in example.gold_plan.steps:
-            if not registry.has_tool(step.tool_name):
-                raise UnknownGoldToolError(index, example, step.tool_name)
+        check_labeled_plan(index, example.gold_plan, registry)
         if example.class_label not in classes:
             raise UnknownGoldClassError(index, example)
 
@@ -185,9 +180,7 @@ def tool_selection_metrics(
         if _canonical_sequence(prediction, registry) == gold_sequence:
             correct += 1
 
-    labels = sorted(
-        set(confusion) | {p for row in confusion.values() for p in row}
-    )
+    labels = sorted(set(confusion).union(*confusion.values()))
     per_class: dict[str, ClassMetrics] = {}
     for label in labels:
         support = sum(confusion.get(label, {}).values())
@@ -195,11 +188,8 @@ def tool_selection_metrics(
         true_positive = confusion.get(label, {}).get(label, 0)
         precision = true_positive / predicted_count if predicted_count else 0.0
         recall = true_positive / support if support else 0.0
-        f1 = (
-            2.0 * precision * recall / (precision + recall)
-            if precision + recall
-            else 0.0
-        )
+        total = precision + recall
+        f1 = 2.0 * precision * recall / total if total else 0.0
         per_class[label] = ClassMetrics(precision, recall, f1, support)
 
     return EvalReport(
@@ -331,30 +321,19 @@ def evaluate(
     the instruction-following score when an omitted tool is named."""
     report = tool_selection_metrics(predictions, gold, registry)
     try:
-        report = replace(
-            report,
-            argument_accuracy=argument_accuracy(predictions, gold, registry),
-        )
+        accuracy = argument_accuracy(predictions, gold, registry)
     except EmptyDenominatorError:
-        pass
+        accuracy = None
+    following = None
     if omitted_tool is not None:
-        report = replace(
-            report,
-            instruction_following=instruction_following_score(
-                predictions, omitted_tool, registry
-            ),
-        )
-    return report
+        following = instruction_following_score(predictions, omitted_tool, registry)
+    return replace(report, argument_accuracy=accuracy, instruction_following=following)
 
 
 def load_gold(path: str | Path) -> list[GoldExample]:
     """Gold JSONL: {"query", "context", "gold_plan", "class"} per line."""
     return [
-        GoldExample(
-            input=QueryInput.from_record(record, str(path), where),
-            gold_plan=plan_field(record, "gold_plan", str(path), where),
-            class_label=typed_field(record, "class", str, str(path), where),
-        )
+        GoldExample.from_record(record, str(path), where)
         for where, record in read_jsonl(Path(path))
     ]
 

@@ -9,19 +9,19 @@ the inputs and the configured seeds.
 Work that repeats within a run is done once per run. :func:`forge_run`
 prepares the demonstration pool against the registry, leaving out each
 demonstration that fails :func:`~reaper.plan.validate_plan`, the rule that
-the CLI's ``load_tasks`` holds each task to: the registry's order
-and entries, a memo of presented tool specs keyed by name strings, each
-demonstration's canonical tool set, and each renaming for one choice of
-variant names, which keeps its rendered text. Each task's evolved prompt is
-built from these tables, with one registry, the presented one (see
-:func:`~reaper.forge.tevo.tevo_evolve`); each task, an ``InContextExample``,
-keeps its rendered gold plan and input lines for all of its secondary records.
-The CLI's embedder hashes each distinct token once. All of these die with the run. What
-outlives a run is bounded: the one-entry identity memo of the last prompt
-prefix (``build_prompt``), and ``tevo._presented`` with the tool-block text
-each presented spec keeps, bounded by the registry's variant space. What
-depends only on the installed package belongs to no run and is built once
-per process: the shipped registries, the shipped demonstration and generic
+it holds each task to: the registry's order and entries, a memo of presented
+tool specs keyed by name strings, each demonstration's canonical tool set,
+and each renaming for one choice of variant names, which keeps its rendered
+text. Each task's evolved prompt is built from these tables, with one
+registry, the presented one (see :func:`~reaper.forge.tevo.tevo_evolve`);
+each task, an ``InContextExample``, keeps its rendered gold plan and input
+lines for all of its secondary records. The CLI's embedder hashes each
+distinct token once. All of these die with the run. What outlives a run is
+bounded: the one-entry identity memo of the last prompt prefix
+(``build_prompt``), and ``tevo._presented`` with the tool-block text each
+presented spec keeps, bounded by the registry's variant space. What depends
+only on the installed package belongs to no run and is built once per
+process: the shipped registries, the shipped demonstration and generic
 pools, and the CLI's argument parser. A file the caller names (a registry,
 an example pool or a generic pool) is read again by every run.
 """
@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..embedding import EmbeddingProvider
-from ..plan import render_plan
+from ..plan import check_labeled_plan, render_plan
 from ..prompt import InContextExample, build_prompt, load_example_pool
 from ..registry import ToolRegistry
 from .dqs import dqs_sample_indices
@@ -107,6 +107,8 @@ def forge_run(
 ) -> MixManifest:
     """Run the full pipeline over the labeled examples ``tasks``, which may
     also serve as ``example_pool``, and write the mixed dataset to ``out``.
+    The first task whose plan fails :func:`~reaper.plan.check_labeled_plan`
+    raises, before sampling and before any record is made.
 
     ``q_initial`` is the curated reference pool for diverse sampling; when
     omitted, the task pool itself is used, which makes the sampling stage an
@@ -114,6 +116,8 @@ def forge_run(
     no extremes to drop, DQS only checks the embeddings, in O(n), and scores
     nothing.
     """
+    for index, task in enumerate(tasks):
+        check_labeled_plan(index, task.target_plan, registry)
     queries = [task.input.query for task in tasks]
     reference = list(q_initial) if q_initial is not None else queries
     surviving = dqs_sample_indices(reference, queries, provider, dqs_cfg)

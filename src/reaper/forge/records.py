@@ -84,8 +84,9 @@ class ForgeConfig:
             )
         if not 0.0 <= self.generic_fraction <= 1.0:
             raise ValueError("generic_fraction must be in [0, 1]")
-        if self.extra_tool_count < 0 or self.example_count < 0:
-            raise ValueError("counts must be non-negative")
+        for name in ("extra_tool_count", "example_count"):
+            if (count := getattr(self, name)) < 0:
+                raise ValueError(f"{name} must be non-negative, got {count}")
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ if TYPE_CHECKING:
 # any char.
 _INT = r"[0-9]+"
 _IDENT = r"[a-z][a-z0-9_]*"
-_STRING_BODY = r'(?:[^"\\]|\\.)*'
+_STRING_BODY = r'[^"\\]*(?:\\.[^"\\]*)*'
 
 IDENT_RE = re.compile(rf"{_IDENT}\Z")
 
@@ -203,6 +203,9 @@ class Violation:
     tool_name: str
     param: str | None
     message: str
+
+    def __str__(self) -> str:
+        return f"{self.kind}: {self.message}"
 
 
 def _unescape(match: re.Match) -> str:
@@ -459,6 +462,23 @@ def validate_plan(plan: Plan, registry: "ToolRegistry") -> list[Violation]:
                 )
             )
     return violations
+
+
+class LabeledPlanError(ReaperError):
+    """The plan of labeled example ``index`` (a forge task or a gold example)
+    fails :func:`validate_plan`; ``violation`` is its first violation."""
+
+    def __init__(self, index: int, violation: Violation):
+        super().__init__(f"labeled example {index}: {violation}")
+        self.index = index
+        self.violation = violation
+
+
+def check_labeled_plan(index: int, plan: Plan, registry: "ToolRegistry") -> None:
+    """The one rule for a labeled plan: raise :class:`LabeledPlanError`
+    unless ``plan``, labeled example ``index``'s, passes :func:`validate_plan`."""
+    if violations := validate_plan(plan, registry):
+        raise LabeledPlanError(index, violations[0])
 
 
 def tool_sequence(plan: Plan, registry: "ToolRegistry") -> list[str]:

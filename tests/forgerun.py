@@ -17,7 +17,7 @@ def forge_with_another_pool_and_registry(out: str) -> None:
     the demonstration pool in reverse order."""
     registry = extended_registry()
     forge_run(
-        load_tasks(GOLDEN_TASKS, registry),
+        list(load_tasks(str(GOLDEN_TASKS)).values()),
         registry,
         ForgeConfig(tasks_per_query=8, tevo_seed=7, generic_fraction=0.5),
         DqsConfig(seed=7),

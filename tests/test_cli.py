@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import json
 import os
@@ -55,6 +56,19 @@ def write_tasks(path, n):
             json.dumps({"query": f"question {i} about {chr(97 + i % 26)}", "context": None, "plan": plan})
         )
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def count_reads(monkeypatch):
+    """Counts of ``Path.read_text`` calls, by path, while the test runs."""
+    reads = collections.Counter()
+    read_text = Path.read_text
+
+    def counted(self, *args, **kwargs):
+        reads[self] += 1
+        return read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counted)
+    return reads
 
 
 class TestValidate:
@@ -157,6 +171,48 @@ class TestForge:
         assert main(["forge", "--tasks", str(tasks),
                      "--out", str(tmp_path / "t.jsonl")]) == 2
         assert "missing field" in capsys.readouterr().err
+
+    def test_an_empty_task_file_is_named(self, tmp_path, capsys):
+        tasks = tmp_path / "tasks.jsonl"
+        tasks.write_text("\n")
+        assert main(["forge", "--tasks", str(tasks),
+                     "--out", str(tmp_path / "t.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad input: {tasks}: the file holds no task\n"
+
+    def test_a_malformed_record_is_reported_before_a_plan_that_breaks_the_rule(
+        self, tmp_path, capsys
+    ):
+        # the file is read whole before any plan is held to the rule
+        tasks = tmp_path / "tasks.jsonl"
+        row = {"query": "does it run small", "plan": 'Step 1: prod_qna(query="size")'}
+        tasks.write_text(json.dumps(row) + "\n{not json\n")
+        assert main(["forge", "--tasks", str(tasks),
+                     "--out", str(tmp_path / "t.jsonl")]) == 2
+        err = capsys.readouterr().err
+        assert f"{tasks}: line 2: not valid JSON" in err
+        assert "MissingParam" not in err
+
+    def test_a_negative_count_names_its_field(self, tmp_path, capsys):
+        tasks = tmp_path / "tasks.jsonl"
+        write_tasks(tasks, 2)
+        assert main(["forge", "--tasks", str(tasks), "--out", str(tmp_path / "t.jsonl"),
+                     "--extra-tools", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "extra_tool_count must be non-negative, got -1" in err
+
+    def test_a_failing_forge_reads_its_task_file_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the line of the zero-vector query comes from the one read
+        tasks = tmp_path / "tasks.jsonl"
+        rows = [{"query": q, "plan": "Step 1: no_retrieval()"} for q in ("a", "???")]
+        tasks.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        reads = count_reads(monkeypatch)
+        assert main(["forge", "--tasks", str(tasks),
+                     "--out", str(tmp_path / "t.jsonl")]) == 2
+        assert f"{tasks}: line 2.query: " in capsys.readouterr().err
+        assert reads[tasks] == 1
 
     def test_zero_vector_query_names_its_line(self, tmp_path, capsys):
         tasks = tmp_path / "tasks.jsonl"
@@ -360,6 +416,33 @@ class TestEval:
         assert f"{gold}: line 2.gold_plan: " in err
         assert "'compare_prices'" in err
         assert "Traceback" not in err
+
+    def test_a_failing_eval_reads_its_gold_file_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        gold, pred = write_gold_and_pred(tmp_path)
+        gold.write_text(gold.read_text().replace("prod_search(", "compare_prices("))
+        reads = count_reads(monkeypatch)
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+        assert f"{gold}: line 2.gold_plan: " in capsys.readouterr().err
+        assert reads[gold] == 1
+
+    def test_a_gold_plan_missing_a_parameter_names_the_gold_line(
+        self, tmp_path, capsys
+    ):
+        # gold plans are held to the rule forge tasks are held to
+        gold, pred = write_gold_and_pred(tmp_path)
+        row = {"query": "does it run small", "context": None,
+               "gold_plan": 'Step 1: prod_qna(query="size")', "class": "product_qna"}
+        gold.write_text(json.dumps(row) + "\n")
+        pred.write_text(json.dumps({"plan": row["gold_plan"]}) + "\n")
+        assert main(["eval", "--pred", str(pred), "--gold", str(gold)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bad input: {gold}: line 1.gold_plan: MissingParam: "
+            "step 1: prod_qna is missing required parameter 'product_id'\n"
+        )
 
     def test_unknown_gold_class_names_the_gold_line(self, tmp_path, capsys):
         gold, pred = write_gold_and_pred(tmp_path)

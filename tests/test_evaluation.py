@@ -1,21 +1,23 @@
+import json
+
 import pytest
 
-from reaper.errors import ReaperError
+from reaper.errors import ReaperError, SchemaError
 from reaper.evaluation import (
     EmptyDenominatorError,
     GoldExample,
     LengthMismatchError,
     UnknownGoldClassError,
-    UnknownGoldToolError,
     argument_accuracy,
     evaluate,
     instruction_following_score,
     latency_bench,
+    load_gold,
     predicted_class,
     tool_selection_metrics,
 )
 from reaper.executor import CannedCall, mock_retriever
-from reaper.plan import parse_plan
+from reaper.plan import LabeledPlanError, parse_plan
 from reaper.prompt import QueryInput
 
 
@@ -344,16 +346,29 @@ class TestUnknownGoldTool:
     )
     def test_invalid_prediction_is_not_scored_correct(self, registry, prediction):
         predictions = PERFECT[:2] + [prediction and parse_plan(prediction)]
-        with pytest.raises(UnknownGoldToolError) as excinfo:
+        with pytest.raises(LabeledPlanError) as excinfo:
             tool_selection_metrics(predictions, self.BAD_GOLD, registry)
         assert excinfo.value.index == 2
+        assert excinfo.value.violation.kind == "UnknownTool"
         assert str(excinfo.value) == (
-            "gold example 2 ('compare these') names unknown tool 'compare_prices'"
+            "labeled example 2: UnknownTool: step 1: unknown tool 'compare_prices'"
         )
 
     def test_argument_accuracy_rejects_it_too(self, registry):
-        with pytest.raises(UnknownGoldToolError):
+        with pytest.raises(LabeledPlanError):
             argument_accuracy(PERFECT[:3], self.BAD_GOLD, registry)
+
+    def test_a_gold_plan_missing_a_parameter_is_not_scored(self, registry):
+        # the rule a forge task is held to: no valid prediction matches it
+        bad_gold = GOLD_SET[:1] + [
+            gold("does it run small", 'Step 1: prod_qna(query="size")', "product_qna")
+        ]
+        with pytest.raises(LabeledPlanError) as excinfo:
+            evaluate(PERFECT[:2], bad_gold, registry)
+        assert excinfo.value.index == 1
+        assert str(excinfo.value.violation) == (
+            "MissingParam: step 1: prod_qna is missing required parameter 'product_id'"
+        )
 
 
 class TestUnknownGoldClass:
@@ -387,3 +402,23 @@ class TestUnknownGoldClass:
         report = tool_selection_metrics([None] * len(labels), examples, registry)
         assert set(report.confusion) == set(labels)
 
+
+
+def test_load_gold_reads_every_record_and_names_a_bad_line(tmp_path):
+    path = tmp_path / "gold.jsonl"
+    rows = [
+        {"query": "hi", "context": "Mug", "gold_plan": "Step 1: no_retrieval()",
+         "class": "no_retrieval"},
+        {"query": "shoes", "gold_plan": 'Step 1: prod_search(keywords="shoes")',
+         "class": "product_search"},
+    ]
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    assert load_gold(path) == [
+        GoldExample(
+            QueryInput("hi", "Mug"), parse_plan("Step 1: no_retrieval()"), "no_retrieval"
+        ),
+        gold("shoes", 'Step 1: prod_search(keywords="shoes")', "product_search"),
+    ]
+    path.write_text(json.dumps(rows[0]) + "\n" + json.dumps({"query": "x"}) + "\n")
+    with pytest.raises(SchemaError, match="line 2.gold_plan: missing field"):
+        load_gold(path)

@@ -41,7 +41,13 @@ from reaper.forge import (
     ttg_transform,
     write_records,
 )
-from reaper.plan import parse_plan, rename_tools, render_plan, tool_sequence
+from reaper.plan import (
+    LabeledPlanError,
+    parse_plan,
+    rename_tools,
+    render_plan,
+    tool_sequence,
+)
 from reaper.prompt import (
     DEFAULT_ROLE,
     DEFAULT_SYSTEM_INSTRUCTION,
@@ -751,6 +757,34 @@ class TestForgeRun:
             )
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_a_task_missing_a_parameter_raises_before_any_record(
+        self, registry, provider, tmp_path, monkeypatch
+    ):
+        # a library caller's task is held to the rule a gold plan is, not
+        # only the CLI's: it is a training target
+        def never(*args, **kwargs):
+            raise AssertionError("sampled the pool or generated a record")
+
+        monkeypatch.setattr(pipeline, "dqs_sample_indices", never)
+        monkeypatch.setattr(pipeline, "generate_records", never)
+        task = InContextExample(
+            QueryInput("does it run small"), parse_plan('Step 1: prod_qna(query="size")')
+        )
+        out = tmp_path / "data.jsonl"
+        with pytest.raises(LabeledPlanError) as excinfo:
+            forge_run([task], registry, ForgeConfig(), DqsConfig(), provider, out)
+        assert excinfo.value.index == 0
+        assert str(excinfo.value.violation) == (
+            "MissingParam: step 1: prod_qna is missing required parameter 'product_id'"
+        )
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("field", ["extra_tool_count", "example_count"])
+def test_a_negative_count_is_named_with_its_value(field):
+    with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -3$"):
+        ForgeConfig(**{field: -3})
 
 
 def test_write_records_removes_partial_output(tmp_path):

@@ -1,11 +1,14 @@
 import functools
+import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reaper.plan import (
+    _STRING_BODY,
     _LineParser,
     _match_step,
     ContextRef,
@@ -421,6 +424,12 @@ def test_regex_path_agrees_with_the_line_parser(plan, rng, chars):
         "Step 1: a()\nStep 2: b(x=$1x)",
         "Step 1: a()\nStep 2: b(x=$1.)",
         'Step 1: a(x="\\q\\"\\n")',
+        # long, escape-heavy literals, valid and not
+        'Step 1: a(x="' + '\\"\\\\ab' * 200 + '")',
+        'Step 1: a(x="' + "x" * 2000 + '", y="' + "\\\\" * 500 + '")',
+        'Step 1: a(x="' + "\\" * 501 + '")',
+        'Step 1: a(x="' + "\\q" * 300 + '\\")',
+        'Step 1: a(x="' + '\\"' * 300 + '", y="' + "\\n" * 300,
         "Step 1: a(",
         "Step 1: a()\n",
         "",
@@ -428,3 +437,24 @@ def test_regex_path_agrees_with_the_line_parser(plan, rng, chars):
 )
 def test_lines_the_regexes_turn_down_agree_too(text):
     assert _outcome(parse_plan, text) == _outcome(_diagnostic_parse, text)
+
+
+@pytest.mark.parametrize(
+    "body", ['\\"\\\\ab' * 200, "x" * 2000, "\\\\" * 500, '\\n\\"' * 300, ""]
+)
+def test_long_escape_heavy_literals_take_the_regex_path(body):
+    line = f'Step 1: a(x="{body}", y="{body}")'
+    assert _match_step(line, 1) == _LineParser(line, 1).parse()
+
+
+def test_string_body_matches_the_language_of_its_alternation_form():
+    # the unrolled loop ``[^"\\]*(?:\\.[^"\\]*)*`` against ``(?:[^"\\]|\\.)*``
+    # on every string of up to seven characters over a quote, a backslash
+    # and a letter
+    unrolled = re.compile(_STRING_BODY)
+    alternation = re.compile(r'(?:[^"\\]|\\.)*')
+    for n in range(8):
+        for chars in itertools.product('"\\a', repeat=n):
+            text = "".join(chars)
+            assert bool(unrolled.fullmatch(text)) == bool(alternation.fullmatch(text))
+            assert unrolled.match(text).end() == alternation.match(text).end()
