@@ -15,9 +15,10 @@ The public names below resolve on first access (PEP 562), so importing
   once a plan fans out;
 - ``forge``: the forge, and numpy with the first embedding.
 
-``requests`` is imported only when an HTTP adapter makes its first call, and
-PyYAML only when a caller names a YAML file: the shipped registries and
-demonstrations are JSON.
+numpy is the one runtime dependency. The HTTP adapters use the standard
+library's client, imported on their first call. PyYAML, the optional
+``[yaml]`` extra, is imported only to read a named file that is not JSON:
+the shipped registries and demonstrations are JSON.
 """
 
 import importlib

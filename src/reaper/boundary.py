@@ -1,10 +1,10 @@
 """The places where data enters the toolkit: JSON posted to a remote
-service (``post_json``), JSONL files (``read_jsonl``) and the YAML documents
-a caller names (``read_yaml``). Malformed input raises a typed error: the
-caller's error class for a service, :class:`SchemaError` with the file (and
-the line, for JSONL) for a file. The files the package ships are JSON, read
-with :func:`json.loads`, so a process that names no YAML file never imports
-PyYAML.
+service over the standard library's HTTP client (``post_json``), JSONL
+files (``read_jsonl``) and registry and pool documents, shipped or named
+(``read_document``). Malformed input raises a typed error: the caller's
+error class for a service, :class:`SchemaError` with the file (and the
+line, for JSONL) for a file. A document is read as YAML only if it is not
+JSON, so only a YAML file imports PyYAML, the optional ``[yaml]`` extra.
 """
 
 from __future__ import annotations
@@ -24,21 +24,33 @@ if TYPE_CHECKING:
 def post_json(
     url: str, payload: object, timeout_s: float, error_cls: type[ReaperError]
 ) -> tuple[object, float]:
-    """POST ``payload`` as JSON; returns the decoded reply and the elapsed
-    milliseconds. Transport failures, non-200 responses and undecodable
-    bodies raise ``error_cls``."""
-    import requests  # deferred: a process that never posts never loads it
+    """POST ``payload`` as JSON to an http or https URL; returns the decoded
+    reply and the elapsed milliseconds. ``timeout_s`` bounds each socket
+    operation (the connect, each read), not the whole call. Any other scheme,
+    a payload with NaN, a transport failure, a reply but HTTP 200 or an
+    undecodable body raises ``error_cls``; the first two before any I/O."""
+    import http.client  # deferred: a process that never posts never loads them
+    import urllib.error
+    import urllib.request
 
     started = time.perf_counter()
     try:
-        response = requests.post(url, json=payload, timeout=timeout_s)
-    except requests.RequestException as exc:
+        body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        request = urllib.request.Request(url, body, {"Content-Type": "application/json"})
+        if request.type not in ("http", "https"):
+            raise ValueError(f"unsupported URL scheme {request.type!r}")
+        with urllib.request.urlopen(request, timeout=timeout_s) as response:
+            status, raw = response.status, response.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise error_cls(f"POST {url} returned HTTP {exc.code}") from exc
+    except (OSError, ValueError, http.client.HTTPException) as exc:
         raise error_cls(f"POST {url} failed: {exc}") from exc
     elapsed_ms = (time.perf_counter() - started) * 1000.0
-    if response.status_code != 200:
-        raise error_cls(f"POST {url} returned HTTP {response.status_code}")
+    if status != 200:
+        raise error_cls(f"POST {url} returned HTTP {status}")
     try:
-        return response.json(), elapsed_ms
+        return json.loads(raw), elapsed_ms
     except ValueError as exc:
         raise error_cls(f"POST {url} returned invalid JSON: {exc}") from exc
 
@@ -64,14 +76,28 @@ def read_jsonl(source: Path | Traversable) -> Iterator[tuple[str, dict]]:
         yield where, record
 
 
+def read_document(source: Path | Traversable, path: str) -> object:
+    """The registry or pool document in ``source``, named ``path`` in
+    errors. Text that parses as JSON is read with :mod:`json`, whatever the
+    file is called, so surrogate-pair escapes, a raw U+0085, ``1e3`` and
+    ``NaN`` read as JSON reads them; only other text is read as YAML."""
+    text = source.read_text(encoding="utf-8")
+    try:
+        return json.loads(text)
+    except ValueError:
+        return read_yaml(text, path)
+
+
 def read_yaml(text: str, path: str) -> object:
     """The YAML document ``text`` read from ``path``, with safe tags only;
-    text that is not YAML raises."""
-    import yaml  # deferred: only a file a caller names is YAML
-
-    # libyaml's parser where PyYAML was built with it, else the pure-Python
-    # one; both load a document to equal data, and libyaml is several times
-    # faster
+    text that is not YAML, or PyYAML not installed, raises."""
+    try:
+        import yaml  # deferred: JSON text never needs it
+    except ImportError:
+        hint = "not JSON; reading YAML needs PyYAML: pip install 'reaper-toolkit[yaml]'"
+        raise SchemaError(path, "-", hint) from None
+    # libyaml's parser where PyYAML was built with it, several times faster,
+    # else the pure-Python one
     loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
     try:
         return yaml.load(text, Loader=loader)

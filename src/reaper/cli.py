@@ -144,8 +144,7 @@ def cmd_forge(args: argparse.Namespace) -> int:
     tasks = load_tasks(args.tasks)
     if not tasks:
         raise ValueError(f"{args.tasks}: the file holds no task")
-    # only for its notes: forge_run loads the pool and leaves out the same ones
-    _demonstrations(registry)
+    demonstrations = _demonstrations(registry)
     cfg = ForgeConfig(
         tasks_per_query=args.tasks_per_query,
         tevo_seed=args.seed,
@@ -156,7 +155,8 @@ def cmd_forge(args: argparse.Namespace) -> int:
     dqs_cfg = DqsConfig(seed=args.seed)
     try:
         manifest = forge_run(
-            list(tasks.values()), registry, cfg, dqs_cfg, HashingEmbedder(), args.out
+            list(tasks.values()), registry, cfg, dqs_cfg, HashingEmbedder(), args.out,
+            example_pool=demonstrations,
         )
     except LabeledPlanError as exc:
         raise _locate(args.tasks, tasks, exc.index, "plan", exc.violation) from exc
@@ -293,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--registry", help="registry YAML (default: shipped six-tool registry)")
+        p.add_argument("--registry", help="registry file, JSON or YAML "
+                       "(default: shipped six-tool registry)")
 
     p = sub.add_parser("validate", help="parse and registry-check a plan file")
     p.add_argument("plans", help="plan file, blocks separated by blank lines")

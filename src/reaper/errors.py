@@ -18,7 +18,7 @@ class UnknownToolError(ReaperError):
 
 
 class SchemaError(ReaperError):
-    """An input file (registry YAML, JSONL records) does not match its
+    """An input file (a registry or pool document, JSONL records) does not match its
     schema; ``field`` locates the defect within ``path``."""
 
     def __init__(self, path: str, field: str, message: str):

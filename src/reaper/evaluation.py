@@ -330,14 +330,6 @@ def evaluate(
     return replace(report, argument_accuracy=accuracy, instruction_following=following)
 
 
-def load_gold(path: str | Path) -> list[GoldExample]:
-    """Gold JSONL: {"query", "context", "gold_plan", "class"} per line."""
-    return [
-        GoldExample.from_record(record, str(path), where)
-        for where, record in read_jsonl(Path(path))
-    ]
-
-
 def load_predictions(path: str | Path) -> list[Plan | None]:
     """Prediction JSONL: {"plan": str} per line; unparseable plans load as
     None and score as invalid."""

@@ -12,13 +12,12 @@ so the rendered prompt contains no surface form of that tool.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
 
-from .boundary import plan_field, read_yaml, typed_field
+from .boundary import plan_field, read_document, typed_field
 from .errors import SchemaError
 from .plan import Plan, render_plan, tool_sequence
 from .registry import ToolRegistry
@@ -185,7 +184,8 @@ def adversarial_omit(spec: PromptSpec, tool: str) -> PromptSpec:
 
 def load_example_pool(path: str | Path | None = None) -> list[InContextExample]:
     """Load the demonstration pool: the shipped ``data/example_pool.json``
-    when ``path`` is None, else the YAML file at ``path``.
+    when ``path`` is None, else the JSON or YAML file at ``path``, read as
+    :func:`~reaper.boundary.read_document` reads it.
 
     The shipped pool is read and checked once per process; each call
     returns a new list of the same immutable examples. A named file is read
@@ -198,18 +198,14 @@ def load_example_pool(path: str | Path | None = None) -> list[InContextExample]:
     naming the path and the field."""
     if path is None:
         return list(_shipped_example_pool())
-    text = Path(path).read_text(encoding="utf-8")
-    return _read_example_pool(read_yaml(text, str(path)), str(path))
+    return _read_example_pool(read_document(Path(path), str(path)), str(path))
 
 
 @cache
 def _shipped_example_pool() -> tuple[InContextExample, ...]:
-    text = (
-        resources.files("reaper.data")
-        .joinpath("example_pool.json")
-        .read_text(encoding="utf-8")
-    )
-    return tuple(_read_example_pool(json.loads(text), "reaper/data/example_pool.json"))
+    source = resources.files("reaper.data").joinpath("example_pool.json")
+    path = "reaper/data/example_pool.json"
+    return tuple(_read_example_pool(read_document(source, path), path))
 
 
 def _read_example_pool(data: object, source: str) -> list[InContextExample]:

@@ -1,15 +1,15 @@
 """Tool registry: canonical tool specs, name/description variant pools, lookup.
 
-A registry is read from a YAML document that a caller names
+A registry is read from a JSON or YAML document that a caller names
 (:func:`load_registry`) and is immutable afterwards. The shipped registries,
 ``data/default_tools.json`` and ``data/extension_tools.json``, follow the
-same schema in JSON, which YAML also reads; they are read with :mod:`json`,
-so a process that names no YAML file never imports PyYAML. Every tool
-carries a pool of alternative names and description paraphrases used by the
-prompt-evolution stage, and a ``class_label`` tying it to one of the
-evaluation classes.
+same schema in JSON; one reader, :func:`~reaper.boundary.read_document`,
+reads shipped and named files alike, and imports PyYAML only for a file
+that is not JSON. Every tool carries a pool of alternative names and
+description paraphrases used by the prompt-evolution stage, and a
+``class_label`` tying it to one of the evaluation classes.
 
-YAML schema (all fields required unless noted)::
+Schema, shown as YAML (all fields required unless noted)::
 
     tools:
       - canonical_name: prod_qna
@@ -32,7 +32,6 @@ underscore, so they cannot collide with prose.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -40,7 +39,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .boundary import read_yaml, typed_field
+from .boundary import read_document, typed_field
 from .errors import ReaperError, SchemaError, UnknownToolError
 from .plan import IDENT_RE, parse_plan
 
@@ -328,17 +327,16 @@ def _build(documents: Iterable[tuple[str, object]]) -> ToolRegistry:
 
 
 def load_registry(path: str | Path) -> ToolRegistry:
-    """Load a registry YAML file, read anew on every call; a malformed
-    config, or a name variant that two tools claim, raises
+    """Load a registry file, JSON or YAML, read anew on every call; a
+    malformed config, or a name variant that two tools claim, raises
     :class:`SchemaError` naming the file and the tool."""
-    text = Path(path).read_text(encoding="utf-8")
-    return _build([(str(path), read_yaml(text, str(path)))])
+    return _build([(str(path), read_document(Path(path), str(path)))])
 
 
 def _packaged(name: str) -> tuple[str, object]:
     """The shipped JSON document ``name``, as ``(path, data)``."""
-    text = resources.files("reaper.data").joinpath(name).read_text(encoding="utf-8")
-    return f"reaper/data/{name}", json.loads(text)
+    path = f"reaper/data/{name}"
+    return path, read_document(resources.files("reaper.data").joinpath(name), path)
 
 
 @cache

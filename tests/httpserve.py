@@ -7,20 +7,27 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
 @contextmanager
-def json_server(handler):
-    """Serve POST requests; ``handler(path, body) -> (status, payload)``."""
+def json_server(handler, received=None):
+    """Serve POST requests; ``handler(path, body) -> (status, payload)``.
+    A ``bytes`` payload is sent as it is, anything else as its JSON text.
+    Each request's ``(Content-Type, raw body)`` is appended to ``received``
+    when it is a list."""
 
     class _Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             length = int(self.headers.get("Content-Length", 0))
-            body = json.loads(self.rfile.read(length) or b"{}")
+            raw_body = self.rfile.read(length)
+            if received is not None:
+                received.append((self.headers.get("Content-Type"), raw_body))
+            body = json.loads(raw_body or b"{}")
             status, payload = handler(self.path, body)
-            raw = json.dumps(payload).encode("utf-8")
+            if not isinstance(payload, bytes):
+                payload = json.dumps(payload).encode("utf-8")
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(raw)))
+            self.send_header("Content-Length", str(len(payload)))
             self.end_headers()
-            self.wfile.write(raw)
+            self.wfile.write(payload)
 
         def log_message(self, *args):
             pass

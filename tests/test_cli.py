@@ -10,12 +10,16 @@ import pytest
 import yaml
 
 import reaper
-from reaper.cli import main
+from reaper.cli import _by_line, main
+from reaper.errors import SchemaError
+from reaper.evaluation import GoldExample
 from reaper.forge import dqs, pipeline
 from reaper.plan import parse_plan, validate_plan
+from reaper.prompt import QueryInput
 from reaper.registry import load_registry
 
 from .conftest import GALAXY_PLAN_TEXT
+from .httpserve import json_server
 from .test_registry import default_tools_data
 
 GOLDEN_TASKS = Path(__file__).parent / "data" / "forge_tasks.jsonl"
@@ -454,6 +458,29 @@ class TestEval:
         assert "'no_retrievall'" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_the_gold_reader_reads_every_record_and_names_a_bad_line(self, tmp_path):
+        path = tmp_path / "gold.jsonl"
+        rows = [
+            {"query": "hi", "context": "Mug", "gold_plan": "Step 1: no_retrieval()",
+             "class": "no_retrieval"},
+            {"query": "shoes", "gold_plan": 'Step 1: prod_search(keywords="shoes")',
+             "class": "product_search"},
+        ]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert _by_line(str(path), GoldExample.from_record) == {
+            "line 1": GoldExample(
+                QueryInput("hi", "Mug"), parse_plan("Step 1: no_retrieval()"),
+                "no_retrieval",
+            ),
+            "line 2": GoldExample(
+                QueryInput("shoes"), parse_plan('Step 1: prod_search(keywords="shoes")'),
+                "product_search",
+            ),
+        }
+        path.write_text(json.dumps(rows[0]) + "\n" + json.dumps({"query": "x"}) + "\n")
+        with pytest.raises(SchemaError, match="line 2.gold_plan: missing field"):
+            _by_line(str(path), GoldExample.from_record)
+
     def test_unknown_omitted_tool_is_usage_error(self, tmp_path, capsys):
         gold, pred = write_gold_and_pred(tmp_path)
         assert main(["eval", "--pred", str(pred), "--gold", str(gold),
@@ -697,20 +724,89 @@ check("reaper plan")
     assert result.returncode == 0, result.stderr
 
 
+# what neither ``import reaper.cli`` nor the shipped files may load
+HTTP_AND_YAML = ("urllib.request", "http.client", "yaml", "requests")
+
+
 def test_the_shipped_registries_and_pool_load_no_yaml():
-    code = """
+    code = f"""
 import sys
 import reaper.cli
 from reaper.prompt import load_example_pool
 from reaper.registry import default_registry, extended_registry
 
-assert "yaml" not in sys.modules, "import reaper.cli loaded yaml"
+def check(after):
+    loaded = [name for name in {HTTP_AND_YAML!r} if name in sys.modules]
+    assert not loaded, f"{{after}} loaded {{loaded}}"
+
+check("import reaper.cli")
 for load in (default_registry, extended_registry, load_example_pool):
     load()
-    assert "yaml" not in sys.modules, f"{load.__name__}() loaded yaml"
+    check(f"{{load.__name__}}()")
 """
     result = run_fresh(code)
     assert result.returncode == 0, result.stderr
+
+
+def test_the_http_adapters_import_neither_requests_nor_yaml():
+    def handler(path, body):
+        if path == "/complete":
+            return 200, {"text": "Step 1: no_retrieval()"}
+        if path == "/embed":
+            return 200, {"vectors": [[1.0, 0.0]], "dim": 2}
+        return 200, {"text": "evidence"}
+
+    with json_server(handler) as url:
+        code = f"""
+import sys
+from reaper import HttpRetriever, RemoteBackend, RemoteEmbedder
+
+assert RemoteBackend({url!r}).complete("hi")[0] == "Step 1: no_retrieval()"
+assert HttpRetriever({url!r}).invoke("prod_search", {{"keywords": "mug"}})[0]
+assert RemoteEmbedder({url!r}).embed("mug").tolist() == [1.0, 0.0]
+loaded = [name for name in ("requests", "yaml") if name in sys.modules]
+assert not loaded, loaded
+"""
+        result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_with_numpy_alone_json_files_work_and_a_yaml_registry_names_the_extra(tmp_path):
+    registry = tmp_path / "tools.yaml"
+    registry.write_text(yaml.safe_dump(default_tools_data(), sort_keys=False))
+    plans = tmp_path / "plan.txt"
+    plans.write_text(GALAXY_PLAN_TEXT + "\n")
+    forge = ["forge", "--tasks", str(GOLDEN_TASKS), "--out", str(tmp_path / "t.jsonl")]
+    code = f"""
+import sys
+sys.modules["yaml"] = sys.modules["requests"] = None  # as if neither were installed
+from reaper.cli import main
+
+assert main({forge!r}) == 0
+sys.exit(main(["validate", {str(plans)!r}, "--registry", {str(registry)!r}]))
+"""
+    result = run_fresh(code)
+    assert result.returncode == 2, result.stderr
+    assert f"{registry}: " in result.stderr
+    assert "reaper-toolkit[yaml]" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_a_json_dumps_copy_of_the_shipped_registry_with_an_emoji_loads(
+    tmp_path, capsys
+):
+    # json.dumps escapes a character outside the BMP as a surrogate pair,
+    # which libyaml rejects; the one reader reads the text as JSON
+    data = default_tools_data()
+    data["tools"][0]["description"] += " \U0001f4e6"
+    registry = tmp_path / "tools.json"
+    registry.write_text(json.dumps(data, indent=2))
+    assert "\\ud83d\\udce6" in registry.read_text()
+    plans = tmp_path / "plan.txt"
+    plans.write_text(GALAXY_PLAN_TEXT + "\n")
+    assert main(["validate", str(plans), "--registry", str(registry)]) == 0
+    loaded = load_registry(registry).entry(data["tools"][0]["canonical_name"])
+    assert loaded[0].description.endswith(" \U0001f4e6")
 
 
 def test_validate_plan_and_forge_with_the_shipped_defaults_load_no_yaml(tmp_path):

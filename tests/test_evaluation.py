@@ -1,8 +1,6 @@
-import json
-
 import pytest
 
-from reaper.errors import ReaperError, SchemaError
+from reaper.errors import ReaperError
 from reaper.evaluation import (
     EmptyDenominatorError,
     GoldExample,
@@ -12,7 +10,6 @@ from reaper.evaluation import (
     evaluate,
     instruction_following_score,
     latency_bench,
-    load_gold,
     predicted_class,
     tool_selection_metrics,
 )
@@ -401,24 +398,3 @@ class TestUnknownGoldClass:
         examples = [gold(label, "Step 1: no_retrieval()", label) for label in labels]
         report = tool_selection_metrics([None] * len(labels), examples, registry)
         assert set(report.confusion) == set(labels)
-
-
-
-def test_load_gold_reads_every_record_and_names_a_bad_line(tmp_path):
-    path = tmp_path / "gold.jsonl"
-    rows = [
-        {"query": "hi", "context": "Mug", "gold_plan": "Step 1: no_retrieval()",
-         "class": "no_retrieval"},
-        {"query": "shoes", "gold_plan": 'Step 1: prod_search(keywords="shoes")',
-         "class": "product_search"},
-    ]
-    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-    assert load_gold(path) == [
-        GoldExample(
-            QueryInput("hi", "Mug"), parse_plan("Step 1: no_retrieval()"), "no_retrieval"
-        ),
-        gold("shoes", 'Step 1: prod_search(keywords="shoes")', "product_search"),
-    ]
-    path.write_text(json.dumps(rows[0]) + "\n" + json.dumps({"query": "x"}) + "\n")
-    with pytest.raises(SchemaError, match="line 2.gold_plan: missing field"):
-        load_gold(path)
