@@ -96,11 +96,11 @@ def read_yaml(text: str, path: str) -> object:
     except ImportError:
         hint = "not JSON; reading YAML needs PyYAML: pip install 'reaper-toolkit[yaml]'"
         raise SchemaError(path, "-", hint) from None
-    # libyaml's parser where PyYAML was built with it, several times faster,
-    # else the pure-Python one
-    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    # the pure-Python parser on every install: libyaml's, where PyYAML is
+    # built with it, rejects a "\ud83d" escape that this one reads as a
+    # lone surrogate, which typed_field then names
     try:
-        return yaml.load(text, Loader=loader)
+        return yaml.load(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
         raise SchemaError(path, "-", f"not valid YAML: {exc}") from exc
 
@@ -109,19 +109,32 @@ def typed_field(
     mapping: dict, key: str, kind: type, path: str, where: str, optional: bool = False
 ):
     """``mapping[key]``, checked to be a ``kind`` (bool, str or list); an
-    optional field that is absent or null reads as None."""
+    optional field that is absent or null reads as None. A string, or a
+    string in a list, that holds a lone surrogate raises: JSON's ``\\ud83d``
+    escape and YAML's read as one, and no UTF-8 output can hold it."""
     if optional and mapping.get(key) is None:
         return None
     if key not in mapping:
         raise SchemaError(path, f"{where}.{key}", "missing field")
     value = mapping[key]
-    if kind is bool and not isinstance(value, bool):
-        raise SchemaError(path, f"{where}.{key}", "expected a boolean")
-    if kind is str and not isinstance(value, str):
-        raise SchemaError(path, f"{where}.{key}", "expected a string")
-    if kind is list and not isinstance(value, list):
-        raise SchemaError(path, f"{where}.{key}", "expected a list")
+    if not isinstance(value, kind):
+        noun = {bool: "a boolean", str: "a string", list: "a list"}[kind]
+        raise SchemaError(path, f"{where}.{key}", f"expected {noun}")
+    if kind is str and not value.isascii():  # ASCII text is not encoded
+        _check_encodable(value, path, f"{where}.{key}")
+    elif kind is list:
+        for i, item in enumerate(value):
+            if isinstance(item, str) and not item.isascii():
+                _check_encodable(item, path, f"{where}.{key}[{i}]")
     return value
+
+
+def _check_encodable(text: str, path: str, field: str) -> None:
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        surrogate = text[exc.start]
+        raise SchemaError(path, field, f"lone surrogate {surrogate!r}") from None
 
 
 def plan_field(mapping: dict, key: str, path: str, where: str) -> Plan:

@@ -7,8 +7,8 @@ and ``plan`` (generate a plan through a backend).
 
 Exit codes: 0 success, 1 domain failure (violations, metric preconditions,
 backend/plan errors), 2 usage, I/O or malformed input (named by file and
-line). Only ``forge`` takes ``--seed`` (default 1729); equal seeds give it
-byte-identical output, and the other subcommands need no seed.
+line). Only ``forge`` takes ``--seed`` (default 1729), the one seed of its
+sampling, evolution and mixing: equal seeds give it byte-identical output.
 
 Plan files hold one plan per block, blocks separated by blank lines. Task
 files for ``forge`` are JSONL with {"query", "context", "plan"}. A file is
@@ -19,7 +19,7 @@ demonstration that fails it is left out, with a note on stderr, by
 ``forge`` and ``plan`` alike. ``forge`` uses its task pool as its own
 diverse-sampling reference, so it drops no extreme pairs: a pool cannot
 outnumber itself once extremes are removed
-(``DqsConfig.extreme_pairs`` applies with a curated reference). Gold and
+(``ForgeConfig.extreme_pairs`` applies with a curated reference). Gold and
 prediction files for ``eval`` follow the formats documented in
 :mod:`reaper.evaluation`.
 """
@@ -136,7 +136,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_forge(args: argparse.Namespace) -> int:
     from .forge.pipeline import forge_run
-    from .forge.records import DqsConfig, ForgeConfig
+    from .forge.records import ForgeConfig
 
     inputs = [args.tasks, args.registry, args.generic_pool]
     _check_paths(inputs, [args.out, args.manifest])
@@ -147,15 +147,14 @@ def cmd_forge(args: argparse.Namespace) -> int:
     demonstrations = _demonstrations(registry)
     cfg = ForgeConfig(
         tasks_per_query=args.tasks_per_query,
-        tevo_seed=args.seed,
+        seed=args.seed,
         extra_tool_count=args.extra_tools,
         generic_fraction=args.generic_fraction,
         generic_pool_path=args.generic_pool,
     )
-    dqs_cfg = DqsConfig(seed=args.seed)
     try:
         manifest = forge_run(
-            list(tasks.values()), registry, cfg, dqs_cfg, HashingEmbedder(), args.out,
+            list(tasks.values()), registry, cfg, HashingEmbedder(), args.out,
             example_pool=demonstrations,
         )
     except LabeledPlanError as exc:

@@ -41,7 +41,8 @@ from .boundary import plan_field, read_jsonl, typed_field
 from .errors import ReaperError, UnknownToolError
 from .executor import Retriever, StepStatus, execute_plan
 from .plan import (
-    Literal, Plan, PlanParseError, check_labeled_plan, parse_plan, render_value
+    Literal, Plan, PlanParseError, check_labeled_plan, parse_plan, render_value,
+    tool_sequence,
 )
 from .prompt import QueryInput
 from .registry import NO_RETRIEVAL_TOOL, ToolRegistry
@@ -118,13 +119,11 @@ class EvalReport:
         return {k: v for k, v in asdict(self).items() if v is not None}
 
 
-def _canonical_sequence(
-    plan: Plan | None, registry: ToolRegistry
-) -> list[str] | None:
+def _canonical_sequence(plan: Plan | None, registry: ToolRegistry) -> list[str] | None:
     if plan is None:
         return None
     try:
-        return [registry.canonical_of(step.tool_name) for step in plan.steps]
+        return tool_sequence(plan, registry)
     except UnknownToolError:
         return None
 

@@ -26,7 +26,7 @@ from typing import Protocol
 
 from .boundary import post_json
 from .errors import ReaperError
-from .plan import Literal, Plan, PlanStep, StepRef, _trusted
+from .plan import Literal, Plan, PlanStep, StepRef, _trusted, tool_sequence
 from .registry import NO_RETRIEVAL_TOOL, ToolRegistry
 
 
@@ -331,7 +331,7 @@ def execute_plan(
     that is not an :class:`Exception` fails its step, since a pool thread has
     no caller to raise to.
     """
-    tools = [registry.canonical_of(step.tool_name) for step in plan.steps]
+    tools = tool_sequence(plan, registry)
     if timeout_ms is not None and timeout_ms < 0:
         raise ValueError(f"timeout_ms must not be negative, got {timeout_ms!r}")
     if retriever is not None and not getattr(retriever, "simulated_clock", False):

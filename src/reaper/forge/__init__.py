@@ -11,7 +11,6 @@ _EXPORTS = {
     "mixer": ("load_generic_pool", "mix_dataset"),
     "pipeline": ("forge_run", "generate_records", "write_records"),
     "records": (
-        "DqsConfig",
         "ForgeConfig",
         "MixManifest",
         "SECONDARY_KINDS",

@@ -22,7 +22,7 @@ from typing import Sequence
 import random
 
 from ..embedding import EmbeddingProvider, embed_distinct, similarity_matrix
-from .records import DqsConfig
+from .records import ForgeConfig
 
 
 def dqs_partition(
@@ -48,9 +48,10 @@ def dqs_sample_indices(
     q_initial: Sequence[str],
     q_large: Sequence[str],
     provider: EmbeddingProvider,
-    cfg: DqsConfig,
+    cfg: ForgeConfig,
 ) -> list[int]:
-    """Indices into ``q_large`` of the sampled diverse queries."""
+    """Indices into ``q_large`` of the sampled diverse queries, dropping
+    ``cfg.extreme_pairs`` and drawing with ``cfg.seed``."""
     if len(q_large) - 2 * cfg.extreme_pairs < len(q_initial):
         raise ValueError(
             f"cannot draw {len(q_initial)} queries from a pool of "

@@ -64,12 +64,11 @@ def mix_dataset(
     reaper_records: Sequence[TrainingRecord],
     generic_pool: Sequence[dict],
     cfg: ForgeConfig,
-    seed: int,
 ) -> tuple[list[TrainingRecord], MixManifest]:
     """Concatenate plan-task records with a seeded sample of the generic pool
-    and globally shuffle; deterministic in ``seed``."""
+    and globally shuffle; deterministic in ``cfg.seed``."""
     take = math.floor(cfg.generic_fraction * len(generic_pool))
-    rng = random.Random(seed)
+    rng = random.Random(cfg.seed)
     chosen = rng.sample(range(len(generic_pool)), take)
     generic_records = [
         TrainingRecord(
@@ -86,6 +85,6 @@ def mix_dataset(
         reaper_count=len(reaper_records),
         generic_count=len(generic_records),
         ratio=_ratio(len(reaper_records), len(generic_records)),
-        seed=seed,
+        seed=cfg.seed,
     )
     return combined, manifest

@@ -4,7 +4,8 @@ Record count law: every surviving query yields exactly ``tasks_per_query``
 records (one evolved primary plus ``tasks_per_query - 1`` secondaries whose
 kinds are sampled without replacement from the applicable ones, cycling when
 fewer kinds apply than are needed). The output JSONL is a pure function of
-the inputs and the configured seeds.
+the inputs and the configuration, whose one seed, ``ForgeConfig.seed``,
+drives the DQS sample, each task's TEVO/TTG stream and the mix shuffle.
 
 Work that repeats within a run is done once per run. :func:`forge_run`
 prepares the demonstration pool against the registry, leaving out each
@@ -39,7 +40,7 @@ from ..prompt import InContextExample, build_prompt, load_example_pool
 from ..registry import ToolRegistry
 from .dqs import dqs_sample_indices
 from .mixer import load_generic_pool, mix_dataset
-from .records import DqsConfig, ForgeConfig, MixManifest, TaskKind, TrainingRecord
+from .records import ForgeConfig, MixManifest, TaskKind, TrainingRecord
 from .tevo import _PreparedPool, evolve_target, tevo_evolve
 from .ttg import applicable_kinds, ttg_transform
 
@@ -48,14 +49,16 @@ _SEED_STRIDE = 1_000_003
 
 def generate_records(
     task: InContextExample,
+    index: int,
     registry: ToolRegistry,
     cfg: ForgeConfig,
-    rng_seed: int,
-    source_id: str,
     example_pool: Sequence[InContextExample] | None = None,
 ) -> list[TrainingRecord]:
-    """All ``tasks_per_query`` records for the labeled example ``task``."""
-    rng = random.Random(rng_seed)
+    """All ``tasks_per_query`` records for the labeled example ``task``, the
+    ``index``-th of its run's task list: its stream is seeded by ``cfg.seed``
+    and ``index`` alone, and its records' source id is ``q{index:05d}``."""
+    rng = random.Random(cfg.seed * _SEED_STRIDE + index)
+    source_id = f"q{index:05d}"
     spec = tevo_evolve(
         task, registry, cfg, rng.randrange(2**31), example_pool=example_pool
     )
@@ -99,7 +102,6 @@ def forge_run(
     tasks: Sequence[InContextExample],
     registry: ToolRegistry,
     cfg: ForgeConfig,
-    dqs_cfg: DqsConfig,
     provider: EmbeddingProvider,
     out: str | Path,
     q_initial: Sequence[str] | None = None,
@@ -112,15 +114,15 @@ def forge_run(
 
     ``q_initial`` is the curated reference pool for diverse sampling; when
     omitted, the task pool itself is used, which makes the sampling stage an
-    order-shuffling pass-through (and requires ``extreme_pairs == 0``). With
-    no extremes to drop, DQS only checks the embeddings, in O(n), and scores
-    nothing.
+    order-shuffling pass-through (and requires
+    ``ForgeConfig.extreme_pairs == 0``). With no extremes to drop, DQS only
+    checks the embeddings, in O(n), and scores nothing.
     """
     for index, task in enumerate(tasks):
         check_labeled_plan(index, task.target_plan, registry)
     queries = [task.input.query for task in tasks]
     reference = list(q_initial) if q_initial is not None else queries
-    surviving = dqs_sample_indices(reference, queries, provider, dqs_cfg)
+    surviving = dqs_sample_indices(reference, queries, provider, cfg)
     if example_pool is None:
         example_pool = load_example_pool()
     demonstrations = _PreparedPool(example_pool, registry)
@@ -128,17 +130,10 @@ def forge_run(
     records: list[TrainingRecord] = []
     for index in surviving:
         records.extend(
-            generate_records(
-                tasks[index],
-                registry,
-                cfg,
-                rng_seed=cfg.tevo_seed * _SEED_STRIDE + index,
-                source_id=f"q{index:05d}",
-                example_pool=demonstrations,
-            )
+            generate_records(tasks[index], index, registry, cfg, demonstrations)
         )
 
     generic_pool = load_generic_pool(cfg.generic_pool_path)
-    mixed, manifest = mix_dataset(records, generic_pool, cfg, seed=cfg.tevo_seed)
+    mixed, manifest = mix_dataset(records, generic_pool, cfg)
     write_records(mixed, out)
     return manifest

@@ -68,14 +68,16 @@ class TrainingRecord:
 
 @dataclass(frozen=True)
 class ForgeConfig:
-    """Knobs for one forge run; ``tevo_seed`` is the run's master seed."""
+    """Knobs for one forge run; ``seed``, its one seed, drives the DQS
+    sample, each task's TEVO/TTG stream and the mix shuffle."""
 
     tasks_per_query: int = 1
-    tevo_seed: int = 0
+    seed: int = 0
     extra_tool_count: int = 2
     generic_fraction: float = 1.0
     generic_pool_path: str | Path | None = None  # None -> shipped stand-in pool
     example_count: int = DEFAULT_EXAMPLE_COUNT
+    extreme_pairs: int = 0
 
     def __post_init__(self):
         if not 1 <= self.tasks_per_query <= 1 + len(SECONDARY_KINDS):
@@ -84,19 +86,9 @@ class ForgeConfig:
             )
         if not 0.0 <= self.generic_fraction <= 1.0:
             raise ValueError("generic_fraction must be in [0, 1]")
-        for name in ("extra_tool_count", "example_count"):
+        for name in ("extra_tool_count", "example_count", "extreme_pairs"):
             if (count := getattr(self, name)) < 0:
                 raise ValueError(f"{name} must be non-negative, got {count}")
-
-
-@dataclass(frozen=True)
-class DqsConfig:
-    extreme_pairs: int = 0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.extreme_pairs < 0:
-            raise ValueError("extreme_pairs must be non-negative")
 
 
 @dataclass(frozen=True)

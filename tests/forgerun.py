@@ -7,7 +7,7 @@ from pathlib import Path
 from reaper import extended_registry, load_example_pool
 from reaper.cli import load_tasks
 from reaper.embedding import HashingEmbedder
-from reaper.forge import DqsConfig, ForgeConfig, forge_run
+from reaper.forge import ForgeConfig, forge_run
 
 GOLDEN_TASKS = Path(__file__).parent / "data" / "forge_tasks.jsonl"
 
@@ -19,8 +19,7 @@ def forge_with_another_pool_and_registry(out: str) -> None:
     forge_run(
         list(load_tasks(str(GOLDEN_TASKS)).values()),
         registry,
-        ForgeConfig(tasks_per_query=8, tevo_seed=7, generic_fraction=0.5),
-        DqsConfig(seed=7),
+        ForgeConfig(tasks_per_query=8, seed=7, generic_fraction=0.5),
         HashingEmbedder(),
         out,
         example_pool=load_example_pool()[::-1],

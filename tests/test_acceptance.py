@@ -24,7 +24,6 @@ from reaper.executor import (
     mock_retriever,
 )
 from reaper.forge import (
-    DqsConfig,
     ForgeConfig,
     dqs_sample_indices,
     evolve_target,
@@ -103,15 +102,14 @@ def test_c2_forge_count_law(tmp_path):
         for tasks_per_query in (3, 4, 5):
             cfg = ForgeConfig(
                 tasks_per_query=tasks_per_query,
-                tevo_seed=77,
+                seed=77,
                 generic_fraction=0.25,
             )
-            dqs_cfg = DqsConfig(extreme_pairs=0, seed=77)
             outputs = []
             for run in ("a", "b"):
                 out = tmp_path / f"n{tasks_per_query}_{run}.jsonl"
                 manifest = forge_run(
-                    tasks, registry, cfg, dqs_cfg, provider, out,
+                    tasks, registry, cfg, provider, out,
                     example_pool=pool,
                 )
                 assert manifest.reaper_count == tasks_per_query * 100
@@ -150,7 +148,7 @@ def test_c3_dqs_set_algebra():
         duplicates = {37 + k * 31: q_initial[k] for k in range(8)}
         for position, text in duplicates.items():
             q_large[position] = text
-        cfg = DqsConfig(extreme_pairs=10, seed=424242)
+        cfg = ForgeConfig(extreme_pairs=10, seed=424242)
         assert cfg.extreme_pairs >= len(duplicates)
 
         sampled = [

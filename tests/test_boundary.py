@@ -11,8 +11,12 @@ import yaml
 
 from reaper.boundary import post_json, read_document
 from reaper.errors import ReaperError, SchemaError
+from reaper.forge import load_generic_pool
+from reaper.prompt import load_example_pool
+from reaper.registry import load_registry
 
 from .httpserve import json_server
+from .test_registry import default_tools_data
 
 
 class ServiceError(ReaperError):
@@ -157,3 +161,75 @@ def test_yaml_without_pyyaml_names_the_file_and_the_extra(tmp_path, monkeypatch)
     # JSON text still reads
     path.write_text('{"tools": []}', encoding="utf-8")
     assert read_document(path, str(path)) == {"tools": []}
+
+
+def _registry_outcome(path):
+    """What loading the registry ``path`` gives: its tools, or the error."""
+    try:
+        return list(load_registry(path))
+    except SchemaError as exc:
+        return exc.path, exc.field, str(exc)
+
+
+def test_a_yaml_registry_reads_alike_with_libyaml_present_and_hidden(
+    tmp_path, monkeypatch
+):
+    # a "\ud83d\ude00" escape in YAML reads as two lone surrogates, which
+    # libyaml's parser rejects as a scanner error: one parser serves every
+    # install, and the surrogates are named as the field's defect
+    data = default_tools_data()
+    data["tools"][0]["description"] = "SURROGATES"
+    bad = tmp_path / "bad.yaml"
+    text = yaml.safe_dump(data, sort_keys=False)
+    bad.write_text(text.replace("SURROGATES", '"smile \\ud83d\\ude00"'), "utf-8")
+    good = tmp_path / "good.yaml"
+    good.write_text(text.replace("SURROGATES", "smile \U0001f600"), "utf-8")
+    with_libyaml = [_registry_outcome(bad), _registry_outcome(good)]
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+    assert [_registry_outcome(bad), _registry_outcome(good)] == with_libyaml
+    assert with_libyaml[0] == (
+        str(bad), "tools[0].description",
+        f"{bad}: tools[0].description: lone surrogate '\\ud83d'",
+    )
+    spec = load_registry(good).entry(data["tools"][0]["canonical_name"])[0]
+    assert spec.description == "smile \U0001f600"
+
+
+@pytest.mark.parametrize(
+    "edit, field",
+    [
+        (lambda tools: tools[0].update(description="x \ud83d"), "tools[0].description"),
+        (
+            lambda tools: tools[1]["description_paraphrases"].insert(0, "\udfff y"),
+            "tools[1].description_paraphrases[0]",
+        ),
+        (
+            lambda tools: tools[2]["params"][0].update(description="\udc00"),
+            "tools[2].params[0].description",
+        ),
+    ],
+    ids=["description", "paraphrase", "param description"],
+)
+def test_a_lone_surrogate_in_a_json_registry_is_named(tmp_path, edit, field):
+    data = default_tools_data()
+    edit(data["tools"])
+    path = tmp_path / "tools.json"
+    path.write_text(json.dumps(data), encoding="utf-8")  # escapes it as \uXXXX
+    with pytest.raises(SchemaError) as caught:
+        load_registry(path)
+    assert (caught.value.path, caught.value.field) == (str(path), field)
+    assert "lone surrogate" in str(caught.value)
+
+
+def test_a_lone_surrogate_in_a_pool_is_named(tmp_path):
+    examples = tmp_path / "pool.json"
+    entry = {"query": "where is \ud83d my order", "plan": "Step 1: no_retrieval()"}
+    examples.write_text(json.dumps({"examples": [entry]}), encoding="utf-8")
+    with pytest.raises(SchemaError) as caught:
+        load_example_pool(examples)
+    assert (caught.value.path, caught.value.field) == (str(examples), "examples[0].query")
+    generic = tmp_path / "generic.jsonl"
+    generic.write_text(json.dumps({"prompt": "p", "target": "t \udfff"}) + "\n")
+    with pytest.raises(SchemaError) as caught:
+        load_generic_pool(generic)
+    assert (caught.value.path, caught.value.field) == (str(generic), "line 1.target")

@@ -1,4 +1,5 @@
 import collections
+import functools
 import hashlib
 import json
 import os
@@ -13,7 +14,7 @@ import reaper
 from reaper.cli import _by_line, main
 from reaper.errors import SchemaError
 from reaper.evaluation import GoldExample
-from reaper.forge import dqs, pipeline
+from reaper.forge import dqs, pipeline, records
 from reaper.plan import parse_plan, validate_plan
 from reaper.prompt import QueryInput
 from reaper.registry import load_registry
@@ -204,6 +205,19 @@ class TestForge:
                      "--extra-tools", "-1"]) == 2
         err = capsys.readouterr().err
         assert "extra_tool_count must be non-negative, got -1" in err
+
+    def test_negative_extreme_pairs_exits_2(self, tmp_path, capsys, monkeypatch):
+        # no flag sets extreme_pairs; the CLI maps the config's check to exit 2
+        negative = functools.partial(records.ForgeConfig, extreme_pairs=-1)
+        monkeypatch.setattr(records, "ForgeConfig", negative)
+        tasks = tmp_path / "tasks.jsonl"
+        write_tasks(tasks, 2)
+        out = tmp_path / "t.jsonl"
+        assert main(["forge", "--tasks", str(tasks), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "error: bad input: extreme_pairs must be non-negative, got -1" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_a_failing_forge_reads_its_task_file_once(
         self, tmp_path, capsys, monkeypatch
@@ -807,6 +821,38 @@ def test_a_json_dumps_copy_of_the_shipped_registry_with_an_emoji_loads(
     assert main(["validate", str(plans), "--registry", str(registry)]) == 0
     loaded = load_registry(registry).entry(data["tools"][0]["canonical_name"])
     assert loaded[0].description.endswith(" \U0001f4e6")
+
+
+def test_a_lone_surrogate_in_a_json_registry_exits_2_naming_the_file(tmp_path, capsys):
+    data = default_tools_data()
+    data["tools"][0]["description"] += " \ud83d"
+    registry = tmp_path / "tools.json"
+    registry.write_text(json.dumps(data, indent=2))
+    plans = tmp_path / "plan.txt"
+    plans.write_text(GALAXY_PLAN_TEXT + "\n")
+    out = tmp_path / "t.jsonl"
+    for argv in (
+        ["validate", str(plans)],
+        ["forge", "--tasks", str(GOLDEN_TASKS), "--out", str(out)],
+        ["plan", "where is my order"],
+    ):
+        assert main([*argv, "--registry", str(registry)]) == 2, argv
+        err = capsys.readouterr().err
+        assert f"{registry}: tools[0].description: lone surrogate '\\ud83d'" in err
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_a_lone_surrogate_in_a_task_exits_2_naming_its_line(tmp_path, capsys):
+    # before any record is written, which no UTF-8 file could hold
+    tasks = tmp_path / "tasks.jsonl"
+    row = {"query": "where is \ud83d my order", "plan": "Step 1: no_retrieval()"}
+    tasks.write_text(json.dumps(row) + "\n")
+    out = tmp_path / "t.jsonl"
+    assert main(["forge", "--tasks", str(tasks), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tasks}: line 1.query: lone surrogate '\\ud83d'" in err
+    assert not out.exists()
 
 
 def test_validate_plan_and_forge_with_the_shipped_defaults_load_no_yaml(tmp_path):

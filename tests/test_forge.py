@@ -21,7 +21,6 @@ from reaper.embedding import HashingEmbedder, ZeroVectorError, cosine
 from reaper.errors import SchemaError
 from reaper.forge import dqs, pipeline, tevo, ttg
 from reaper.forge import (
-    DqsConfig,
     ForgeConfig,
     MASKED_PARAM_TOKEN,
     MASKED_STEP_TOKEN,
@@ -100,7 +99,7 @@ def small_talk_task():
 
 class TestTevo:
     def test_different_seeds_vary_the_prompt(self, registry, galaxy_task):
-        cfg = ForgeConfig(tevo_seed=0, extra_tool_count=2)
+        cfg = ForgeConfig(seed=0, extra_tool_count=2)
         first = build_prompt(tevo_evolve(galaxy_task, registry, cfg, rng_seed=1))
         second = build_prompt(tevo_evolve(galaxy_task, registry, cfg, rng_seed=2))
         assert first != second
@@ -473,7 +472,7 @@ def provider():
 class TestDqs:
     def test_equal_pools_no_extremes_is_permutation(self, provider):
         queries = [f"question {i} about topic {chr(97 + i)}" for i in range(12)]
-        cfg = DqsConfig(0, seed=5)
+        cfg = ForgeConfig(seed=5)
         out = [queries[j] for j in dqs_sample_indices(queries, queries, provider, cfg)]
         assert sorted(out) == sorted(queries)
 
@@ -483,7 +482,7 @@ class TestDqs:
         q_large[3] = q_initial[0]
         q_large[8] = q_initial[2]
         q_large[14] = q_initial[4]
-        cfg = DqsConfig(3, seed=1)
+        cfg = ForgeConfig(extreme_pairs=3, seed=1)
         out = [q_large[j] for j in dqs_sample_indices(q_initial, q_large, provider, cfg)]
         assert len(out) == 5
         assert not set(out) & {q_initial[0], q_initial[2], q_initial[4]}
@@ -491,7 +490,7 @@ class TestDqs:
     def test_postconditions(self, provider):
         q_initial = [f"seed question {i}" for i in range(4)]
         q_large = [f"candidate {j} about {chr(97 + j)}" for j in range(20)]
-        cfg = DqsConfig(extreme_pairs=3, seed=9)
+        cfg = ForgeConfig(extreme_pairs=3, seed=9)
         extreme, refined = dqs_partition(q_initial, q_large, provider, 3)
         out = [q_large[j] for j in dqs_sample_indices(q_initial, q_large, provider, cfg)]
         assert len(out) == len(q_initial)
@@ -501,7 +500,9 @@ class TestDqs:
 
     def test_infeasible_sampling_rejected(self, provider):
         with pytest.raises(ValueError):
-            dqs_sample_indices(["a", "b"], ["c", "d", "e"], provider, DqsConfig(1, seed=0))
+            dqs_sample_indices(
+                ["a", "b"], ["c", "d", "e"], provider, ForgeConfig(extreme_pairs=1)
+            )
 
     def test_partition_over_row_blocks_matches_brute_force(self, provider):
         # more reference queries than one row block of the similarity kernel
@@ -554,7 +555,7 @@ class TestDqs:
     def test_deterministic(self, provider):
         q_initial = [f"seed question {i}" for i in range(4)]
         q_large = [f"candidate {j} about {chr(97 + j)}" for j in range(20)]
-        cfg = DqsConfig(extreme_pairs=2, seed=33)
+        cfg = ForgeConfig(extreme_pairs=2, seed=33)
         assert [
             q_large[j] for j in dqs_sample_indices(q_initial, q_large, provider, cfg)
         ] == [q_large[j] for j in dqs_sample_indices(q_initial, q_large, provider, cfg)]
@@ -573,7 +574,7 @@ class TestMix:
             for i in range(1470)
         ]
         mixed, manifest = mix_dataset(
-            reaper_records, pool, ForgeConfig(generic_fraction=1.0), seed=0
+            reaper_records, pool, ForgeConfig(generic_fraction=1.0, seed=0)
         )
         assert (manifest.reaper_count, manifest.generic_count) == (252, 1470)
         assert manifest.ratio == "1:5.8"
@@ -583,7 +584,7 @@ class TestMix:
         reaper_records = [make_record(i) for i in range(5)]
         pool = load_generic_pool()
         mixed, manifest = mix_dataset(
-            reaper_records, pool, ForgeConfig(generic_fraction=0.0), seed=3
+            reaper_records, pool, ForgeConfig(generic_fraction=0.0, seed=3)
         )
         assert manifest.generic_count == 0
         assert all(r.task_kind is not TaskKind.GENERIC for r in mixed)
@@ -591,16 +592,16 @@ class TestMix:
     def test_shuffle_and_sampling_deterministic(self):
         reaper_records = [make_record(i) for i in range(10)]
         pool = load_generic_pool()
-        cfg = ForgeConfig(generic_fraction=0.5)
-        first, _ = mix_dataset(reaper_records, pool, cfg, seed=42)
-        second, _ = mix_dataset(reaper_records, pool, cfg, seed=42)
+        cfg = ForgeConfig(generic_fraction=0.5, seed=42)
+        first, _ = mix_dataset(reaper_records, pool, cfg)
+        second, _ = mix_dataset(reaper_records, pool, cfg)
         assert first == second
-        third, _ = mix_dataset(reaper_records, pool, cfg, seed=43)
+        third, _ = mix_dataset(reaper_records, pool, replace(cfg, seed=43))
         assert first != third
 
     def test_sampling_without_replacement(self):
         pool = load_generic_pool()
-        _, manifest = mix_dataset([], pool, ForgeConfig(generic_fraction=1.0), 7)
+        _, manifest = mix_dataset([], pool, ForgeConfig(generic_fraction=1.0, seed=7))
         assert manifest.generic_count == len(pool)
 
     @pytest.mark.parametrize(
@@ -612,9 +613,8 @@ class TestMix:
         self, reaper_count, fraction, ratio
     ):
         reaper_records = [make_record(i) for i in range(reaper_count)]
-        _, manifest = mix_dataset(
-            reaper_records, load_generic_pool(), ForgeConfig(generic_fraction=fraction), 7
-        )
+        cfg = ForgeConfig(generic_fraction=fraction, seed=7)
+        _, manifest = mix_dataset(reaper_records, load_generic_pool(), cfg)
         assert manifest.ratio == ratio
 
     def test_shipped_pool_has_200_records(self):
@@ -632,7 +632,7 @@ class TestMix:
 class TestGenerateRecords:
     def test_count_and_kinds(self, registry, galaxy_task):
         cfg = ForgeConfig(tasks_per_query=4, extra_tool_count=2)
-        records = generate_records(galaxy_task, registry, cfg, 17, "q00001")
+        records = generate_records(galaxy_task, 1, registry, cfg)
         assert len(records) == 4
         assert records[0].task_kind is TaskKind.PRIMARY
         secondary = [r.task_kind for r in records[1:]]
@@ -642,7 +642,7 @@ class TestGenerateRecords:
     def test_kind_cycling_when_few_kinds_apply(self, registry, small_talk_task):
         # single zero-arg step: only three kinds apply, the rest cycle
         cfg = ForgeConfig(tasks_per_query=8)
-        records = generate_records(small_talk_task, registry, cfg, 3, "q00002")
+        records = generate_records(small_talk_task, 3, registry, cfg)
         assert len(records) == 8
         used = {r.task_kind for r in records[1:]}
         assert used == {TaskKind.T1, TaskKind.T3, TaskKind.T7}
@@ -671,10 +671,8 @@ class TestForgeRun:
 
     def test_primary_only_run(self, registry, provider, tmp_path):
         out = tmp_path / "data.jsonl"
-        cfg = ForgeConfig(tasks_per_query=1, tevo_seed=5, generic_fraction=0.0)
-        manifest = forge_run(
-            self.write_tasks(10), registry, cfg, DqsConfig(0, 5), provider, out
-        )
+        cfg = ForgeConfig(tasks_per_query=1, seed=5, generic_fraction=0.0)
+        manifest = forge_run(self.write_tasks(10), registry, cfg, provider, out)
         assert manifest.reaper_count == 10
         assert manifest.generic_count == 0
         lines = [json.loads(l) for l in out.read_text().splitlines()]
@@ -683,30 +681,72 @@ class TestForgeRun:
 
     def test_count_law(self, registry, provider, tmp_path):
         out = tmp_path / "data.jsonl"
-        cfg = ForgeConfig(tasks_per_query=3, tevo_seed=5, generic_fraction=0.0)
-        manifest = forge_run(
-            self.write_tasks(10), registry, cfg, DqsConfig(0, 5), provider, out
-        )
+        cfg = ForgeConfig(tasks_per_query=3, seed=5, generic_fraction=0.0)
+        manifest = forge_run(self.write_tasks(10), registry, cfg, provider, out)
         assert manifest.reaper_count == 30
 
     def test_separate_reference_pool_filters_tasks(self, registry, provider, tmp_path):
         out = tmp_path / "data.jsonl"
         tasks = self.write_tasks(9)
         reference = [f"reference question {i} about {chr(110 + i)}" for i in range(3)]
-        cfg = ForgeConfig(tasks_per_query=1, tevo_seed=2, generic_fraction=0.0)
+        cfg = ForgeConfig(
+            tasks_per_query=1, seed=2, generic_fraction=0.0, extreme_pairs=2
+        )
         manifest = forge_run(
-            tasks, registry, cfg, DqsConfig(extreme_pairs=2, seed=2),
-            provider, out, q_initial=reference,
+            tasks, registry, cfg, provider, out, q_initial=reference
         )
         assert manifest.reaper_count == len(reference)
         assert len(out.read_text().splitlines()) == 3
 
+    def test_one_seed_drives_the_sample_the_streams_and_the_mix(
+        self, registry, provider, tmp_path
+    ):
+        tasks = self.write_tasks(16)
+        queries = [task.input.query for task in tasks]
+        reference = [f"reference question {i} about {chr(110 + i)}" for i in range(8)]
+        cfg = ForgeConfig(
+            tasks_per_query=3, seed=1, generic_fraction=0.1, extreme_pairs=2
+        )
+        runs = {}
+        for name, run_cfg in (("a", cfg), ("b", cfg), ("other", replace(cfg, seed=2))):
+            out = tmp_path / f"{name}.jsonl"
+            forge_run(tasks, registry, run_cfg, provider, out, q_initial=reference)
+            runs[name] = out.read_bytes()
+        assert runs["a"] == runs["b"]
+        assert runs["a"] != runs["other"]
+
+        def plan_records_by_task(data):
+            grouped = {}
+            for line in data.decode("utf-8").splitlines():
+                record = json.loads(line)
+                if record["task_kind"] != "generic":
+                    grouped.setdefault(record["source_id"], []).append(record)
+            return grouped
+
+        first = plan_records_by_task(runs["a"])
+        other = plan_records_by_task(runs["other"])
+        # the DQS sample
+        for grouped, seed in ((first, 1), (other, 2)):
+            sample = dqs_sample_indices(
+                reference, queries, provider, replace(cfg, seed=seed)
+            )
+            assert set(grouped) == {f"q{j:05d}" for j in sample}
+        assert set(first) != set(other)
+        # each task's TEVO/TTG stream, for the tasks both samples keep
+        both = set(first) & set(other)
+        assert both
+        assert all(first[source] != other[source] for source in both)
+        # the mix: where the generic records fall among the plan-task records
+        kinds = [
+            [json.loads(line)["task_kind"] == "generic" for line in data.splitlines()]
+            for data in (runs["a"], runs["other"])
+        ]
+        assert kinds[0] != kinds[1]
+
     def test_jsonl_schema(self, registry, provider, tmp_path):
         out = tmp_path / "data.jsonl"
-        cfg = ForgeConfig(tasks_per_query=2, tevo_seed=1, generic_fraction=0.1)
-        forge_run(
-            self.write_tasks(6), registry, cfg, DqsConfig(0, 1), provider, out
-        )
+        cfg = ForgeConfig(tasks_per_query=2, seed=1, generic_fraction=0.1)
+        forge_run(self.write_tasks(6), registry, cfg, provider, out)
         for line in out.read_text().splitlines():
             record = json.loads(line)
             assert set(record) == {"prompt", "target", "task_kind", "source_id"}
@@ -718,9 +758,9 @@ class TestForgeRun:
         # tasks and demonstrations are one type; a task never sees itself
         out = tmp_path / "data.jsonl"
         tasks = self.write_tasks(12)
-        cfg = ForgeConfig(tasks_per_query=1, tevo_seed=3, generic_fraction=0.0)
+        cfg = ForgeConfig(tasks_per_query=1, seed=3, generic_fraction=0.0)
         manifest = forge_run(
-            tasks, registry, cfg, DqsConfig(0, 3), provider, out, example_pool=tasks
+            tasks, registry, cfg, provider, out, example_pool=tasks
         )
         assert manifest.reaper_count == 12
         shown = 0
@@ -747,12 +787,12 @@ class TestForgeRun:
                 parse_plan('Step 1: prod_qna(query="does it run small")'),
             ),
         ]
-        cfg = ForgeConfig(tasks_per_query=1, tevo_seed=1, generic_fraction=0.0)
+        cfg = ForgeConfig(tasks_per_query=1, seed=1, generic_fraction=0.0)
         outputs = []
         for pool in (load_example_pool(), [*misfits, *load_example_pool()]):
             out = tmp_path / f"data{len(outputs)}.jsonl"
             forge_run(
-                self.write_tasks(12), registry, cfg, DqsConfig(0, 1), provider, out,
+                self.write_tasks(12), registry, cfg, provider, out,
                 example_pool=pool,
             )
             outputs.append(out.read_bytes())
@@ -773,7 +813,7 @@ class TestForgeRun:
         )
         out = tmp_path / "data.jsonl"
         with pytest.raises(LabeledPlanError) as excinfo:
-            forge_run([task], registry, ForgeConfig(), DqsConfig(), provider, out)
+            forge_run([task], registry, ForgeConfig(), provider, out)
         assert excinfo.value.index == 0
         assert str(excinfo.value.violation) == (
             "MissingParam: step 1: prod_qna is missing required parameter 'product_id'"
@@ -781,7 +821,7 @@ class TestForgeRun:
         assert not out.exists()
 
 
-@pytest.mark.parametrize("field", ["extra_tool_count", "example_count"])
+@pytest.mark.parametrize("field", ["extra_tool_count", "example_count", "extreme_pairs"])
 def test_a_negative_count_is_named_with_its_value(field):
     with pytest.raises(ValueError, match=f"^{field} must be non-negative, got -3$"):
         ForgeConfig(**{field: -3})
@@ -893,12 +933,10 @@ class TestRunScope:
             return spec
 
         monkeypatch.setattr(pipeline, "tevo_evolve", watching)
-        cfg = ForgeConfig(tasks_per_query=2, tevo_seed=3, generic_fraction=0.0)
+        cfg = ForgeConfig(tasks_per_query=2, seed=3, generic_fraction=0.0)
         tasks = TestForgeRun().write_tasks(12)
         task_refs = [weakref.ref(task) for task in tasks]
-        forge_run(
-            tasks, registry, cfg, DqsConfig(0, 3), provider, tmp_path / "data.jsonl"
-        )
+        forge_run(tasks, registry, cfg, provider, tmp_path / "data.jsonl")
         del tasks
         assert len(demonstrations) > len(distinct)  # renamed once, shown often
         gc.collect()

@@ -226,8 +226,8 @@ def test_empty_registry_is_representable():
 )
 def test_read_yaml_equals_the_python_loader(name):
     # each shipped JSON document is also a valid registry or pool YAML file:
-    # read_yaml, with libyaml's parser where it is built, and PyYAML's
-    # pure-Python SafeLoader both read it to what json reads
+    # read_yaml, PyYAML's pure-Python SafeLoader on every install, reads it
+    # to what yaml.safe_load and json read
     text = resources.files("reaper.data").joinpath(name).read_text(encoding="utf-8")
     assert read_yaml(text, name) == yaml.safe_load(text) == json.loads(text)
 
