@@ -128,7 +128,16 @@ def _canonical_sequence(plan: Plan | None, registry: ToolRegistry) -> list[str] 
         return None
 
 
-def _check_gold(gold: Sequence[GoldExample], registry: ToolRegistry) -> None:
+def _check_gold(
+    predictions: Sequence[Plan | None], gold: Sequence[GoldExample],
+    registry: ToolRegistry,
+) -> None:
+    """A scorer's precondition: one prediction per gold example, checked
+    first, and every gold plan and class held to the registry."""
+    if len(predictions) != len(gold):
+        raise LengthMismatchError(
+            f"{len(predictions)} predictions for {len(gold)} gold examples"
+        )
     classes = {spec.class_label for spec in registry} | {INVALID_CLASS}
     for index, example in enumerate(gold):
         check_labeled_plan(index, example.gold_plan, registry)
@@ -161,13 +170,9 @@ def tool_selection_metrics(
     registry: ToolRegistry,
 ) -> EvalReport:
     """Per-class precision/recall/F1 plus sequence-exact tool accuracy."""
-    if len(predictions) != len(gold):
-        raise LengthMismatchError(
-            f"{len(predictions)} predictions for {len(gold)} gold examples"
-        )
+    _check_gold(predictions, gold, registry)
     if not gold:
         raise EmptyDenominatorError("no gold examples")
-    _check_gold(gold, registry)
 
     confusion: dict[str, dict[str, int]] = {}
     correct = 0
@@ -231,11 +236,7 @@ def argument_accuracy(
 ) -> float:
     """Fraction of qualifying examples whose predicted arguments all match
     gold, over gold plans using the query-rewriting tools."""
-    if len(predictions) != len(gold):
-        raise LengthMismatchError(
-            f"{len(predictions)} predictions for {len(gold)} gold examples"
-        )
-    _check_gold(gold, registry)
+    _check_gold(predictions, gold, registry)
     qualifying = 0
     matched = 0
     for prediction, example in zip(predictions, gold):

@@ -8,7 +8,8 @@ simulated clock derived from the latencies the retriever reports.
 A retriever declares which clock those latencies come from, and the clock
 picks one of two dispatch rules: a retriever that only simulates them
 (``simulated_clock = True``, like :func:`mock_retriever`) runs inline in step
-order, any other runs on a shared thread pool under wall-clock deadlines.
+order, any other has its calls run on a shared thread pool, scheduled by the
+calling thread under wall-clock deadlines.
 """
 
 from __future__ import annotations
@@ -313,16 +314,16 @@ def execute_plan(
     a step references only earlier steps. An exception that is not an
     :class:`Exception` (``SystemExit``, say) propagates to the caller.
 
-    A wall-clock retriever runs every step on the shared pool while the
-    caller only watches. Steps are dispatched by continuation, LLMCompiler's
-    task-fetching unit (Kim et al. 2023, arXiv 2312.04511) without a
-    scheduler per call: the thread that records a step runs the first child
-    it made ready and submits only the extra fan-out. The bounded pool cannot
-    deadlock: a step is submitted only once its dependencies are recorded,
-    and no pool thread waits for another step. (A retriever that itself calls
+    A wall-clock retriever's calls run on the shared pool, and the calling
+    thread is the plan's one scheduler, LLMCompiler's task-fetching unit (Kim
+    et al. 2023, arXiv 2312.04511): it alone records each entry, prepares
+    each step whose last dependency it recorded, submits it and keeps its
+    deadline, while a pool thread only calls the retriever and posts the
+    entry back. The bounded pool cannot deadlock: a pool thread never waits
+    for a step and never submits one. (A retriever that itself calls
     ``execute_plan`` from a pool thread would break that premise.) A step the
-    pool cannot take, because no new thread can start, runs in the thread at
-    hand. A child created by ``os.fork`` starts a fresh pool. A step still
+    pool cannot take, because no new thread can start, runs in the calling
+    thread. A child created by ``os.fork`` starts a fresh pool. A step still
     running ``timeout_ms`` after its dispatch is failed there and then, its
     dependents are skipped and its late result is dropped; time queued on a
     saturated pool counts, and an abandoned call keeps its worker until the
@@ -349,7 +350,11 @@ def _on_pool(
     plan: Plan, tools: list[str], retriever: Retriever, timeout_ms: float | None,
     context: Mapping[str, str] | None,
 ) -> list[StepResult]:
-    """:func:`execute_plan`'s wall-clock rule; step position p has index p + 1."""
+    """:func:`execute_plan`'s wall-clock rule; step position p has index p + 1.
+    The calling thread alone keeps the entries, counts, children and
+    deadlines; a pool thread only runs a step's call and posts its entry."""
+    from queue import Empty, SimpleQueue
+
     dependencies = [_dependencies(step) for step in plan.steps]
     results = [None] * len(plan.steps)
     prepared: list[tuple | None] = [None] * len(plan.steps)  # _prepare's, once ready
@@ -359,22 +364,38 @@ def _on_pool(
         for k in needed:
             children[k - 1].append(position)
     unrecorded = len(plan.steps)
-    lock = threading.Lock()
-    settled = threading.Lock()  # released when the last step is recorded
-    settled.acquire()
+    done: SimpleQueue = SimpleQueue()  # (position, entry) of each finished call
     no_budget = timeout_ms is None or math.isnan(timeout_ms)
     budget_s = math.inf if no_budget else timeout_ms / 1000.0
     deadlines: dict[int, float] = {}  # dispatched step -> its time.monotonic() deadline
 
-    def record(position: int, result: StepResult) -> list[int]:
-        """Under ``lock``: store a step's entry, prepare each step whose last
-        dependency it was, skip those blocked, return the others with deadlines."""
+    def call(position: int) -> None:
+        """Post a step's entry, unless it timed out while queued; total, since
+        a lost entry would leave the caller waiting forever."""
+        if results[position] is None:
+            _, started, args, error = prepared[position]
+            done.put((position, _outcome(
+                position + 1, tools[position], started, args, error, retriever,
+                timeout_ms, BaseException,
+            )))
+
+    def dispatch(positions: list[int]) -> None:
+        """Give steps their deadlines and hand them to the pool; one it
+        refuses, because no new thread can start, runs in this thread."""
+        deadlines.update(dict.fromkeys(positions, time.monotonic() + budget_s))
+        for position in positions:
+            try:
+                _shared_pool().submit(call, position)
+            except RuntimeError:
+                call(position)
+
+    def record(position: int, result: StepResult) -> None:
+        """Store a step's entry, prepare each step whose last dependency it
+        was, skip those blocked and dispatch the others."""
         nonlocal unrecorded
         results[position] = result
         deadlines.pop(position, None)
         unrecorded -= 1
-        if not unrecorded:
-            settled.release()
         ready = []
         for child in children[position]:
             waiting[child] -= 1
@@ -387,58 +408,27 @@ def _on_pool(
                 else:
                     ready.append(child)
         if ready:
-            deadlines.update(dict.fromkeys(ready, time.monotonic() + budget_s))
-        return ready
-
-    def run(position: int) -> None:
-        """Record a step in this thread, then go on with the first step it made
-        ready and dispatch the others. A step that timed out while queued is
-        not called; a result that comes after its step timed out is dropped."""
-        while results[position] is None:
-            # total: a lost entry would leave the caller waiting forever
-            _, started, args, error = prepared[position]
-            result = _outcome(
-                position + 1, tools[position], started, args, error, retriever,
-                timeout_ms, BaseException,
-            )
-            with lock:
-                if results[position] is not None:
-                    return
-                ready = record(position, result)
-            if not ready:
-                return
-            dispatch(ready[1:])
-            position = ready[0]
-
-    def dispatch(positions: list[int]) -> None:
-        """Hand steps to the pool; one it refuses, because no new thread can
-        start, runs in this thread."""
-        for position in positions:
-            try:
-                _shared_pool().submit(run, position)
-            except RuntimeError:
-                run(position)
+            dispatch(ready)
 
     roots = [position for position, count in enumerate(waiting) if not count]
     for position in roots:
         prepared[position] = _prepare(plan.steps[position], (), context, BaseException)
-    deadlines.update(dict.fromkeys(roots, time.monotonic() + budget_s))
     dispatch(roots)
-    while True:
-        with lock:
-            if not unrecorded:
-                break
+    while unrecorded:
+        wait = max(min(deadlines.values()) - time.monotonic(), 0.0)
+        try:
+            position, result = done.get(timeout=min(wait, threading.TIMEOUT_MAX))
+        except Empty:  # time out every step past its deadline
             now = time.monotonic()
-            due = min(deadlines.values())
-            if due <= now:  # time out every step past its deadline
-                for position in [p for p, at in deadlines.items() if at <= now]:
-                    _, started, args, _ = prepared[position]
-                    why = "no result by the wall-clock deadline"
-                    record(position, _timed_out(
-                        position + 1, tools[position], started, args, timeout_ms, why
-                    ))
-                continue
-        settled.acquire(timeout=min(due - now, threading.TIMEOUT_MAX))
+            for position in [p for p, at in deadlines.items() if at <= now]:
+                _, started, args, _ = prepared[position]
+                why = "no result by the wall-clock deadline"
+                record(position, _timed_out(
+                    position + 1, tools[position], started, args, timeout_ms, why
+                ))
+            continue
+        if results[position] is None:  # else it came after its step timed out
+            record(position, result)
     return results
 
 

@@ -85,13 +85,26 @@ def generate_records(
 
 
 def write_records(records: Sequence[TrainingRecord], out: str | Path) -> None:
-    """Write training JSONL atomically; no partial file survives a failure."""
+    """Write training JSONL atomically; no partial file survives a failure.
+    A record holding a lone surrogate, which UTF-8 cannot encode, raises
+    ``ValueError`` naming its ``source_id`` and field."""
     out = Path(out)
     tmp = out.with_name(out.name + ".tmp")
     try:
         with tmp.open("w", encoding="utf-8") as handle:
             for record in records:
-                handle.write(record.to_json() + "\n")
+                try:
+                    handle.write(record.to_json() + "\n")
+                except UnicodeEncodeError as exc:  # the line's first surrogate
+                    surrogate = exc.object[exc.start]
+                    field = next(
+                        name for name in ("prompt", "target", "source_id")
+                        if surrogate in getattr(record, name)
+                    )
+                    raise ValueError(
+                        f"record {record.source_id!r}: {field}: "
+                        f"lone surrogate {surrogate!r}"
+                    ) from None
         os.replace(tmp, out)
     except BaseException:
         tmp.unlink(missing_ok=True)

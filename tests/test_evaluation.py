@@ -73,9 +73,10 @@ class TestToolSelection:
         report = tool_selection_metrics(plans, GOLD_SET, registry)
         assert report.confusion["product_search"]["invalid"] == 1
 
-    def test_length_mismatch(self, registry):
+    @pytest.mark.parametrize("score", [tool_selection_metrics, argument_accuracy])
+    def test_length_mismatch(self, registry, score):
         with pytest.raises(LengthMismatchError):
-            tool_selection_metrics(PERFECT[:2], GOLD_SET, registry)
+            score(PERFECT[:2], GOLD_SET, registry)
 
     def test_report_reconstructable_from_confusion(self, registry):
         plans = list(PERFECT)

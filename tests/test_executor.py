@@ -343,9 +343,9 @@ class TestExecutePlan:
     def test_field_that_is_not_json_fails_its_consumer(
         self, registry, value, consumer
     ):
-        # Step 1 makes steps 2 and 3 ready. On the wall clock, the pool
-        # thread that ran step 1 goes on with step 2 and fans step 3 out to
-        # another pool thread.
+        # Step 1 makes steps 2 and 3 ready. On the wall clock, the calling
+        # thread reads both steps' arguments once step 1's entry comes back
+        # from the pool, and submits the one it can resolve.
         field = {2: "product_id", 3: "text"}
         plan = parse_plan(
             'Step 1: prod_search(keywords="mug")\n'
@@ -429,23 +429,30 @@ def warm_pool(plan, registry):
 
 
 class TestDispatch:
-    def test_wall_clock_chain_runs_on_one_pool_thread(self, registry):
-        threads = []
+    def test_caller_prepares_every_step_and_the_pool_only_calls(
+        self, registry, monkeypatch
+    ):
+        # Steps 4 and 5 become ready when a pool call finishes; the calling
+        # thread still reads their arguments (step 5's to skip it).
+        prepared, called = [], []
+        prepare = executor_mod._prepare
 
-        class Spy:
+        def spied_prepare(step, *args):
+            prepared.append((step.index, threading.get_ident()))
+            return prepare(step, *args)
+
+        class Spy(Sleeping):
             def invoke(self, tool, args):
-                threads.append(threading.get_ident())
-                return {"text": "t"}, 0.0
+                called.append(threading.get_ident())
+                return super().invoke(tool, args)
 
-        plan = parse_plan(
-            'Step 1: prod_search(keywords="mug")\n'
-            "Step 2: prod_qna(product_id=$1, query=$1.text)\n"
-            "Step 3: review_summary(product_id=$2)"
-        )
-        trace = execute_plan(plan, registry, Spy())
-        assert [s.status for s in trace.steps] == [StepStatus.OK] * 3
-        assert len(set(threads)) == 1
-        assert threads[0] != threading.get_ident()
+        monkeypatch.setattr(executor_mod, "_prepare", spied_prepare)
+        caller = threading.get_ident()
+        trace = execute_plan(parse_plan(FAN_OUT_PLAN), registry, Spy(0))
+        assert [s.status.value for s in trace.steps] == FAN_OUT_STATUSES
+        assert sorted(prepared) == [(index, caller) for index in range(1, 6)]
+        assert len(called) == 4
+        assert caller not in called
 
     def test_repeated_fan_out_starts_no_thread(self, registry, monkeypatch):
         plan = parse_plan(FAN_OUT_PLAN)
@@ -532,8 +539,9 @@ class TestDispatch:
             assert pipe.read() == b"5"
 
     def test_plan_in_flight_at_interpreter_exit_finishes(self):
-        # The main thread returns while another thread's plan still has to
-        # fan out from a pool thread; the pool refuses new work from then on.
+        # The main thread returns while another thread's plan still has
+        # steps to submit; the pool refuses new work from then on, so that
+        # thread runs them itself.
         code = textwrap.dedent(
             """
             import threading, time

@@ -839,6 +839,28 @@ def test_write_records_removes_partial_output(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "query, keywords, field",
+    [("where is \ud83d my order", "order", "prompt"),
+     ("where is my order", "\ud83d", "target")],
+    ids=["query", "plan"],
+)
+def test_a_lone_surrogate_built_in_code_is_named_and_writes_nothing(
+    registry, provider, tmp_path, query, keywords, field
+):
+    # Parsing, sampling, prompt building and mixing all take the surrogate;
+    # only the UTF-8 writer cannot.
+    plan = parse_plan(f'Step 1: prod_search(keywords="{keywords}")')
+    out = tmp_path / "data.jsonl"
+    cfg = ForgeConfig(tasks_per_query=1, generic_fraction=0.0)
+    with pytest.raises(ValueError) as caught:
+        forge_run(
+            [InContextExample(QueryInput(query), plan)], registry, cfg, provider, out
+        )
+    assert str(caught.value) == f"record 'q00000': {field}: lone surrogate '\\ud83d'"
+    assert list(tmp_path.iterdir()) == []
+
+
 def _assert_json_equals_json_dumps(prompt, target, kind, source_id):
     record = TrainingRecord(prompt, target, kind, source_id)
     assert record.to_json() == json.dumps(
