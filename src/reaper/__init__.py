@@ -8,12 +8,14 @@ a dependency-aware executor, and an evaluation harness.
 The public names below resolve on first access (PEP 562), so importing
 ``reaper`` loads none of the submodules. The ``reaper`` subcommands load:
 
-- every one: the plan language, the registry, the prompt builder and the
-  gateway; ``validate`` and ``plan`` nothing more;
-- ``eval`` and ``bench``: :mod:`reaper.evaluation` and the executor, and
-  the executor's thread pool (``queue.SimpleQueue`` and daemon threads)
-  once a plan fans out;
-- ``forge``: the forge, and numpy with the first embedding.
+- every one: the plan language, the registry and :mod:`reaper.embedding`
+  without numpy; ``validate`` nothing more;
+- ``plan``: the prompt builder and the gateway;
+- ``eval`` and ``bench``: :mod:`reaper.evaluation`, the prompt builder and
+  the executor, and no thread: ``eval`` executes no plan, and ``bench``
+  runs each plan inline on simulated latencies;
+- ``forge``: the forge and the prompt builder, and numpy with the first
+  embedding.
 
 numpy is the one runtime dependency. The HTTP adapters use the standard
 library's client, imported on their first call. PyYAML, the optional

@@ -7,8 +7,9 @@ and ``plan`` (generate a plan through a backend).
 
 Exit codes: 0 success, 1 domain failure (violations, metric preconditions,
 backend/plan errors), 2 usage, I/O or malformed input (named by file and
-line). Only ``forge`` takes ``--seed`` (default 1729), the one seed of its
-sampling, evolution and mixing: equal seeds give it byte-identical output.
+line), or a plan or task file that holds no plan or task. Only ``forge``
+takes ``--seed`` (default 1729), the one seed of its sampling, evolution
+and mixing: equal seeds give it byte-identical output.
 
 Plan files hold one plan per block, blocks separated by blank lines. Task
 files for ``forge`` are JSONL with {"query", "context", "plan"}. A file is
@@ -109,8 +110,11 @@ def _check_plan_file(
 ) -> tuple[list[tuple[int, Plan]], int]:
     """Parse and registry-check every block of a plan file, printing
     ``plan N: parse error: ...`` or each violation of a bad block. Returns
-    the numbered plans that are clean and the number of blocks."""
+    the numbered plans that are clean and the number of blocks; a file with
+    no block raises ``ValueError``."""
     blocks = read_plan_blocks(path)
+    if not blocks:
+        raise ValueError(f"{path}: the file holds no plan")
     clean: list[tuple[int, Plan]] = []
     for number, block in enumerate(blocks, start=1):
         try:

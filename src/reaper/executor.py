@@ -39,14 +39,15 @@ class UnconfiguredToolError(RetrieverError):
     """A mock retriever was invoked for a tool it has no canned data for."""
 
 
+_Output = tuple[Mapping[str, object], float]  # a call's output fields and latency in ms
+
+
 class Retriever(Protocol):
     """``invoke`` returns a tool call's output fields and its latency in
     milliseconds, or raises. A retriever that only simulates its latencies
     declares ``simulated_clock = True``, which picks :func:`execute_plan`'s rule."""
 
-    def invoke(
-        self, tool: str, args: Mapping[str, str]
-    ) -> tuple[Mapping[str, object], float]: ...
+    def invoke(self, tool: str, args: Mapping[str, str]) -> _Output: ...
 
 
 class StepStatus(str, Enum):
@@ -316,27 +317,32 @@ def execute_plan(
 
     A wall-clock retriever's calls run on the shared pool, and the calling
     thread is the plan's one scheduler, LLMCompiler's task-fetching unit (Kim
-    et al. 2023, arXiv 2312.04511): it alone records each entry, prepares
-    each step whose last dependency it recorded, submits it and keeps its
-    deadline, while a pool thread only calls the retriever and posts the
-    entry back. The bounded pool cannot deadlock: a pool thread never waits
-    for a step and never submits one. (A retriever that itself calls
-    ``execute_plan`` from a pool thread would break that premise.) A step the
-    pool cannot take, because no new thread can start, runs in the calling
-    thread. A child created by ``os.fork`` starts a fresh pool. A step still
-    running ``timeout_ms`` after its dispatch is failed there and then, its
-    dependents are skipped and its late result is dropped; time queued on a
-    saturated pool counts, and an abandoned call keeps its worker until the
-    retriever returns. Either way a timed-out step reads ``latency_ms =
-    timeout_ms`` and finishes ``timeout_ms`` after it started. An exception
-    that is not an :class:`Exception` fails its step, since a pool thread has
-    no caller to raise to.
+    et al. 2023, arXiv 2312.04511): it takes the steps one at a time from a
+    queue of its own and keeps every entry and deadline; a pool thread only
+    calls the retriever and posts the entry to that queue. The bounded pool
+    cannot deadlock: a pool thread never waits for a step and never submits
+    one. (A retriever that itself calls ``execute_plan`` from a pool thread
+    would break that premise.) A step the pool cannot take, because no new
+    thread can start, runs in the calling thread. A child created by
+    ``os.fork`` starts a fresh pool. A step still running ``timeout_ms`` after
+    its dispatch is failed there and then, its dependents are skipped and its
+    late result is dropped; time queued on a saturated pool counts, and an
+    abandoned call keeps its worker until the retriever returns. Either way a
+    timed-out step reads ``latency_ms = timeout_ms`` and finishes
+    ``timeout_ms`` after it started. An exception that is not an
+    :class:`Exception` fails its step: a pool thread has no caller to raise
+    to.
     """
     tools = tool_sequence(plan, registry)
     if timeout_ms is not None and timeout_ms < 0:
         raise ValueError(f"timeout_ms must not be negative, got {timeout_ms!r}")
     if retriever is not None and not getattr(retriever, "simulated_clock", False):
-        return _trace(_on_pool(plan, tools, retriever, timeout_ms, context))
+        from queue import SimpleQueue
+
+        posts: SimpleQueue = SimpleQueue()
+        for post in (*zip(plan.steps, tools), _END):
+            posts.put(post)
+        return _trace(_on_pool(posts, retriever, timeout_ms, context))
     results: list[StepResult] = []
     for step, tool in zip(plan.steps, tools):
         blocked, started, args, error = _prepare(step, results, context, Exception)
@@ -346,25 +352,20 @@ def execute_plan(
     return _trace(results)
 
 
+_END = (None, None)  # posted after a plan's last step: no more will come
+
+
 def _on_pool(
-    plan: Plan, tools: list[str], retriever: Retriever, timeout_ms: float | None,
+    posts, retriever: Retriever, timeout_ms: float | None,
     context: Mapping[str, str] | None,
 ) -> list[StepResult]:
-    """:func:`execute_plan`'s wall-clock rule; step position p has index p + 1.
-    The calling thread alone keeps the entries, counts, children and
-    deadlines; a pool thread only runs a step's call and posts its entry."""
-    from queue import Empty, SimpleQueue
+    """:func:`execute_plan`'s wall-clock rule. The queue ``posts`` brings the
+    steps as ``(step, canonical tool)`` in step order, then :data:`_END`, and
+    pool threads post ``(position, entry)`` to it (index = position + 1)."""
+    from queue import Empty
 
-    dependencies = [_dependencies(step) for step in plan.steps]
-    results = [None] * len(plan.steps)
-    prepared: list[tuple | None] = [None] * len(plan.steps)  # _prepare's, once ready
-    waiting = [len(needed) for needed in dependencies]
-    children: list[list[int]] = [[] for _ in plan.steps]
-    for position, needed in enumerate(dependencies):
-        for k in needed:
-            children[k - 1].append(position)
-    unrecorded = len(plan.steps)
-    done: SimpleQueue = SimpleQueue()  # (position, entry) of each finished call
+    posted, results, prepared = [], [], []  # (step, tool), entry, _prepare's
+    waiting, children, ended = [], [], False  # producers unrecorded, consumers, _END
     no_budget = timeout_ms is None or math.isnan(timeout_ms)
     budget_s = math.inf if no_budget else timeout_ms / 1000.0
     deadlines: dict[int, float] = {}  # dispatched step -> its time.monotonic() deadline
@@ -374,61 +375,63 @@ def _on_pool(
         a lost entry would leave the caller waiting forever."""
         if results[position] is None:
             _, started, args, error = prepared[position]
-            done.put((position, _outcome(
-                position + 1, tools[position], started, args, error, retriever,
+            posts.put((position, _outcome(
+                position + 1, posted[position][1], started, args, error, retriever,
                 timeout_ms, BaseException,
             )))
 
-    def dispatch(positions: list[int]) -> None:
-        """Give steps their deadlines and hand them to the pool; one it
-        refuses, because no new thread can start, runs in this thread."""
-        deadlines.update(dict.fromkeys(positions, time.monotonic() + budget_s))
-        for position in positions:
-            try:
-                _shared_pool().submit(call, position)
-            except RuntimeError:
-                call(position)
+    def admit(position: int) -> None:
+        """Prepare a step whose producers are all recorded, then skip it or
+        dispatch it with its deadline (here, if no pool thread can start)."""
+        step, tool = posted[position]
+        prepared[position] = _prepare(step, results, context, BaseException)
+        if prepared[position][0]:
+            return record(position, _skipped(position + 1, tool, prepared[position][0]))
+        deadlines[position] = time.monotonic() + budget_s
+        try:
+            _shared_pool().submit(call, position)
+        except RuntimeError:
+            call(position)
 
     def record(position: int, result: StepResult) -> None:
-        """Store a step's entry, prepare each step whose last dependency it
-        was, skip those blocked and dispatch the others."""
-        nonlocal unrecorded
+        """Store a step's entry and admit each step whose last producer it was."""
         results[position] = result
         deadlines.pop(position, None)
-        unrecorded -= 1
-        ready = []
         for child in children[position]:
             waiting[child] -= 1
             if not waiting[child]:
-                step = plan.steps[child]
-                prepared[child] = _prepare(step, results, context, BaseException)
-                blocked = prepared[child][0]
-                if blocked:
-                    record(child, _skipped(child + 1, tools[child], blocked))
-                else:
-                    ready.append(child)
-        if ready:
-            dispatch(ready)
+                admit(child)
 
-    roots = [position for position, count in enumerate(waiting) if not count]
-    for position in roots:
-        prepared[position] = _prepare(plan.steps[position], (), context, BaseException)
-    dispatch(roots)
-    while unrecorded:
-        wait = max(min(deadlines.values()) - time.monotonic(), 0.0)
+    while deadlines or not ended:  # an unrecorded step is in flight or waits on one
+        wait = min(deadlines.values(), default=math.inf) - time.monotonic()
+        wait = max(wait, 0.0) if wait < threading.TIMEOUT_MAX else None  # unreachable
         try:
-            position, result = done.get(timeout=min(wait, threading.TIMEOUT_MAX))
+            key, value = posts.get(timeout=wait)
         except Empty:  # time out every step past its deadline
             now = time.monotonic()
             for position in [p for p, at in deadlines.items() if at <= now]:
                 _, started, args, _ = prepared[position]
                 why = "no result by the wall-clock deadline"
                 record(position, _timed_out(
-                    position + 1, tools[position], started, args, timeout_ms, why
+                    position + 1, posted[position][1], started, args, timeout_ms, why
                 ))
             continue
-        if results[position] is None:  # else it came after its step timed out
-            record(position, result)
+        if key is None:
+            ended = True
+        elif type(key) is int:
+            if results[key] is None:  # else it came after its step timed out
+                record(key, value)
+        else:  # a step: it takes the next position
+            pending = [k for k in _dependencies(key) if results[k - 1] is None]
+            for k in pending:
+                children[k - 1].append(len(posted))
+            posted.append((key, value))
+            results.append(None)
+            prepared.append(None)
+            waiting.append(len(pending))
+            children.append([])
+            if not pending:
+                admit(len(posted) - 1)
     return results
 
 
@@ -459,9 +462,7 @@ class _MockRetriever:
     def __init__(self, config: Mapping[str, CannedCall]):
         self._config = dict(config)
 
-    def invoke(
-        self, tool: str, args: Mapping[str, str]
-    ) -> tuple[Mapping[str, object], float]:
+    def invoke(self, tool: str, args: Mapping[str, str]) -> _Output:
         call = self._config.get(tool)
         if call is None:
             raise UnconfiguredToolError(f"no canned output for tool {tool!r}")
@@ -485,9 +486,7 @@ class HttpRetriever:
         self.base_url = base_url.rstrip("/")
         self.timeout_ms = timeout_ms
 
-    def invoke(
-        self, tool: str, args: Mapping[str, str]
-    ) -> tuple[Mapping[str, object], float]:
+    def invoke(self, tool: str, args: Mapping[str, str]) -> _Output:
         url = f"{self.base_url}/{tool}"
         timeout_s = self.timeout_ms / 1000.0
         body, latency = post_json(url, dict(args), timeout_s, RetrieverError)

@@ -11,7 +11,6 @@ that do not apply to a given plan (too short, or no arguments to mask) raise
 
 from __future__ import annotations
 
-import hashlib
 import random
 
 from ..errors import ReaperError
@@ -56,11 +55,6 @@ def applicable_kinds(task: InContextExample) -> list[TaskKind]:
     return list(_APPLICABLE[len(steps) >= 2, any(step.args for step in steps)])
 
 
-def _default_source_id(task: InContextExample) -> str:
-    digest = hashlib.sha1(task.input.query.encode("utf-8")).hexdigest()
-    return f"q-{digest[:12]}"
-
-
 def _require_steps(task: InContextExample, kind: TaskKind, plan_text: str) -> list[str]:
     """The lines of the task's rendered plan, one per step; a single-step
     plan raises."""
@@ -78,12 +72,11 @@ def ttg_transform(
     kind: TaskKind,
     registry: ToolRegistry,
     rng_seed: int,
-    source_id: str | None = None,
+    source_id: str,
 ) -> TrainingRecord:
     """Build one secondary training record from the labeled example
-    ``task``; deterministic in ``rng_seed``."""
+    ``task``, tagged ``source_id``; deterministic in ``rng_seed``."""
     rng = random.Random(rng_seed) if kind in _DRAWING_KINDS else None
-    sid = source_id if source_id is not None else _default_source_id(task)
     plan_text = task._plan_text
     input_block = task._input_block
 
@@ -92,7 +85,7 @@ def ttg_transform(
             "Write the customer question that the retrieval plan below was "
             f"made to answer.\n\nPlan:\n{plan_text}"
         )
-        return TrainingRecord(prompt, task.input.query, kind, sid)
+        return TrainingRecord(prompt, task.input.query, kind, source_id)
 
     if kind is _T2:
         lines = _require_steps(task, kind, plan_text)
@@ -102,7 +95,7 @@ def ttg_transform(
             f"steps.\n\n{input_block}\n\nPartial plan:\n"
             + "\n".join(lines[:keep])
         )
-        return TrainingRecord(prompt, "\n".join(lines[keep:]), kind, sid)
+        return TrainingRecord(prompt, "\n".join(lines[keep:]), kind, source_id)
 
     if kind is _T3:
         target = ", ".join(tool_sequence(task.target_plan, registry))
@@ -110,7 +103,7 @@ def ttg_transform(
             "Name the tools needed to answer the customer question, in call "
             "order, separated by commas.\n\n" + input_block
         )
-        return TrainingRecord(prompt, target, kind, sid)
+        return TrainingRecord(prompt, target, kind, source_id)
 
     if kind is _T4:
         lines = _require_steps(task, kind, plan_text)
@@ -121,7 +114,7 @@ def ttg_transform(
             f"Write the missing step.\n\n{input_block}\n\nPlan:\n"
             + "\n".join(shown)
         )
-        return TrainingRecord(prompt, lines[masked], kind, sid)
+        return TrainingRecord(prompt, lines[masked], kind, source_id)
 
     if kind is _T5:
         lines = _require_steps(task, kind, plan_text)
@@ -133,7 +126,7 @@ def ttg_transform(
             f"in the correct order.\n\n{input_block}\n\n"
             "Shuffled plan:\n" + "\n".join(lines[i] for i in order)
         )
-        return TrainingRecord(prompt, plan_text, kind, sid)
+        return TrainingRecord(prompt, plan_text, kind, source_id)
 
     if kind is _T6:
         slots = [
@@ -161,7 +154,7 @@ def ttg_transform(
             f"{MASKED_PARAM_TOKEN}. Write the missing value.\n\n"
             f"{input_block}\n\nPlan:\n" + "\n".join(lines)
         )
-        return TrainingRecord(prompt, masked_value, kind, sid)
+        return TrainingRecord(prompt, masked_value, kind, source_id)
 
     if kind is _T7:
         used = sorted(set(tool_sequence(task.target_plan, registry)))
@@ -179,6 +172,6 @@ def ttg_transform(
             f"tools cannot answer it.\n\nTools:\n" + "\n".join(tool_lines)
             + f"\n\n{input_block}"
         )
-        return TrainingRecord(prompt, NO_VALID_PLAN, kind, sid)
+        return TrainingRecord(prompt, NO_VALID_PLAN, kind, source_id)
 
     raise ValueError(f"not a secondary task kind: {kind!r}")

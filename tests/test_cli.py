@@ -35,6 +35,9 @@ CHAIN_PLAN = (
     "Step 3: review_summary(product_id=$2.product_id)"
 )
 
+# a plan file that holds no plan: empty, or only blank lines
+NO_PLAN = pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank"])
+
 TWO_STEP_PLAN = (
     'Step 1: prod_search(keywords="red shoes")\n'
     'Step 2: prod_qna(product_id=$1.product_id, query="size")'
@@ -98,6 +101,14 @@ class TestValidate:
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "missing.txt")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @NO_PLAN
+    def test_a_file_with_no_plan_is_named(self, tmp_path, capsys, text):
+        plans = tmp_path / "plans.txt"
+        plans.write_text(text)
+        assert main(["validate", str(plans)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: bad input: {plans}: the file holds no plan\n")
 
 
 class TestForge:
@@ -738,6 +749,26 @@ check("reaper plan")
     assert result.returncode == 0, result.stderr
 
 
+def test_bench_runs_a_fan_out_plan_inline_and_starts_no_thread(tmp_path):
+    plans = tmp_path / "plan.txt"
+    plans.write_text(
+        'Step 1: prod_search(keywords="mug")\n'
+        'Step 2: prod_qna(product_id=$1, query="size")\n'
+        "Step 3: review_summary(product_id=$1)\n"
+    )
+    code = f"""
+import threading
+import reaper.cli
+import reaper.executor
+
+assert reaper.cli.main(["bench", {str(plans)!r}]) == 0
+assert threading.active_count() == 1, threading.enumerate()
+assert reaper.executor._pool is None
+"""
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
 # what neither ``import reaper.cli`` nor the shipped files may load
 HTTP_AND_YAML = ("urllib.request", "http.client", "yaml", "requests")
 
@@ -952,6 +983,14 @@ class TestBench:
         plans.write_text(CHAIN_PLAN + "\n\nStep 1 broken\n")
         assert main(["bench", str(plans)]) == 1
         assert "plan 2: parse error" in capsys.readouterr().out
+
+    @NO_PLAN
+    def test_a_file_with_no_plan_is_named(self, tmp_path, capsys, text):
+        plans = tmp_path / "plan.txt"
+        plans.write_text(text)
+        assert main(["bench", str(plans)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: bad input: {plans}: the file holds no plan\n")
 
 
     @pytest.mark.parametrize(

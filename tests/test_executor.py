@@ -4,6 +4,7 @@ import fractions
 import json
 import math
 import os
+import queue
 import random
 import signal
 import subprocess
@@ -33,7 +34,7 @@ from reaper.executor import (
     mock_retriever,
 )
 from reaper.plan import (
-    ContextRef, Literal, Plan, PlanStep, StepRef, _trusted, parse_plan,
+    ContextRef, Literal, Plan, PlanStep, StepRef, _trusted, parse_plan, tool_sequence,
 )
 
 from .httpserve import json_server
@@ -413,6 +414,25 @@ class Sleeping:
         return {"text": tool}, latency_ms
 
 
+class Keyed:
+    """Sleeps 5-20 ms and reports it, the time drawn from the call's tool
+    and arguments, so two runs of a plan report equal latencies whatever
+    their order; ``review_summary`` fails. Records each call's tool and
+    wall-clock start and finish."""
+
+    def __init__(self):
+        self.calls = []
+
+    def invoke(self, tool, args):
+        latency_ms = random.Random(repr((tool, sorted(args.items())))).uniform(5, 20)
+        started = time.monotonic()
+        time.sleep(latency_ms / 1000.0)
+        self.calls.append((tool, started, time.monotonic()))
+        if tool == "review_summary":
+            raise RetrieverError("down")
+        return {"text": f"{tool} {sorted(args.items())}"}, latency_ms
+
+
 def warm_pool(plan, registry):
     """Run ``plan`` from several threads at once against a sleeping
     retriever, so the shared pool ends up with more idle workers than one
@@ -453,6 +473,38 @@ class TestDispatch:
         assert sorted(prepared) == [(index, caller) for index in range(1, 6)]
         assert len(called) == 4
         assert caller not in called
+
+    def test_steps_posted_one_at_a_time_give_the_whole_plans_trace(self, registry):
+        # Each step reaches the scheduler's queue 80 ms after the one before,
+        # when every call so far has returned, so the scheduler waits with
+        # nothing in flight and no deadline; a step whose producers are
+        # recorded is called on arrival.
+        plan, timeout_ms = parse_plan(FAN_OUT_PLAN), 1000
+        whole = execute_plan(plan, registry, Keyed(), timeout_ms)
+        retriever, posts, posted, out = Keyed(), queue.SimpleQueue(), [], []
+
+        def schedule():
+            out.append(executor_mod._on_pool(posts, retriever, timeout_ms, None))
+
+        scheduler = threading.Thread(target=schedule, daemon=True)
+        scheduler.start()
+        for post in zip(plan.steps, tool_sequence(plan, registry)):
+            time.sleep(0.08)
+            posted.append(time.monotonic())
+            posts.put(post)
+        posts.put(executor_mod._END)
+        scheduler.join(timeout=3)
+        assert not scheduler.is_alive(), "the scheduler did not return after the end"
+        assert executor_mod._trace(out[0]) == whole
+        assert [s.status.value for s in whole.steps] == FAN_OUT_STATUSES
+        assert [tool for tool, _, _ in retriever.calls] == [
+            "prod_search", "customer_support", "review_summary", "prod_qna"
+        ]
+        for (_, started, finished), at, after in zip(
+            retriever.calls, posted, posted[1:] + [math.inf]
+        ):
+            assert at <= started < at + 0.03
+            assert finished < after
 
     def test_repeated_fan_out_starts_no_thread(self, registry, monkeypatch):
         plan = parse_plan(FAN_OUT_PLAN)

@@ -332,13 +332,18 @@ def test_evolve_equals_the_plain_algorithm(case):
 
 class TestTtg:
     def test_t1_inverts_the_primary_task(self, registry, galaxy_task):
-        record = ttg_transform(galaxy_task, TaskKind.T1, registry, rng_seed=0)
+        record = ttg_transform(
+            galaxy_task, TaskKind.T1, registry, rng_seed=0, source_id="q00000"
+        )
         assert record.target == "how much memory is on my galaxy phone"
         assert GALAXY_PLAN_TEXT in record.prompt
         assert record.task_kind is TaskKind.T1
+        assert record.source_id == "q00000"
 
     def test_t2_splits_at_half(self, registry, galaxy_task):
-        record = ttg_transform(galaxy_task, TaskKind.T2, registry, rng_seed=0)
+        record = ttg_transform(
+            galaxy_task, TaskKind.T2, registry, rng_seed=0, source_id="q00000"
+        )
         lines = GALAXY_PLAN_TEXT.split("\n")
         assert lines[0] in record.prompt
         assert record.target == lines[1]
@@ -352,11 +357,15 @@ class TestTtg:
                 "Step 3: review_summary(product_id=$1)"
             ),
         )
-        record = ttg_transform(task, TaskKind.T2, registry, rng_seed=0)
+        record = ttg_transform(
+            task, TaskKind.T2, registry, rng_seed=0, source_id="q00000"
+        )
         assert record.target == "Step 3: review_summary(product_id=$1)"
 
     def test_t3_names_canonical_tools_in_order(self, registry, galaxy_task):
-        record = ttg_transform(galaxy_task, TaskKind.T3, registry, rng_seed=0)
+        record = ttg_transform(
+            galaxy_task, TaskKind.T3, registry, rng_seed=0, source_id="q00000"
+        )
         assert record.target == "shipment_status, prod_qna"
 
     def test_t3_canonicalizes_variants(self, registry):
@@ -366,18 +375,24 @@ class TestTtg:
                 'Step 1: product_facts(product_id=$context.product_id, query="weight")'
             ),
         )
-        record = ttg_transform(task, TaskKind.T3, registry, rng_seed=0)
+        record = ttg_transform(
+            task, TaskKind.T3, registry, rng_seed=0, source_id="q00000"
+        )
         assert record.target == "prod_qna"
 
     def test_t4_masks_one_full_step(self, registry, galaxy_task):
-        record = ttg_transform(galaxy_task, TaskKind.T4, registry, rng_seed=0)
+        record = ttg_transform(
+            galaxy_task, TaskKind.T4, registry, rng_seed=0, source_id="q00000"
+        )
         assert MASKED_STEP_TOKEN in record.prompt
         assert record.target in GALAXY_PLAN_TEXT.split("\n")
         shown = record.prompt.split("Plan:\n", 1)[1]
         assert record.target not in shown
 
     def test_t5_shuffles_and_restores(self, registry, galaxy_task):
-        record = ttg_transform(galaxy_task, TaskKind.T5, registry, rng_seed=0)
+        record = ttg_transform(
+            galaxy_task, TaskKind.T5, registry, rng_seed=0, source_id="q00000"
+        )
         shuffled = record.prompt.split("Shuffled plan:\n", 1)[1]
         assert shuffled != GALAXY_PLAN_TEXT
         assert sorted(shuffled.split("\n")) == sorted(GALAXY_PLAN_TEXT.split("\n"))
@@ -385,15 +400,21 @@ class TestTtg:
 
     def test_t5_single_step_not_applicable(self, registry, small_talk_task):
         with pytest.raises(NotApplicableError):
-            ttg_transform(small_talk_task, TaskKind.T5, registry, rng_seed=0)
+            ttg_transform(
+                small_talk_task, TaskKind.T5, registry, rng_seed=0, source_id="q00000"
+            )
 
     def test_t2_and_t4_single_step_not_applicable(self, registry, small_talk_task):
         for kind in (TaskKind.T2, TaskKind.T4):
             with pytest.raises(NotApplicableError):
-                ttg_transform(small_talk_task, kind, registry, rng_seed=0)
+                ttg_transform(
+                    small_talk_task, kind, registry, rng_seed=0, source_id="q00000"
+                )
 
     def test_t6_masks_one_value(self, registry, galaxy_task):
-        record = ttg_transform(galaxy_task, TaskKind.T6, registry, rng_seed=0)
+        record = ttg_transform(
+            galaxy_task, TaskKind.T6, registry, rng_seed=0, source_id="q00000"
+        )
         assert MASKED_PARAM_TOKEN in record.prompt
         assert record.target in (
             '"galaxy phone order"',
@@ -403,10 +424,14 @@ class TestTtg:
 
     def test_t6_no_args_not_applicable(self, registry, small_talk_task):
         with pytest.raises(NotApplicableError):
-            ttg_transform(small_talk_task, TaskKind.T6, registry, rng_seed=0)
+            ttg_transform(
+                small_talk_task, TaskKind.T6, registry, rng_seed=0, source_id="q00000"
+            )
 
     def test_t7_withholds_a_used_tool(self, registry, galaxy_task):
-        record = ttg_transform(galaxy_task, TaskKind.T7, registry, rng_seed=0)
+        record = ttg_transform(
+            galaxy_task, TaskKind.T7, registry, rng_seed=0, source_id="q00000"
+        )
         assert record.target == NO_VALID_PLAN
         offered = record.prompt.split("Tools:\n", 1)[1].split("\n\nQuery:")[0]
         withheld = {"shipment_status", "prod_qna"} - set(
@@ -415,8 +440,12 @@ class TestTtg:
         assert len(withheld) == 1
 
     def test_deterministic(self, registry, galaxy_task):
-        first = ttg_transform(galaxy_task, TaskKind.T4, registry, rng_seed=9)
-        second = ttg_transform(galaxy_task, TaskKind.T4, registry, rng_seed=9)
+        first = ttg_transform(
+            galaxy_task, TaskKind.T4, registry, rng_seed=9, source_id="q00000"
+        )
+        second = ttg_transform(
+            galaxy_task, TaskKind.T4, registry, rng_seed=9, source_id="q00000"
+        )
         assert first == second
 
     def test_each_task_shows_its_own_plan_and_input(
@@ -425,9 +454,13 @@ class TestTtg:
         # a copy with another plan keeps none of the original's renders
         copied = replace(galaxy_task, target_plan=kettle_task.target_plan)
         for task in (galaxy_task, kettle_task, galaxy_task, copied, kettle_task):
-            record = ttg_transform(task, TaskKind.T1, registry, rng_seed=0)
+            record = ttg_transform(
+                task, TaskKind.T1, registry, rng_seed=0, source_id="q00000"
+            )
             assert record.prompt.endswith("Plan:\n" + render_plan(task.target_plan))
-            record = ttg_transform(task, TaskKind.T3, registry, rng_seed=0)
+            record = ttg_transform(
+                task, TaskKind.T3, registry, rng_seed=0, source_id="q00000"
+            )
             assert record.prompt.endswith("\n".join(input_lines(task.input)))
 
     def test_only_the_kinds_that_draw_seed_a_generator(
@@ -441,10 +474,10 @@ class TestTtg:
 
         monkeypatch.setattr(ttg, "random", SimpleNamespace(Random=counting_random))
         for kind in (TaskKind.T1, TaskKind.T2, TaskKind.T3):
-            ttg_transform(galaxy_task, kind, registry, rng_seed=9)
+            ttg_transform(galaxy_task, kind, registry, rng_seed=9, source_id="q00000")
         assert built == []
         for kind in (TaskKind.T4, TaskKind.T5, TaskKind.T6, TaskKind.T7):
-            ttg_transform(galaxy_task, kind, registry, rng_seed=9)
+            ttg_transform(galaxy_task, kind, registry, rng_seed=9, source_id="q00000")
         assert built == [9, 9, 9, 9]
 
     def test_applicable_kinds_by_shape(self, galaxy_task, small_talk_task):
