@@ -10,10 +10,10 @@ The public names below resolve on first access (PEP 562), so importing
 
 - every one: the plan language, the registry and :mod:`reaper.embedding`
   without numpy; ``validate`` nothing more;
-- ``plan``: the prompt builder and the gateway;
-- ``eval`` and ``bench``: :mod:`reaper.evaluation`, the prompt builder and
-  the executor, and no thread: ``eval`` executes no plan, and ``bench``
-  runs each plan inline on simulated latencies;
+- ``plan``: the prompt builder and the gateway, and no thread;
+- ``eval``: :mod:`reaper.evaluation` and the prompt builder, not the executor;
+- ``bench``: these and the executor, and no thread: it runs each plan
+  inline on simulated latencies;
 - ``forge``: the forge and the prompt builder, and numpy with the first
   embedding.
 
@@ -77,7 +77,7 @@ _EXPORTS = {
         "execute_plan",
         "mock_retriever",
     ),
-    "gateway": ("RemoteBackend", "ScriptedStub", "generate_plan"),
+    "gateway": ("Planner", "RemoteBackend", "ScriptedStub", "generate_plan"),
     "plan": (
         "ArgValue",
         "ContextRef",

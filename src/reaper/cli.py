@@ -254,20 +254,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    from .gateway import RemoteBackend, ScriptedStub, generate_plan
-    from .prompt import DEFAULT_ROLE, DEFAULT_SYSTEM_INSTRUCTION, PromptSpec, QueryInput
+    from .gateway import Planner, RemoteBackend, ScriptedStub
+    from .prompt import QueryInput
 
     if args.examples < 0:
         raise ValueError(f"--examples must be 0 or more, got {args.examples}")
     registry = _load_registry(args.registry)
     pool = _demonstrations(registry)
-    spec = PromptSpec(
-        role_text=DEFAULT_ROLE,
-        system_instruction=DEFAULT_SYSTEM_INSTRUCTION,
-        tools=registry,
-        examples=tuple(pool[: args.examples]),
-        input=QueryInput(args.query, args.context),
-    )
+    QueryInput(args.query, args.context)  # a bad query exits 2 before any backend
     if args.backend == "remote":
         backend = RemoteBackend()
     else:
@@ -276,10 +270,10 @@ def cmd_plan(args: argparse.Namespace) -> int:
             default="Step 1: no_retrieval()",
             latency_ms=0.0,
         )
-    plan, latency = generate_plan(backend, spec)
+    planner = Planner(registry, pool[: args.examples], backend)
+    plan, violations, latency = planner.plan(args.query, args.context)
     print(render_plan(plan))
     print(f"latency_ms: {latency:.1f}", file=sys.stderr)
-    violations = validate_plan(plan, registry)
     for violation in violations:
         print(violation, file=sys.stderr)
     return 1 if violations else 0

@@ -35,17 +35,19 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .boundary import plan_field, read_jsonl, typed_field
 from .errors import ReaperError, UnknownToolError
-from .executor import Retriever, StepStatus, execute_plan
 from .plan import (
     Literal, Plan, PlanParseError, check_labeled_plan, parse_plan, render_value,
     tool_sequence,
 )
 from .prompt import QueryInput
 from .registry import NO_RETRIEVAL_TOOL, ToolRegistry
+
+if TYPE_CHECKING:
+    from .executor import Retriever
 
 INVALID_CLASS = "invalid"
 
@@ -290,6 +292,8 @@ def latency_bench(
     dependency-parallel tool schedule, the interleaved agent pays one model
     call per step and runs tools sequentially. A single-shot total of 0 ms,
     where the speedup is undefined, raises :class:`ValueError`."""
+    from .executor import StepStatus, execute_plan
+
     check_latency_ms("llm_latency_single_ms", llm_latency_single_ms)
     check_latency_ms("llm_latency_per_step_ms", llm_latency_per_step_ms)
     trace = execute_plan(plan, registry, retriever)

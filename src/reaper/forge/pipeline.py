@@ -18,12 +18,11 @@ registry, the presented one (see :func:`~reaper.forge.tevo.tevo_evolve`);
 each task, an ``InContextExample``, keeps its rendered gold plan and input
 lines for all of its secondary records. The CLI's embedder hashes each
 distinct token once. All of these die with the run. What outlives a run is
-bounded: the one-entry identity memo of the last prompt prefix
-(``build_prompt``), and ``tevo._presented`` with the tool-block text each
-presented spec keeps, bounded by the registry's variant space. What depends
-only on the installed package belongs to no run and is built once per
-process: the shipped registries, the shipped demonstration and generic
-pools, and the CLI's argument parser. A file the caller names (a registry,
+bounded: ``tevo._presented`` with the tool-block text each presented spec
+keeps, bounded by the registry's variant space. What depends only on the
+installed package belongs to no run and is built once per process: the
+shipped registries, the shipped demonstration and generic pools, and the
+CLI's argument parser. A file the caller names (a registry,
 an example pool or a generic pool) is read again by every run.
 """
 

@@ -6,24 +6,30 @@ their fixtures. The remote backend speaks a one-endpoint JSON protocol
 (``POST /complete {"prompt", "max_tokens"} -> {"text"}``); the endpoint is
 taken from the ``REAPER_BACKEND_URL`` environment variable unless given.
 
-``generate_plan`` composes prompt building, completion, and parsing. It
-turns CRLF and CR line endings into LF and strips surrounding whitespace
-from the completion first, since ``parse_plan`` itself is strict. Backend
-failures (network, bad endpoint) raise :class:`BackendError`; model output
-that fails to parse raises :class:`PlanParseError` with the measured latency
-attached, so callers can still account for the spent time.
+``generate_plan`` composes prompt building, completion, and parsing for
+one call on one spec; a :class:`Planner` renders its prompt prefix once,
+for repeated turns. Both turn CRLF and CR line endings into LF and strip
+surrounding whitespace from the completion first, since ``parse_plan``
+itself is strict. Backend failures (network, bad endpoint) raise
+:class:`BackendError`; model output that fails to parse raises
+:class:`PlanParseError` with the measured latency attached, so callers can
+still account for the spent time.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Mapping, Protocol
+from typing import Mapping, Protocol, Sequence
 
 from .boundary import post_json
 from .errors import ReaperError
-from .plan import Plan, PlanParseError, parse_plan
-from .prompt import INPUT_HEADER, PromptSpec, build_prompt
+from .plan import Plan, PlanParseError, Violation, parse_plan, validate_plan
+from .prompt import (
+    DEFAULT_ROLE, DEFAULT_SYSTEM_INSTRUCTION, INPUT_HEADER, InContextExample,
+    PromptSpec, QueryInput, _check_examples, _render_prefix, build_prompt, input_lines,
+)
+from .registry import ToolRegistry
 
 BACKEND_URL_ENV = "REAPER_BACKEND_URL"
 
@@ -107,7 +113,49 @@ def generate_plan(
     """Build the prompt, complete it, and parse the result. Returns the plan
     and the end-to-end latency in milliseconds."""
     started = time.perf_counter()
-    text, backend_latency = backend.complete(build_prompt(spec))
+    return _complete(backend, build_prompt(spec), started)
+
+
+class Planner:
+    """One planner call per turn over a fixed registry and fixed
+    demonstrations, prompted with :data:`~reaper.prompt.DEFAULT_ROLE` and
+    :data:`~reaper.prompt.DEFAULT_SYSTEM_INSTRUCTION`. Construction raises
+    :class:`~reaper.errors.UnknownToolError` for a demonstration step whose
+    tool is not in the registry, and renders the prompt prefix once; a turn
+    renders only its input lines and keeps nothing."""
+
+    def __init__(
+        self, registry: ToolRegistry, examples: Sequence[InContextExample], backend
+    ):
+        _check_examples(registry, examples)
+        self.registry = registry
+        self.backend = backend
+        self._prefix = _render_prefix(
+            DEFAULT_ROLE, DEFAULT_SYSTEM_INSTRUCTION, registry, examples
+        )
+
+    def prompt(self, query_input: QueryInput) -> str:
+        """The prompt text, byte for byte what :func:`build_prompt` renders
+        for the same registry, demonstrations and input."""
+        return self._prefix + "\n".join(input_lines(query_input))
+
+    def plan(
+        self, query: str, context: str | None = None
+    ) -> tuple[Plan, list[Violation], float]:
+        """Prompt, complete and parse one turn, then validate the plan
+        against the registry. Returns the plan, its violations and the
+        end-to-end latency in milliseconds; executes nothing."""
+        started = time.perf_counter()
+        plan, latency = _complete(
+            self.backend, self.prompt(QueryInput(query, context)), started
+        )
+        return plan, validate_plan(plan, self.registry), latency
+
+
+def _complete(backend: PlannerBackend, prompt: str, started: float):
+    """Complete ``prompt`` and parse the normalised text; the latency is the
+    backend's reported one or the wall time since ``started``, the larger."""
+    text, backend_latency = backend.complete(prompt)
     overhead = (time.perf_counter() - started) * 1000.0
     latency = max(backend_latency, overhead)
     text = text.replace("\r\n", "\n").replace("\r", "\n").strip()

@@ -4,6 +4,9 @@ A prompt is a pure function of a :class:`PromptSpec`: role text, system
 instruction, the tool block (rendered from a registry, in registry order),
 in-context examples, and the customer input. Identical specs always render
 to identical bytes; golden files under ``tests/golden`` pin the layout.
+:func:`build_prompt` renders the whole prompt on every call and keeps
+nothing; for repeated turns, :class:`~reaper.gateway.Planner` renders all
+but the input once.
 
 ``adversarial_omit`` builds the instruction-following probe: it removes one
 tool from the spec entirely, including every in-context example that uses it,
@@ -16,6 +19,7 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
+from typing import Sequence
 
 from .boundary import plan_field, read_document, typed_field
 from .errors import SchemaError
@@ -108,11 +112,7 @@ class PromptSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "examples", tuple(self.examples))
-        for example in self.examples:
-            for step in example.target_plan.steps:
-                # raises UnknownToolError when an example uses a tool that is
-                # not in the prompt's tool block
-                self.tools.resolve(step.tool_name)
+        _check_examples(self.tools, self.examples)
 
 
 def input_lines(query_input: QueryInput) -> list[str]:
@@ -122,52 +122,32 @@ def input_lines(query_input: QueryInput) -> list[str]:
     return lines
 
 
-def _render_prefix(spec: PromptSpec) -> str:
+def _check_examples(tools: ToolRegistry, examples: Sequence[InContextExample]) -> None:
+    """Raise UnknownToolError for an example step whose tool is not in ``tools``."""
+    for example in examples:
+        for step in example.target_plan.steps:
+            tools.resolve(step.tool_name)
+
+
+def _render_prefix(role: str, instruction: str, tools: ToolRegistry, examples) -> str:
     """Everything before the input lines, ending in :data:`INPUT_HEADER`
     and a newline."""
-    lines: list[str] = ["### Role:", spec.role_text, ""]
-    lines += ["### System Instruction:", spec.system_instruction, ""]
-    lines += ["Candidate tools:", ""]
-    for number, tool in enumerate(spec.tools, start=1):
-        lines.append(f"{number}. {tool._prompt_entry}")
-    lines += ["", "### Examples:", ""]
-    for number, example in enumerate(spec.examples, start=1):
-        lines += [f"Example {number}:", example._prompt_text, ""]
-    lines += [INPUT_HEADER, ""]
-    return "\n".join(lines)
-
-
-# (role text, instruction, registry, examples, prefix) of the last rendered
-# spec. Rebound whole, never mutated, so a thread reads one consistent entry;
-# holding the registry and the examples keeps their ids from being reused.
-_last_prefix: tuple[str, str, ToolRegistry, tuple, str] | None = None
+    parts = [
+        "### Role:\n", role, "\n\n### System Instruction:\n", instruction,
+        "\n\nCandidate tools:\n\n", tools._prompt_block, "\n### Examples:\n\n",
+    ]
+    for number, example in enumerate(examples, start=1):
+        parts.append(f"Example {number}:\n{example._prompt_text}\n\n")
+    parts += (INPUT_HEADER, "\n")
+    return "".join(parts)
 
 
 def build_prompt(spec: PromptSpec) -> str:
-    """Render the prompt text; byte-deterministic in the spec.
-
-    The fixed prefix, everything up to and including :data:`INPUT_HEADER`, is
-    rendered once and reused while consecutive specs carry the same registry
-    object and the same examples tuple object (compared by identity: both
-    are immutable, and ``PromptSpec`` keeps a tuple it is given) and equal
-    role and instruction strings. A spec built from a list gets a new tuple
-    every time, so its prefix is rendered again."""
-    global _last_prefix
-    memo = _last_prefix
-    if (
-        memo is not None
-        and memo[2] is spec.tools
-        and memo[3] is spec.examples
-        and memo[0] == spec.role_text
-        and memo[1] == spec.system_instruction
-    ):
-        prefix = memo[4]
-    else:
-        prefix = _render_prefix(spec)
-        _last_prefix = (
-            spec.role_text, spec.system_instruction, spec.tools, spec.examples, prefix
-        )
-    return prefix + "\n".join(input_lines(spec.input))
+    """Render the prompt text, whole on every call; byte-deterministic in
+    the spec."""
+    return _render_prefix(
+        spec.role_text, spec.system_instruction, spec.tools, spec.examples
+    ) + "\n".join(input_lines(spec.input))
 
 
 def adversarial_omit(spec: PromptSpec, tool: str) -> PromptSpec:

@@ -197,6 +197,14 @@ class ToolRegistry:
     def __iter__(self) -> Iterator[ToolSpec]:
         return (spec for spec, _ in self._entries.values())
 
+    @cached_property
+    def _prompt_block(self) -> str:
+        """A prompt's numbered tool lines, kept with the immutable registry."""
+        return "".join(
+            f"{number}. {tool._prompt_entry}\n"
+            for number, tool in enumerate(self, start=1)
+        )
+
     def has_tool(self, name: str) -> bool:
         return name in self._variant_to_canonical
 

@@ -721,7 +721,7 @@ def test_importing_the_cli_does_not_load_requests():
 
 
 # what the validate and plan subcommands must never import
-FORGE_AND_EVAL_ONLY = ("numpy", "concurrent.futures", "reaper.evaluation")
+FORGE_AND_EVAL_ONLY = ("numpy", "reaper.executor", "reaper.evaluation")
 # what validate must not import either: it builds no prompt
 PLAN_ONLY = ("reaper.prompt", "reaper.gateway")
 
@@ -731,6 +731,7 @@ def test_validate_and_plan_load_no_numpy_thread_pool_or_evaluation(tmp_path):
     plans.write_text(GALAXY_PLAN_TEXT + "\n")
     code = f"""
 import sys
+import threading
 import reaper.cli
 
 def check(after):
@@ -744,6 +745,20 @@ loaded = [name for name in {PLAN_ONLY!r} if name in sys.modules]
 assert not loaded, f"reaper validate loaded {{loaded}}"
 assert reaper.cli.main(["plan", "how much memory is on my galaxy phone"]) == 0
 check("reaper plan")
+assert threading.active_count() == 1, threading.enumerate()
+"""
+    result = run_fresh(code)
+    assert result.returncode == 0, result.stderr
+
+
+def test_eval_does_not_load_the_executor(tmp_path):
+    gold, pred = write_gold_and_pred(tmp_path)
+    code = f"""
+import sys
+import reaper.cli
+
+assert reaper.cli.main(["eval", "--pred", {str(pred)!r}, "--gold", {str(gold)!r}]) == 0
+assert "reaper.executor" not in sys.modules, "reaper eval loaded reaper.executor"
 """
     result = run_fresh(code)
     assert result.returncode == 0, result.stderr
@@ -1042,6 +1057,15 @@ class TestPlan:
     def test_remote_backend_without_url_is_domain_error(self, capsys, monkeypatch):
         monkeypatch.delenv("REAPER_BACKEND_URL", raising=False)
         assert main(["plan", "hello", "--backend", "remote"]) == 1
+
+    def test_an_empty_query_is_a_usage_error_before_any_backend(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.delenv("REAPER_BACKEND_URL", raising=False)
+        assert main(["plan", "", "--backend", "remote"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bad input: query must be non-empty\n"
 
     def test_negative_example_count_is_usage_error(self, capsys):
         # a negative count would slice off the end of the pool

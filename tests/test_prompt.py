@@ -109,9 +109,9 @@ def fresh_render(spec: PromptSpec) -> str:
     return "\n".join(out)
 
 
-class TestPrefixReuse:
-    """``build_prompt`` reuses the rendered prefix of the previous spec; no
-    order of specs may make it return another spec's text."""
+class TestSpecVariants:
+    """Specs that differ in one part each render their own text, whatever
+    spec was rendered before and whichever thread renders it."""
 
     @pytest.fixture()
     def base(self, registry, pool):
