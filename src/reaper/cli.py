@@ -15,10 +15,11 @@ Plan files hold one plan per block, blocks separated by blank lines. Task
 files for ``forge`` are JSONL with {"query", "context", "plan"}. A file is
 read once, whole, before the library holds each task or gold plan in it to
 one rule (:func:`~reaper.plan.check_labeled_plan`), so a malformed record
-exits 2 before a plan that fails the rule, each naming its line; a shipped
-demonstration that fails it is left out, with a note on stderr, by
-``forge`` and ``plan`` alike. ``forge`` uses its task pool as its own
-diverse-sampling reference, so it drops no extreme pairs: a pool cannot
+exits 2 before a plan that fails the rule, each naming its line, and so
+does a malformed ``--generic-pool`` record, read right after the tasks. A
+shipped demonstration that fails the rule is left out, with a note on
+stderr, by ``forge`` and ``plan`` alike. ``forge`` uses its task pool as its
+own diverse-sampling reference, so it drops no extreme pairs: a pool cannot
 outnumber itself once extremes are removed
 (``ForgeConfig.extreme_pairs`` applies with a curated reference). Gold and
 prediction files for ``eval`` follow the formats documented in
@@ -62,6 +63,8 @@ def _check_paths(inputs: Sequence[str | None], outputs: Sequence[str | None]) ->
     for path in outputs:
         if path is not None and not Path(path).parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {path}")
+        if path is not None and Path(path).is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
 
 
 def read_plan_blocks(path: str | Path) -> list[str]:
@@ -139,6 +142,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_forge(args: argparse.Namespace) -> int:
+    from .forge.mixer import load_generic_pool
     from .forge.pipeline import forge_run
     from .forge.records import ForgeConfig
 
@@ -148,18 +152,18 @@ def cmd_forge(args: argparse.Namespace) -> int:
     tasks = load_tasks(args.tasks)
     if not tasks:
         raise ValueError(f"{args.tasks}: the file holds no task")
+    generic_pool = args.generic_pool and load_generic_pool(args.generic_pool)
     demonstrations = _demonstrations(registry)
     cfg = ForgeConfig(
         tasks_per_query=args.tasks_per_query,
         seed=args.seed,
         extra_tool_count=args.extra_tools,
         generic_fraction=args.generic_fraction,
-        generic_pool_path=args.generic_pool,
     )
     try:
         manifest = forge_run(
             list(tasks.values()), registry, cfg, HashingEmbedder(), args.out,
-            example_pool=demonstrations,
+            example_pool=demonstrations, generic_pool=generic_pool,
         )
     except LabeledPlanError as exc:
         raise _locate(args.tasks, tasks, exc.index, "plan", exc.violation) from exc

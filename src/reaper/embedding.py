@@ -176,7 +176,9 @@ def _cosine_rule(dots, row_norms, col_norms, equal):
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity, clamped to [-1, 1] against rounding; exactly 1.0
-    for equal nonzero vectors. A zero vector or a non-finite norm raises."""
+    for equal nonzero vectors. A zero vector or a non-finite norm raises.
+    The one-pair reference that :func:`similarity_matrix` reproduces bit for
+    bit; the tests compare the matrix against it."""
     import numpy as np
 
     a = np.asarray(a, dtype=np.float64)

@@ -91,7 +91,8 @@ def _dependencies(step: PlanStep) -> tuple[int, ...]:
 
 
 def dependency_graph(plan: Plan) -> list[tuple[int, int]]:
-    """Edges (k, i) for every step i that references step k."""
+    """Edges (k, i) for every step i that references step k: the plan's DAG,
+    for callers that schedule or draw plans."""
     return sorted((k, step.index) for step in plan.steps for k in _dependencies(step))
 
 

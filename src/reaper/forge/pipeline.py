@@ -21,9 +21,9 @@ distinct token once. All of these die with the run. What outlives a run is
 bounded: ``tevo._presented`` with the tool-block text each presented spec
 keeps, bounded by the registry's variant space. What depends only on the
 installed package belongs to no run and is built once per process: the
-shipped registries, the shipped demonstration and generic pools, and the
-CLI's argument parser. A file the caller names (a registry,
-an example pool or a generic pool) is read again by every run.
+shipped registries, the shipped demonstrations, the shipped generic pool's
+frozen records, and the CLI's argument parser. A file the caller names (a
+registry, an example pool or a generic pool) is read again on every call.
 """
 
 from __future__ import annotations
@@ -118,9 +118,11 @@ def forge_run(
     out: str | Path,
     q_initial: Sequence[str] | None = None,
     example_pool: Sequence[InContextExample] | None = None,
+    generic_pool: Sequence[TrainingRecord] | None = None,
 ) -> MixManifest:
     """Run the full pipeline over the labeled examples ``tasks``, which may
-    also serve as ``example_pool``, and write the mixed dataset to ``out``.
+    also serve as ``example_pool``, and write their records mixed with the
+    ``generic_pool`` records (the shipped pool's when omitted) to ``out``.
     The first task whose plan fails :func:`~reaper.plan.check_labeled_plan`
     raises, before sampling and before any record is made.
 
@@ -138,6 +140,8 @@ def forge_run(
     if example_pool is None:
         example_pool = load_example_pool()
     demonstrations = _PreparedPool(example_pool, registry)
+    if generic_pool is None:
+        generic_pool = load_generic_pool()
 
     records: list[TrainingRecord] = []
     for index in surviving:
@@ -145,7 +149,6 @@ def forge_run(
             generate_records(tasks[index], index, registry, cfg, demonstrations)
         )
 
-    generic_pool = load_generic_pool(cfg.generic_pool_path)
     mixed, manifest = mix_dataset(records, generic_pool, cfg)
     write_records(mixed, out)
     return manifest

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from enum import Enum
 from json.encoder import encode_basestring, encode_basestring_ascii
-from pathlib import Path
 
 from ..prompt import DEFAULT_EXAMPLE_COUNT
 
@@ -75,7 +74,6 @@ class ForgeConfig:
     seed: int = 0
     extra_tool_count: int = 2
     generic_fraction: float = 1.0
-    generic_pool_path: str | Path | None = None  # None -> shipped stand-in pool
     example_count: int = DEFAULT_EXAMPLE_COUNT
     extreme_pairs: int = 0
 

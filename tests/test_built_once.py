@@ -6,6 +6,7 @@ import builtins
 import hashlib
 import io
 import json
+from dataclasses import FrozenInstanceError
 from importlib import resources
 from pathlib import Path
 
@@ -14,11 +15,12 @@ import yaml
 
 import reaper
 from reaper.cli import build_parser, main
-from reaper.forge import load_generic_pool
+from reaper.forge import TaskKind, TrainingRecord, load_generic_pool
 from reaper.prompt import load_example_pool
 from reaper.registry import default_registry, extended_registry, load_registry
 
 from .test_cli import GOLDEN_ARGS, GOLDEN_OUT_SHA256, GOLDEN_TASKS
+from .test_forge import reference_generic_records
 from .test_registry import COMPATIBLE_PRODUCTS_BLOCK, default_tools_data
 
 DATA_DIR = Path(reaper.__file__).resolve().parent / "data"
@@ -26,7 +28,7 @@ DATA_DIR = Path(reaper.__file__).resolve().parent / "data"
 
 def shipped_generic_records():
     text = resources.files("reaper.data").joinpath("generic_pool.jsonl").read_text("utf-8")
-    return [json.loads(line) for line in text.split("\n") if line.strip()]
+    return reference_generic_records(text)
 
 
 def write_registry(path, *extra_blocks):
@@ -54,12 +56,13 @@ def test_each_example_pool_call_is_a_new_list_of_the_same_examples():
     assert len(second) == len(load_example_pool()) > 0
 
 
-def test_each_generic_pool_call_returns_new_records():
+def test_each_generic_pool_call_is_a_new_list_of_the_same_records():
     first, second = load_generic_pool(), load_generic_pool()
-    assert first == second == shipped_generic_records()
-    assert all(a is not b for a, b in zip(first, second))
-    first[0]["prompt"] = "edited"
-    first[1].clear()
+    assert first is not second
+    assert first == shipped_generic_records()
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    with pytest.raises(FrozenInstanceError):
+        first[0].prompt = "edited"
     del first[2:]
     assert load_generic_pool() == shipped_generic_records()
 
@@ -83,9 +86,13 @@ def test_a_named_example_pool_is_read_on_every_call(tmp_path):
 def test_a_named_generic_pool_is_read_on_every_call(tmp_path):
     path = tmp_path / "generic.jsonl"
     write_generic(path, "first")
-    assert load_generic_pool(path) == [{"prompt": "first", "target": "t"}]
+    assert load_generic_pool(path) == [
+        TrainingRecord("first", "t", TaskKind.GENERIC, "gen-0000")
+    ]
     write_generic(path, "second")
-    assert load_generic_pool(path) == [{"prompt": "second", "target": "t"}]
+    assert load_generic_pool(path) == [
+        TrainingRecord("second", "t", TaskKind.GENERIC, "gen-0000")
+    ]
 
 
 def test_a_second_forge_opens_no_packaged_file(tmp_path, capsys, monkeypatch):

@@ -706,6 +706,66 @@ def test_generic_id_that_is_not_a_non_empty_string_is_usage_error(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "plan", [GALAXY_PLAN_TEXT, 'Step 1: prod_qna(query="size")'],
+    ids=["clean-task", "task-breaking-the-rule"],
+)
+def test_a_malformed_generic_pool_exits_2_before_any_record(
+    tmp_path, capsys, monkeypatch, plan
+):
+    # the pool is read right after the task file, before any rule check
+    tasks = tmp_path / "tasks.jsonl"
+    tasks.write_text(json.dumps({"query": "does it run small", "plan": plan}) + "\n")
+    generic = tmp_path / "generic.jsonl"
+    rows = [{"prompt": "p", "target": "t"}, {"prompt": "", "target": "t"}]
+    generic.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    calls = []
+    generate = pipeline.generate_records
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "generate_records", counting)
+    out = tmp_path / "t.jsonl"
+    argv = ["forge", "--tasks", str(tasks), "--out", str(out), "--generic-pool", str(generic)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad input: {generic}: line 2.prompt: must be non-empty\n"
+    assert calls == []
+    assert sorted(tmp_path.iterdir()) == [generic, tasks]
+    if plan == GALAXY_PLAN_TEXT:  # the count sees the calls of a run that forges
+        generic.write_text(json.dumps(rows[0]) + "\n")
+        assert main(argv) == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command, option", [
+    ("forge", "--out"), ("forge", "--manifest"), ("eval", "--out"),
+])
+def test_an_output_path_that_is_a_directory_exits_2_before_any_work(
+    tmp_path, capsys, command, option
+):
+    tasks = tmp_path / "tasks.jsonl"
+    write_tasks(tasks, 2)
+    gold, pred = write_gold_and_pred(tmp_path)
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    forge = ["forge", "--tasks", str(tasks), "--out"]
+    argv = {
+        ("forge", "--out"): [*forge, str(folder)],
+        ("forge", "--manifest"): [*forge, str(tmp_path / "out.jsonl"), "--manifest", str(folder)],
+        ("eval", "--out"): ["eval", "--pred", str(pred), "--gold", str(gold), "--out", str(folder)],
+    }[command, option]
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output path is a directory: {folder}\n"
+    assert sorted(tmp_path.rglob("*")) == before  # no --out file, no .tmp file
+
+
 def run_fresh(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this source tree."""
     source_root = Path(reaper.__file__).parents[1]

@@ -12,7 +12,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from reaper.cli import main
@@ -597,12 +597,49 @@ def make_record(i):
     return TrainingRecord(f"prompt {i}", f"target {i}", TaskKind.PRIMARY, f"q{i}")
 
 
+def reference_generic_records(text):
+    """The generic pool in the JSONL ``text`` by the documented rule: one
+    ``GENERIC`` record per non-blank line, whose ``source_id`` is its ``id``,
+    or ``gen-NNNN`` from its position when the ``id`` is absent or null."""
+    rows = [json.loads(line) for line in text.split("\n") if line.strip()]
+    return [
+        TrainingRecord(
+            row["prompt"], row["target"], TaskKind.GENERIC,
+            f"gen-{i:04d}" if row.get("id") is None else row["id"],
+        )
+        for i, row in enumerate(rows)
+    ]
+
+
+# Any non-empty text, with the characters str.splitlines() breaks at but a
+# JSON string holds raw (U+2028, U+0085) drawn often
+_generic_texts = st.text(
+    st.one_of(st.characters(), st.sampled_from("\u2028\x85")), min_size=1, max_size=8
+)
+_generic_rows = st.fixed_dictionaries(
+    {"prompt": _generic_texts, "target": _generic_texts},
+    optional={"id": st.none() | _generic_texts},
+)
+
+
+@settings(
+    max_examples=100, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(rows=st.lists(_generic_rows, max_size=4), ensure_ascii=st.booleans())
+def test_a_generic_pool_reads_as_its_lines_by_the_id_rule(tmp_path, rows, ensure_ascii):
+    path = tmp_path / "generic.jsonl"
+    text = "".join(json.dumps(row, ensure_ascii=ensure_ascii) + "\n" for row in rows)
+    path.write_text(text, encoding="utf-8")
+    assert load_generic_pool(path) == reference_generic_records(text)
+
+
 class TestMix:
     def test_table_scale_ratio(self):
         # 252 plan records with a 1470-record pool reproduces the 1:5.8 shape
         reaper_records = [make_record(i) for i in range(252)]
         pool = [
-            {"prompt": f"p{i}", "target": f"t{i}", "id": f"g{i}"}
+            TrainingRecord(f"p{i}", f"t{i}", TaskKind.GENERIC, f"g{i}")
             for i in range(1470)
         ]
         mixed, manifest = mix_dataset(
@@ -630,6 +667,12 @@ class TestMix:
         assert first == second
         third, _ = mix_dataset(reaper_records, pool, replace(cfg, seed=43))
         assert first != third
+
+    def test_the_mix_holds_the_given_generic_records(self):
+        pool = load_generic_pool()
+        mixed, _ = mix_dataset([], pool, ForgeConfig(generic_fraction=0.5, seed=5))
+        assert len(mixed) == 100
+        assert {id(r) for r in mixed} <= {id(r) for r in pool}
 
     def test_sampling_without_replacement(self):
         pool = load_generic_pool()
