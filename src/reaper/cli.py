@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 from itertools import groupby
@@ -56,15 +57,24 @@ def _load_registry(path: str | None) -> ToolRegistry:
 
 
 def _check_paths(inputs: Sequence[str | None], outputs: Sequence[str | None]) -> None:
-    """Validate all paths up front, before any work starts."""
+    """Validate all paths up front, before any work starts: no output may
+    be the same file as an input, or name the same file as another output."""
+    inputs = [path for path in inputs if path is not None]
     for path in inputs:
-        if path is not None and not Path(path).is_file():
+        if not Path(path).is_file():
             raise FileNotFoundError(f"no such file: {path}")
-    for path in outputs:
-        if path is not None and not Path(path).parent.is_dir():
+    written = set()
+    for path in (path for path in outputs if path is not None):
+        out = Path(path)
+        if not out.parent.is_dir():
             raise FileNotFoundError(f"output directory does not exist: {path}")
-        if path is not None and Path(path).is_dir():
+        if out.is_dir():
             raise IsADirectoryError(f"output path is a directory: {path}")
+        if out.exists() and any(os.path.samefile(out, i) for i in inputs):
+            raise ValueError(f"output path is also an input: {path}")
+        if out.resolve() in written:
+            raise ValueError(f"output path is given twice: {path}")
+        written.add(out.resolve())
 
 
 def read_plan_blocks(path: str | Path) -> list[str]:

@@ -10,20 +10,21 @@ drives the DQS sample, each task's TEVO/TTG stream and the mix shuffle.
 Work that repeats within a run is done once per run. :func:`forge_run`
 prepares the demonstration pool against the registry, leaving out each
 demonstration that fails :func:`~reaper.plan.validate_plan`, the rule that
-it holds each task to: the registry's order and entries, a memo of presented
-tool specs keyed by name strings, each demonstration's canonical tool set,
-and each renaming for one choice of variant names, which keeps its rendered
-text. Each task's evolved prompt is built from these tables, with one
-registry, the presented one (see :func:`~reaper.forge.tevo.tevo_evolve`);
-each task, an ``InContextExample``, keeps its rendered gold plan and input
-lines for all of its secondary records. The CLI's embedder hashes each
-distinct token once. All of these die with the run. What outlives a run is
-bounded: ``tevo._presented`` with the tool-block text each presented spec
-keeps, bounded by the registry's variant space. What depends only on the
-installed package belongs to no run and is built once per process: the
-shipped registries, the shipped demonstrations, the shipped generic pool's
-frozen records, and the CLI's argument parser. A file the caller names (a
-registry, an example pool or a generic pool) is read again on every call.
+it holds each task to: each demonstration's canonical tool set, and each
+renaming for one choice of variant names, which keeps its rendered text.
+Each task's evolved prompt is built from these tables, with one registry,
+the presented one (see :func:`~reaper.forge.tevo.tevo_evolve`); each task,
+an ``InContextExample``, keeps its rendered gold plan and input lines for
+all of its secondary records. The CLI's embedder hashes each distinct token
+once. All of these die with the run. A presented tool spec, with its
+tool-block text, is kept by the spec it presents, so it lives exactly as
+long as its registry, which later runs may reuse: at most the registry's
+names times its paraphrases. What depends only on the installed package
+belongs to no run and is built once per process: the shipped registries
+(so their presented specs), the shipped demonstrations, the shipped generic
+pool's frozen records, and the CLI's argument parser. A file the caller
+names (a registry, an example pool or a generic pool) is read again on
+every call, and its registry's presented specs die with it.
 """
 
 from __future__ import annotations

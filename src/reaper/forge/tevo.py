@@ -6,23 +6,21 @@ tool under a sampled name variant and description paraphrase, and samples the
 in-context demonstrations. The gold plan is unchanged up to renaming tools to
 the sampled variants, so its canonical tool sequence is stable by construction.
 
-Everything a task reads that does not depend on the task is prepared once
-per run in :class:`_PreparedPool`: the registry's order and entries, the
-presented specs, the tool sets of the demonstrations that validate clean,
-all resolved when the pool is prepared, and their renamings. A task then
-builds one registry, the presented one, through the validating
-``ToolRegistry(...)``; the subset it keeps is drawn by the helper that
-``subset_with`` draws with, without building the subset registry.
+Everything a task reads that does not depend on the task is made once:
+each presented spec is kept by the spec it presents
+(:meth:`~reaper.registry.ToolSpec._presented`), and :class:`_PreparedPool`
+holds, per run, the tool sets of the demonstrations that validate clean and
+their renamings. A task then builds one registry, the presented one, through
+the validating ``ToolRegistry(...)``; the subset it keeps is drawn by the
+helper that ``subset_with`` draws with, without building the subset registry.
 """
 
 from __future__ import annotations
 
 import random
 from collections.abc import Sequence
-from dataclasses import replace
-from functools import cache
 
-from ..plan import parse_plan, rename_tools, render_plan, tool_sequence, validate_plan
+from ..plan import rename_tools, tool_sequence, validate_plan
 from ..prompt import (
     DEFAULT_ROLE,
     DEFAULT_SYSTEM_INSTRUCTION,
@@ -34,45 +32,26 @@ from ..registry import ToolRegistry, ToolSpec, VariantPool, _draw_extras
 from .records import ForgeConfig
 
 
-@cache
-def _presented(spec: ToolSpec, shown: str, description: str) -> ToolSpec:
-    """``spec`` shown under the variant name ``shown`` and the paraphrase
-    ``description``, its example usage renamed to match. Pure, so it is
-    memoised: a registry has few distinct (tool, name, paraphrase) keys, and
-    each costs a parse and a render of the example usage, and a second parse
-    in ``ToolSpec.__post_init__``."""
-    usage = render_plan(
-        rename_tools(parse_plan(spec.example_usage), {spec.canonical_name: shown})
-    )
-    return replace(
-        spec, canonical_name=shown, description=description, example_usage=usage
-    )
-
-
 class _PreparedPool(Sequence):
     """A demonstration pool prepared against one registry, so that the work
-    that is the same for every task is done once per run. It holds the
-    registry's order and entries, a memo of the presented specs keyed by
-    name strings, and each demonstration's written tool names, their
-    canonical tools and its canonical tool set; each demonstration is
-    renamed once per distinct choice of variant names for the tools its
-    plan names. It reads as the pool less each demonstration whose plan
-    fails :func:`~reaper.plan.validate_plan` against the registry: a prompt
-    shows only demonstrations whose tools it shows, so leaving out one with
-    an unknown tool changes no prompt. Memos are keyed by position and by
-    tuples of names, never by value. :func:`~reaper.forge.pipeline.forge_run`
-    makes one per run and drops it with the run; :func:`tevo_evolve` makes a
-    throwaway one when it is given a plain pool or one prepared against
-    another registry."""
+    that is the same for every task is done once per run. It holds each
+    demonstration's written tool names, their canonical tools and its
+    canonical tool set, and no presented spec (each is kept by the spec it
+    presents); each demonstration is renamed once per distinct choice of
+    variant names for the tools its plan names. It reads as the pool less
+    each demonstration whose plan fails :func:`~reaper.plan.validate_plan`
+    against the registry: a prompt shows only demonstrations whose tools it
+    shows, so leaving out one with an unknown tool changes no prompt. Memos
+    are keyed by position and by tuples of names, never by value.
+    :func:`~reaper.forge.pipeline.forge_run` makes one per run and drops it
+    with the run; :func:`tevo_evolve` makes a throwaway one when it is given
+    a plain pool or one prepared against another registry."""
 
     def __init__(self, pool: Sequence[InContextExample], registry: ToolRegistry):
         self._pool = tuple(
             ex for ex in pool if not validate_plan(ex.target_plan, registry)
         )
         self.registry = registry
-        self.order = registry.canonical_names
-        self.entries = {name: registry.entry(name) for name in self.order}
-        self._presented: dict[tuple[str, str], ToolSpec] = {}
         self.queries = [example.input.query for example in self._pool]
         # the distinct tool names each plan writes, in first-use order:
         # ``rename_tools`` looks up nothing else
@@ -93,17 +72,6 @@ class _PreparedPool(Sequence):
 
     def __getitem__(self, index):
         return self._pool[index]
-
-    def presented(self, canonical: str, shown: str, description: str) -> ToolSpec:
-        """:func:`_presented` for the registry's tool ``canonical``, memoised
-        by the two strings that choose it: a shown name belongs to one tool."""
-        key = (shown, description)
-        spec = self._presented.get(key)
-        if spec is None:
-            spec = self._presented[key] = _presented(
-                self.entries[canonical][0], shown, description
-            )
-        return spec
 
     def renamed(self, k: int, names: dict[str, str]) -> InContextExample:
         """Demonstration ``k`` with each tool name its plan writes, canonical
@@ -143,18 +111,19 @@ def tevo_evolve(
         demos = _PreparedPool(example_pool, registry)
     rng = random.Random(rng_seed)
     needed = set(tool_sequence(task.target_plan, registry))
-    extra = min(cfg.extra_tool_count, len(demos.order) - len(needed))
-    kept = _draw_extras(demos.order, needed, extra, rng.randrange(2**31))
+    order = registry.canonical_names
+    extra = min(cfg.extra_tool_count, len(order) - len(needed))
+    kept = _draw_extras(order, needed, extra, rng.randrange(2**31))
 
     names: dict[str, str] = {}
     entries: list[tuple[ToolSpec, VariantPool]] = []
-    for canonical in demos.order:
+    for canonical in order:
         if canonical not in kept:
             continue
-        pool = demos.entries[canonical][1]
+        spec, pool = registry.entry(canonical)
         shown = names[canonical] = rng.choice(pool.name_variants)
         description = rng.choice(pool.description_paraphrases)
-        entries.append((demos.presented(canonical, shown, description), pool))
+        entries.append((spec._presented(shown, description), pool))
     presented = ToolRegistry(entries)
 
     query = task.input.query

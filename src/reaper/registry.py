@@ -33,7 +33,7 @@ underscore, so they cannot collide with prose.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
@@ -41,7 +41,7 @@ from typing import Iterable, Iterator
 
 from .boundary import read_document, typed_field
 from .errors import ReaperError, SchemaError, UnknownToolError
-from .plan import IDENT_RE, parse_plan
+from .plan import IDENT_RE, parse_plan, rename_tools, render_plan
 
 NO_RETRIEVAL_TOOL = "no_retrieval"
 
@@ -138,6 +138,24 @@ class ToolSpec:
             f"Example usage: {self.example_usage}"
         )
 
+    @cached_property
+    def _presentations(self) -> dict[tuple[str, str], ToolSpec]:
+        return {}
+
+    def _presented(self, name: str, description: str) -> ToolSpec:
+        """This tool shown under the variant name ``name`` and the paraphrase
+        ``description``, its example usage renamed to match; kept with the
+        immutable spec, so as long as its registry: a forge shows each of its
+        few (name, paraphrase) pairs in many prompts."""
+        spec = self._presentations.get((name, description))
+        if spec is None:
+            renamed = {self.canonical_name: name}
+            usage = render_plan(rename_tools(parse_plan(self.example_usage), renamed))
+            spec = self._presentations[name, description] = replace(
+                self, canonical_name=name, description=description, example_usage=usage
+            )
+        return spec
+
 
 @dataclass(frozen=True)
 class VariantPool:
@@ -187,7 +205,7 @@ class ToolRegistry:
                 self._variant_to_canonical[variant] = spec.canonical_name
             self._entries[spec.canonical_name] = (spec, pool)
 
-    @property
+    @cached_property
     def canonical_names(self) -> tuple[str, ...]:
         return tuple(self._entries)
 

@@ -766,6 +766,44 @@ def test_an_output_path_that_is_a_directory_exits_2_before_any_work(
     assert sorted(tmp_path.rglob("*")) == before  # no --out file, no .tmp file
 
 
+@pytest.mark.parametrize("case", [
+    "forge --out names --tasks", "forge --manifest names --out",
+    "forge --manifest names --tasks", "eval --out names --gold",
+])
+def test_an_output_naming_an_input_or_another_output_exits_2_before_any_work(
+    tmp_path, capsys, case
+):
+    tasks = tmp_path / "tasks.jsonl"
+    write_tasks(tasks, 2)
+    gold, pred = write_gold_and_pred(tmp_path)
+    out = tmp_path / "out.jsonl"
+    forge = ["forge", "--tasks", str(tasks)]
+    argv, named, error = {
+        "forge --out names --tasks": (
+            [*forge, "--out", str(tasks)], tasks, "output path is also an input"
+        ),
+        "forge --manifest names --out": (
+            [*forge, "--out", str(out), "--manifest", f"{tmp_path}/./{out.name}"],
+            f"{tmp_path}/./{out.name}", "output path is given twice",
+        ),
+        "forge --manifest names --tasks": (
+            [*forge, "--out", str(out), "--manifest", str(tasks)], tasks,
+            "output path is also an input",
+        ),
+        "eval --out names --gold": (
+            ["eval", "--pred", str(pred), "--gold", str(gold), "--out", str(gold)], gold,
+            "output path is also an input",
+        ),
+    }[case]
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*")}
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: bad input: {error}: {named}\n"
+    # every input's bytes unchanged, and no output or .tmp file made
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
+
+
 def run_fresh(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this source tree."""
     source_root = Path(reaper.__file__).parents[1]

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import weakref
 from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,6 +16,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import reaper.registry
+from reaper import cli
 from reaper.cli import main
 from reaper.embedding import HashingEmbedder, ZeroVectorError, cosine
 from reaper.errors import SchemaError
@@ -63,12 +66,14 @@ from reaper.registry import (
     VariantPool,
     default_registry,
     extended_registry,
+    load_registry,
     subset_with,
 )
 
 from .conftest import GALAXY_PLAN_TEXT
 from .forgerun import forge_with_another_pool_and_registry
 from .test_cli import GOLDEN_ARGS, GOLDEN_OUT_SHA256, GOLDEN_TASKS
+from .test_registry import default_tools_data
 
 
 @pytest.fixture()
@@ -166,17 +171,18 @@ class TestTevo:
         spec = tevo_evolve(galaxy_task, registry, cfg, rng_seed=4)
         assert len(spec.tools) == len(registry)
 
-    def test_each_presented_variant_is_parsed_once(self, registry, monkeypatch):
-        # tevo parses a tool's example usage only to rename it, and the
-        # result depends on (tool, name, paraphrase) alone
+    def test_each_presented_variant_is_parsed_once(self, monkeypatch):
+        # a tool's example usage is renamed once per (tool, name, paraphrase)
+        # shown, by the spec that keeps the result; a fresh registry's specs
+        # have kept none yet
+        registry = load_registry(resources.files("reaper.data") / "default_tools.json")
         calls = []
 
-        def counting_parse(text):
-            calls.append(text)
-            return parse_plan(text)
+        def counting_rename(plan, mapping):
+            calls.append(mapping)
+            return rename_tools(plan, mapping)
 
-        monkeypatch.setattr(tevo, "parse_plan", counting_parse)
-        tevo._presented.cache_clear()
+        monkeypatch.setattr(reaper.registry, "rename_tools", counting_rename)
         tasks = [
             InContextExample(QueryInput(f"question {i}"), parse_plan(GALAXY_PLAN_TEXT))
             for i in range(50)
@@ -189,7 +195,7 @@ class TestTevo:
                 shown.add((registry.canonical_of(tool.canonical_name),
                            tool.canonical_name, tool.description))
         assert len(shown) < 50 * 4  # tools repeat across the 50 prompts
-        assert len(calls) <= len(shown)
+        assert len(calls) == len(shown)
 
     def test_variant_named_gold_plans_and_demonstrations_are_renamed(self, registry):
         # plans written with variant names: every name in the target and in
@@ -232,9 +238,9 @@ class TestTevo:
 
 
 def _evolve_oracle(task, registry, cfg, rng_seed, example_pool):
-    """``tevo_evolve`` built the plain way: ``subset_with``, a validated
-    registry over the presented specs, and every demonstration's tools
-    resolved again for each task."""
+    """``tevo_evolve`` built the plain way: ``subset_with``, each presented
+    spec renamed, rendered and replaced anew, a validated registry over them,
+    and every demonstration's tools resolved again for each task."""
     rng = random.Random(rng_seed)
     needed = set(tool_sequence(task.target_plan, registry))
     extra = min(cfg.extra_tool_count, len(registry) - len(needed))
@@ -244,7 +250,12 @@ def _evolve_oracle(task, registry, cfg, rng_seed, example_pool):
         spec, pool = subset.entry(canonical)
         names[canonical] = rng.choice(pool.name_variants)
         description = rng.choice(pool.description_paraphrases)
-        entries.append((tevo._presented(spec, names[canonical], description), pool))
+        usage = rename_tools(parse_plan(spec.example_usage), {canonical: names[canonical]})
+        presented = replace(
+            spec, canonical_name=names[canonical], description=description,
+            example_usage=render_plan(usage),
+        )
+        entries.append((presented, pool))
     allowed = set(subset.canonical_names)
     candidates = [
         k
@@ -1041,3 +1052,65 @@ class TestRunScope:
         assert all(ref() is None for ref in task_refs)
         # the prompt builder keeps nothing, so every demonstration shown is dead
         assert all(ref() is None for ref in demonstrations)
+
+    def test_a_named_registry_and_its_presented_specs_die_with_it(
+        self, tmp_path, monkeypatch
+    ):
+        # a long-lived process forging with edited registries keeps none of them
+        loaded, presented = [], []
+        evolve = pipeline.tevo_evolve
+
+        def loading(path):
+            registry = load_registry(path)
+            loaded.append([weakref.ref(spec) for spec in registry])
+            return registry
+
+        def watching(*args, **kwargs):
+            spec = evolve(*args, **kwargs)
+            if len(loaded) == 1:
+                presented.extend(weakref.ref(tool) for tool in spec.tools)
+            return spec
+
+        monkeypatch.setattr(cli, "load_registry", loading)
+        monkeypatch.setattr(pipeline, "tevo_evolve", watching)
+        for edit in range(3):
+            data = default_tools_data()
+            for tool in data["tools"]:
+                tool["description"] += f" (edit {edit})"
+                tool["description_paraphrases"] = [
+                    f"{text} (edit {edit})" for text in tool["description_paraphrases"]
+                ]
+            path = tmp_path / f"tools_{edit}.json"
+            path.write_text(json.dumps(data))
+            out = str(tmp_path / f"train_{edit}.jsonl")
+            argv = ["forge", "--tasks", str(GOLDEN_TASKS), "--registry", str(path)]
+            assert main([*argv, "--out", out]) == 0
+        assert "(edit 0)" in (tmp_path / "train_0.jsonl").read_text()
+        gc.collect()
+        assert len(loaded) == 3 and presented
+        assert all(ref() is None for ref in loaded[0] + presented)
+
+    def test_the_shipped_registry_presents_each_pair_as_one_object(
+        self, registry, provider, tmp_path, monkeypatch
+    ):
+        runs: list[list[ToolSpec]] = []
+        evolve = pipeline.tevo_evolve
+
+        def watching(*args, **kwargs):
+            spec = evolve(*args, **kwargs)
+            runs[-1].extend(spec.tools)
+            return spec
+
+        monkeypatch.setattr(pipeline, "tevo_evolve", watching)
+        cfg = ForgeConfig(tasks_per_query=2, seed=3, generic_fraction=0.0)
+        tasks = TestForgeRun().write_tasks(12)
+        for run in range(2):
+            runs.append([])
+            forge_run(tasks, registry, cfg, provider, tmp_path / f"data_{run}.jsonl")
+        first, second = runs
+        assert first and len(first) == len(second)
+        assert all(a is b for a, b in zip(first, second))
+        for tool in first:
+            canonical = registry.canonical_of(tool.canonical_name)
+            spec = registry.entry(canonical)[0]
+            assert spec._presented(tool.canonical_name, tool.description) is tool
