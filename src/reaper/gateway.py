@@ -24,10 +24,12 @@ from typing import Mapping, Protocol, Sequence
 
 from .boundary import post_json
 from .errors import ReaperError
-from .plan import Plan, PlanParseError, Violation, parse_plan, validate_plan
+from .plan import (
+    Plan, PlanParseError, Violation, check_labeled_plan, parse_plan, validate_plan,
+)
 from .prompt import (
     DEFAULT_ROLE, DEFAULT_SYSTEM_INSTRUCTION, INPUT_HEADER, InContextExample,
-    PromptSpec, QueryInput, _check_examples, _render_prefix, build_prompt, input_lines,
+    PromptSpec, QueryInput, _render_prefix, build_prompt, input_lines,
 )
 from .registry import ToolRegistry
 
@@ -120,14 +122,16 @@ class Planner:
     """One planner call per turn over a fixed registry and fixed
     demonstrations, prompted with :data:`~reaper.prompt.DEFAULT_ROLE` and
     :data:`~reaper.prompt.DEFAULT_SYSTEM_INSTRUCTION`. Construction raises
-    :class:`~reaper.errors.UnknownToolError` for a demonstration step whose
-    tool is not in the registry, and renders the prompt prefix once; a turn
-    renders only its input lines and keeps nothing."""
+    :class:`~reaper.plan.LabeledPlanError` for a demonstration whose plan
+    fails :func:`~reaper.plan.validate_plan` against the registry, as
+    :class:`~reaper.prompt.PromptSpec` does, and renders the prompt prefix
+    once; a turn renders only its input lines and keeps nothing."""
 
     def __init__(
         self, registry: ToolRegistry, examples: Sequence[InContextExample], backend
     ):
-        _check_examples(registry, examples)
+        for index, example in enumerate(examples):
+            check_labeled_plan(index, example.target_plan, registry)
         self.registry = registry
         self.backend = backend
         self._prefix = _render_prefix(

@@ -46,7 +46,7 @@ from typing import TYPE_CHECKING, Mapping, NoReturn, TypeVar, Union
 from .errors import ReaperError, UnknownToolError
 
 if TYPE_CHECKING:
-    from .registry import ToolRegistry
+    from .registry import ToolRegistry, ToolSpec
 
 # The DSL's three tokens: an integer, an identifier and a string literal's
 # body. The classes are ASCII: ``str.isdigit`` would also accept digits such
@@ -434,39 +434,42 @@ def validate_plan(plan: Plan, registry: "ToolRegistry") -> list[Violation]:
                 )
             )
             continue
-        present = {name for name, _ in step.args}
         known, required = spec._param_names
-        if required <= present <= known:
-            continue
-        for param in spec.params:
-            if param.required and param.name not in present:
-                violations.append(
-                    Violation(
-                        "MissingParam",
-                        step.index,
-                        step.tool_name,
-                        param.name,
-                        f"step {step.index}: {step.tool_name} is missing "
-                        f"required parameter {param.name!r}",
-                    )
-                )
-        for name in present - known:
-            violations.append(
-                Violation(
-                    "UnknownParam",
-                    step.index,
-                    step.tool_name,
-                    name,
-                    f"step {step.index}: {step.tool_name} does not accept "
-                    f"parameter {name!r}",
-                )
-            )
+        if not required <= {name for name, _ in step.args} <= known:
+            violations += _call_violations(step, spec)
     return violations
 
 
+def _call_violations(step: PlanStep, spec: "ToolSpec") -> list[Violation]:
+    """Each required parameter of ``spec`` that ``step`` leaves out, then
+    each argument of ``step`` that ``spec`` does not accept: the one place a
+    parameter violation is built, for a plan step or a tool's example usage."""
+    present = {name for name, _ in step.args}
+    known, _ = spec._param_names
+    missing = [
+        Violation(
+            "MissingParam", step.index, step.tool_name, param.name,
+            f"step {step.index}: {step.tool_name} is missing "
+            f"required parameter {param.name!r}",
+        )
+        for param in spec.params
+        if param.required and param.name not in present
+    ]
+    return missing + [
+        Violation(
+            "UnknownParam", step.index, step.tool_name, name,
+            f"step {step.index}: {step.tool_name} does not accept "
+            f"parameter {name!r}",
+        )
+        for name, _ in step.args
+        if name not in known
+    ]
+
+
 class LabeledPlanError(ReaperError):
-    """The plan of labeled example ``index`` (a forge task or a gold example)
-    fails :func:`validate_plan`; ``violation`` is its first violation."""
+    """The plan of labeled example ``index`` (a forge task, a gold example or
+    a prompt's demonstration) fails :func:`validate_plan`; ``violation`` is
+    its first violation."""
 
     def __init__(self, index: int, violation: Violation):
         super().__init__(f"labeled example {index}: {violation}")

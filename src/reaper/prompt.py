@@ -19,11 +19,10 @@ from dataclasses import dataclass, replace
 from functools import cache, cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Sequence
 
 from .boundary import plan_field, read_document, typed_field
 from .errors import SchemaError
-from .plan import Plan, render_plan, tool_sequence
+from .plan import Plan, check_labeled_plan, render_plan, tool_sequence
 from .registry import ToolRegistry
 
 DEFAULT_ROLE = (
@@ -104,6 +103,9 @@ class InContextExample:
 
 @dataclass(frozen=True)
 class PromptSpec:
+    """What a prompt renders. Each demonstration in ``examples`` is held to
+    :func:`~reaper.plan.check_labeled_plan` against ``tools``."""
+
     role_text: str
     system_instruction: str
     tools: ToolRegistry
@@ -112,7 +114,8 @@ class PromptSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "examples", tuple(self.examples))
-        _check_examples(self.tools, self.examples)
+        for index, example in enumerate(self.examples):
+            check_labeled_plan(index, example.target_plan, self.tools)
 
 
 def input_lines(query_input: QueryInput) -> list[str]:
@@ -120,13 +123,6 @@ def input_lines(query_input: QueryInput) -> list[str]:
     if query_input.context is not None:
         lines.append(f"Context: {query_input.context}")
     return lines
-
-
-def _check_examples(tools: ToolRegistry, examples: Sequence[InContextExample]) -> None:
-    """Raise UnknownToolError for an example step whose tool is not in ``tools``."""
-    for example in examples:
-        for step in example.target_plan.steps:
-            tools.resolve(step.tool_name)
 
 
 def _render_prefix(role: str, instruction: str, tools: ToolRegistry, examples) -> str:

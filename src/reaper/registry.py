@@ -23,11 +23,12 @@ Schema, shown as YAML (all fields required unless noted)::
 
 Parameter names and name variants are identifiers, unique within their
 tool; paraphrases are non-empty strings; the example usage is a plan that
-calls only the tool itself; no two tools share a name or a variant. The
-types and :class:`ToolRegistry` enforce these rules, so a registry built in
-code is held to them too; the loader names the file and ``tools[i]`` of
-the entry that breaks one. The shipped variant names all contain an
-underscore, so they cannot collide with prose.
+calls only the tool itself, with its tool's required parameters and no
+unknown one; no two tools share a name or a variant. The types and
+:class:`ToolRegistry` enforce these rules, so a registry built in code is
+held to them too; the loader names the file and ``tools[i]`` of the entry
+that breaks one. The shipped variant names all contain an underscore, so
+they cannot collide with prose.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from typing import Iterable, Iterator
 
 from .boundary import read_document, typed_field
 from .errors import ReaperError, SchemaError, UnknownToolError
-from .plan import IDENT_RE, parse_plan, rename_tools, render_plan
+from .plan import IDENT_RE, _call_violations, parse_plan, rename_tools, render_plan
 
 NO_RETRIEVAL_TOOL = "no_retrieval"
 
@@ -107,13 +108,16 @@ class ToolSpec:
             seen_optional = seen_optional or not param.required
         # a valid plan snippet that calls only this tool, so renaming the
         # tool renames every surface form of it in the usage, and removing
-        # another tool leaves none of that tool's names behind
+        # another tool leaves none of that tool's names behind; each call
+        # passes validate_plan's per-call check, as a prompt shows it
         for step in parse_plan(self.example_usage).steps:
             if step.tool_name != self.canonical_name:
                 raise ValueError(
                     f"{self.canonical_name}: example_usage calls "
                     f"{step.tool_name!r}, not {self.canonical_name!r}"
                 )
+            if violations := _call_violations(step, self):
+                raise ValueError(f"{self.canonical_name}: example_usage {violations[0]}")
 
     @cached_property
     def _param_names(self) -> tuple[frozenset[str], frozenset[str]]:

@@ -118,16 +118,20 @@ class TestTevo:
         # with one variant and paraphrase per tool and no extras, the tool
         # block is exactly the target's tools under canonical names
         entries = []
-        for name, params in (
-            ("shipment_status", [ParamSpec("query", True)]),
-            ("prod_qna", [ParamSpec("product_id", True), ParamSpec("query", True)]),
-            ("prod_search", [ParamSpec("keywords", True)]),
+        for name, params, usage in (
+            ("shipment_status", [ParamSpec("query", True)], 'query="x"'),
+            (
+                "prod_qna",
+                [ParamSpec("product_id", True), ParamSpec("query", True)],
+                'product_id="B0X", query="x"',
+            ),
+            ("prod_search", [ParamSpec("keywords", True)], 'keywords="x"'),
         ):
             spec = ToolSpec(
                 canonical_name=name,
                 params=tuple(params),
                 description=f"does {name}",
-                example_usage=f"Step 1: {name}()",
+                example_usage=f"Step 1: {name}({usage})",
                 class_label="extension",
             )
             entries.append((spec, VariantPool((name,), (f"does {name}",))))
@@ -623,9 +627,12 @@ def reference_generic_records(text):
 
 
 # Any non-empty text, with the characters str.splitlines() breaks at but a
-# JSON string holds raw (U+2028, U+0085) drawn often
+# JSON string holds raw (U+2028, U+0085) drawn often. No lone surrogate
+# (category Cs): UTF-8 cannot write one, and the reader rejects one by name,
+# which tests/test_boundary.py::test_a_lone_surrogate_in_a_pool_is_named pins.
 _generic_texts = st.text(
-    st.one_of(st.characters(), st.sampled_from("\u2028\x85")), min_size=1, max_size=8
+    st.one_of(st.characters(exclude_categories=("Cs",)), st.sampled_from("\u2028\x85")),
+    min_size=1, max_size=8,
 )
 _generic_rows = st.fixed_dictionaries(
     {"prompt": _generic_texts, "target": _generic_texts},

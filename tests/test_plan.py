@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from reaper.plan import (
     _STRING_BODY,
     _LineParser,
+    _call_violations,
     _match_step,
     ContextRef,
     Literal,
@@ -18,15 +19,17 @@ from reaper.plan import (
     PlanParseError,
     PlanStep,
     StepRef,
+    Violation,
     parse_plan,
     rename_tools,
     render_plan,
     tool_sequence,
     validate_plan,
 )
+from reaper.registry import ParamSpec, ToolRegistry, ToolSpec, VariantPool
 
 from .conftest import GALAXY_PLAN_TEXT
-from .plangen import TOOLS, random_plan
+from .plangen import PARAMS, TOOLS, random_plan
 
 
 class TestParse:
@@ -223,6 +226,50 @@ class TestValidate:
         plan = parse_plan('Step 1: prod_qna(mode="fast")')
         kinds = sorted(v.kind for v in validate_plan(plan, registry))
         assert kinds == ["MissingParam", "MissingParam", "UnknownParam"]
+
+
+@st.composite
+def required_param_registries(draw):
+    """A registry over some of the generator's tools, each accepting some of
+    its parameters and requiring the first few of those."""
+    entries = []
+    for name in draw(st.lists(st.sampled_from(TOOLS), unique=True)):
+        known = draw(st.lists(st.sampled_from(PARAMS), unique=True))
+        required = draw(st.integers(0, len(known)))
+        params = tuple(ParamSpec(p, i < required) for i, p in enumerate(known))
+        usage = ", ".join(f'{p}="x"' for p in known[:required])
+        spec = ToolSpec(
+            name, params, f"test tool {name}", f"Step 1: {name}({usage})", "extension"
+        )
+        entries.append((spec, VariantPool((name,), (f"test tool {name}",))))
+    return ToolRegistry(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(required_param_registries(), st.randoms(use_true_random=False))
+def test_validate_plan_is_its_per_call_check_step_by_step(registry, rng):
+    # the fast path agrees with _call_violations, and _call_violations finds
+    # each missing and each unknown parameter once
+    plan = random_plan(rng)
+    expected = []
+    for step in plan.steps:
+        if not registry.has_tool(step.tool_name):
+            message = f"step {step.index}: unknown tool {step.tool_name!r}"
+            expected.append(
+                Violation("UnknownTool", step.index, step.tool_name, None, message)
+            )
+            continue
+        spec = registry.resolve(step.tool_name)
+        found = _call_violations(step, spec)
+        present = {name for name, _ in step.args}
+        assert sorted((v.kind, v.param) for v in found) == sorted(
+            [("MissingParam", p.name) for p in spec.params
+             if p.required and p.name not in present]
+            + [("UnknownParam", name) for name in present
+               if name not in {p.name for p in spec.params}]
+        )
+        expected += found
+    assert validate_plan(plan, registry) == expected
 
 
 class TestToolSequence:

@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reaper.errors import UnknownToolError
 from reaper.gateway import Planner, ScriptedStub, generate_plan
-from reaper.plan import PlanParseError, parse_plan, validate_plan
+from reaper.plan import LabeledPlanError, PlanParseError, parse_plan, validate_plan
 from reaper.prompt import (
     DEFAULT_ROLE,
     DEFAULT_SYSTEM_INSTRUCTION,
@@ -75,9 +74,45 @@ def test_planner_prompt_equals_build_prompt(inputs):
 
 def test_demonstration_naming_an_absent_tool_raises_at_construction(registry):
     galaxy = load_example_pool()[1]  # shipment_status, then prod_qna
-    with pytest.raises(UnknownToolError) as excinfo:
+    with pytest.raises(LabeledPlanError) as excinfo:
         Planner(registry.without("prod_qna"), [galaxy], STUB)
-    assert excinfo.value.name == "prod_qna"
+    assert excinfo.value.index == 0
+    violation = excinfo.value.violation
+    assert (violation.kind, violation.step_index, violation.tool_name) == (
+        "UnknownTool", 2, "prod_qna"
+    )
+
+
+CONSTRUCTORS = {
+    "PromptSpec": lambda registry, examples: PromptSpec(
+        DEFAULT_ROLE, DEFAULT_SYSTEM_INSTRUCTION, registry, examples, QueryInput("hi")
+    ),
+    "Planner": lambda registry, examples: Planner(registry, examples, STUB),
+}
+
+
+@pytest.mark.parametrize("build", CONSTRUCTORS.values(), ids=CONSTRUCTORS.keys())
+@pytest.mark.parametrize(
+    "plan_text, kind, param",
+    [
+        ('Step 1: prod_qna(query="x")', "MissingParam", "product_id"),
+        (
+            'Step 1: prod_qna(product_id="B0X", query="x", colour="red")',
+            "UnknownParam",
+            "colour",
+        ),
+    ],
+)
+def test_demonstrations_are_held_to_validate_plan(
+    registry, build, plan_text, kind, param
+):
+    # a demonstration with a known tool but a wrong call is shown in no prompt
+    bad = InContextExample(QueryInput("bad"), parse_plan(plan_text))
+    with pytest.raises(LabeledPlanError) as excinfo:
+        build(registry, [load_example_pool()[0], bad])
+    assert excinfo.value.index == 1
+    assert excinfo.value.violation == validate_plan(bad.target_plan, registry)[0]
+    assert (excinfo.value.violation.kind, excinfo.value.violation.param) == (kind, param)
 
 
 def test_each_turn_plans_and_validates_as_generate_plan_does(registry):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from reaper.errors import SchemaError, UnknownToolError
-from reaper.plan import render_plan
+from reaper.plan import LabeledPlanError, render_plan
 from reaper.prompt import (
     DEFAULT_ROLE,
     DEFAULT_SYSTEM_INSTRUCTION,
@@ -79,8 +79,10 @@ class TestBuildPrompt:
 
     def test_example_with_unknown_tool_rejected(self, registry, pool):
         subset = registry.subset(["no_retrieval"])
-        with pytest.raises(UnknownToolError):
+        with pytest.raises(LabeledPlanError) as excinfo:
             make_spec(subset, examples=[pool[0]])  # uses shipment_status
+        assert excinfo.value.index == 0
+        assert excinfo.value.violation.kind == "UnknownTool"
 
 
 def fresh_render(spec: PromptSpec) -> str:

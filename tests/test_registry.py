@@ -124,6 +124,24 @@ class TestLoad:
         with pytest.raises(SchemaError):
             load_registry(path)
 
+    @pytest.mark.parametrize(
+        "usage, violation",
+        [
+            ("Step 1: compatible_products()", "MissingParam"),
+            (
+                'Step 1: compatible_products(product_id="B0X", colour="red")',
+                "UnknownParam",
+            ),
+        ],
+    )
+    def test_example_usage_held_to_its_parameters(self, tmp_path, usage, violation):
+        block = dict(COMPATIBLE_PRODUCTS_BLOCK, example_usage=usage)
+        path = write_default_plus(tmp_path, block)
+        with pytest.raises(SchemaError) as excinfo:
+            load_registry(path)
+        assert (excinfo.value.path, excinfo.value.field) == (str(path), "tools[6]")
+        assert f"example_usage {violation}: step 1:" in str(excinfo.value)
+
 
 class TestResolve:
     def test_variant_resolves_to_canonical_spec(self, registry):
@@ -256,6 +274,10 @@ BROKEN_REGISTRIES = {
         _set(1, "example_usage", 'Step 1: customer_support(query="order")'),
         1,
     ),
+    "usage-lacks-a-required-parameter": (
+        _set(0, "example_usage", "Step 1: customer_support()"),
+        0,
+    ),
     "duplicate-tool": (lambda tools: tools.append(dict(tools[2])), 6),
     "canonical-not-a-variant": (_set(3, "name_variants", ["product_facts"]), 3),
     "variant-shared-by-two-tools": (
@@ -306,6 +328,18 @@ class TestEntryRules:
                 "duplicate parameter 'query'",
             ),
             ((), "Step 1: tool_b()", "example_usage calls 'tool_b'"),
+            (
+                (ParamSpec("query", True),),
+                "Step 1: tool_a()",
+                "example_usage MissingParam: step 1: tool_a is missing "
+                "required parameter 'query'",
+            ),
+            (
+                (ParamSpec("query", False),),
+                'Step 1: tool_a(colour="red")',
+                "example_usage UnknownParam: step 1: tool_a does not accept "
+                "parameter 'colour'",
+            ),
         ],
     )
     def test_tool_spec_rules(self, params, usage, message):
