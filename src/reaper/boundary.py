@@ -1,18 +1,20 @@
-"""The places where data enters the toolkit: JSON posted to a remote
-service over the standard library's HTTP client (``post_json``), JSONL
-files (``read_jsonl``) and registry and pool documents, shipped or named
-(``read_document``). Malformed input raises a typed error: the caller's
-error class for a service, :class:`SchemaError` with the file (and the
-line, for JSONL) for a file. A document is read as YAML only if it is not
-JSON, so only a YAML file imports PyYAML, the optional ``[yaml]`` extra.
+"""Where data enters and leaves the toolkit. It enters as JSON posted to
+a remote service over the standard library's HTTP client (``post_json``),
+JSONL files (``read_jsonl``) and registry and pool documents, shipped or
+named (``read_document``); it leaves as output files, each written whole by
+``write_output``. Malformed input raises a typed error: the caller's error
+class for a service, :class:`SchemaError` with the file (and the line, for
+JSONL) for a file. A document is read as YAML only if it is not JSON, so
+only a YAML file imports PyYAML, the optional ``[yaml]`` extra.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import ReaperError, SchemaError
 from .plan import Plan, PlanParseError, parse_plan
@@ -143,3 +145,27 @@ def plan_field(mapping: dict, key: str, path: str, where: str) -> Plan:
         return parse_plan(typed_field(mapping, key, str, path, where))
     except PlanParseError as exc:
         raise SchemaError(path, f"{where}.{key}", f"bad plan: {exc}") from exc
+
+
+def write_output(out: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` as the whole file ``out``, replacing any file there.
+
+    The bytes go to ``<out>.tmp`` beside it; then the old file, if there is
+    one, is removed, and the new one is renamed into the free name. A
+    failure before that swap, while ``chunks`` is produced or written,
+    leaves the old file byte for byte and no ``.tmp`` file, so no reader
+    ever sees a partial file; between the removal and the rename the path
+    is absent. Nothing renames or truncates over an existing file: on ext4
+    either forces the new data to disk, and rewriting the same outputs again
+    then waits for the disk. The file is not fsynced either, since every
+    output can be rebuilt from its inputs and seed."""
+    out = Path(out)
+    tmp = out.with_name(out.name + ".tmp")
+    try:
+        with tmp.open("wb") as handle:
+            handle.writelines(chunks)
+        out.unlink(missing_ok=True)
+        os.rename(tmp, out)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -37,7 +37,7 @@ from itertools import groupby
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
-from .boundary import read_jsonl
+from .boundary import read_jsonl, write_output
 from .embedding import HashingEmbedder, VectorError
 from .errors import ReaperError, SchemaError
 from .plan import (
@@ -184,7 +184,7 @@ def cmd_forge(args: argparse.Namespace) -> int:
     payload = json.dumps(manifest.to_dict(), indent=2)
     print(payload)
     if args.manifest:
-        Path(args.manifest).write_text(payload + "\n", encoding="utf-8")
+        write_output(args.manifest, [f"{payload}\n".encode("utf-8")])
     return 0
 
 
@@ -210,7 +210,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     payload = json.dumps(report.to_dict(), indent=2, sort_keys=True)
     print(payload)
     if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+        write_output(args.out, [f"{payload}\n".encode("utf-8")])
     return 0
 
 

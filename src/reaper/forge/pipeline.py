@@ -29,11 +29,11 @@ every call, and its registry's presented specs die with it.
 
 from __future__ import annotations
 
-import os
 import random
 from pathlib import Path
 from typing import Sequence
 
+from ..boundary import write_output
 from ..embedding import EmbeddingProvider
 from ..plan import check_labeled_plan, render_plan
 from ..prompt import InContextExample, build_prompt, load_example_pool
@@ -85,30 +85,29 @@ def generate_records(
 
 
 def write_records(records: Sequence[TrainingRecord], out: str | Path) -> None:
-    """Write training JSONL atomically; no partial file survives a failure.
-    A record holding a lone surrogate, which UTF-8 cannot encode, raises
-    ``ValueError`` naming its ``source_id`` and field."""
-    out = Path(out)
-    tmp = out.with_name(out.name + ".tmp")
+    """Write training JSONL to ``out`` through
+    :func:`~reaper.boundary.write_output`: a new file beside it, the old one
+    removed, then the rename. The old file survives any failure before that
+    swap, and no partial file survives at all. The output is not fsynced,
+    because it can be rebuilt from its seed. A record holding a lone
+    surrogate, which UTF-8 cannot encode, raises ``ValueError`` naming its
+    ``source_id`` and field."""
+    write_output(out, (_jsonl_line(record) for record in records))
+
+
+def _jsonl_line(record: TrainingRecord) -> bytes:
+    line = record.to_json() + "\n"
     try:
-        with tmp.open("w", encoding="utf-8") as handle:
-            for record in records:
-                try:
-                    handle.write(record.to_json() + "\n")
-                except UnicodeEncodeError as exc:  # the line's first surrogate
-                    surrogate = exc.object[exc.start]
-                    field = next(
-                        name for name in ("prompt", "target", "source_id")
-                        if surrogate in getattr(record, name)
-                    )
-                    raise ValueError(
-                        f"record {record.source_id!r}: {field}: "
-                        f"lone surrogate {surrogate!r}"
-                    ) from None
-        os.replace(tmp, out)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        return line.encode("utf-8")
+    except UnicodeEncodeError as exc:  # the line's first surrogate
+        surrogate = line[exc.start]
+        field = next(
+            name for name in ("prompt", "target", "source_id")
+            if surrogate in getattr(record, name)
+        )
+        raise ValueError(
+            f"record {record.source_id!r}: {field}: lone surrogate {surrogate!r}"
+        ) from None
 
 
 def forge_run(

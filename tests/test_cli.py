@@ -804,6 +804,43 @@ def test_an_output_naming_an_input_or_another_output_exits_2_before_any_work(
     assert {path: path.read_bytes() for path in tmp_path.rglob("*")} == before
 
 
+@pytest.mark.parametrize("command", ["forge", "eval"])
+def test_an_output_is_renamed_only_into_a_free_name(tmp_path, capsys, monkeypatch, command):
+    # Renaming (or truncating) over an existing file stalls on ext4 once the
+    # same outputs are rewritten; the stall itself cannot be tested portably,
+    # so this pins the mechanism: the old output is gone before each rename.
+    tasks = tmp_path / "tasks.jsonl"
+    write_tasks(tasks, 3)
+    gold, pred = write_gold_and_pred(tmp_path)
+    out, manifest = tmp_path / "out.jsonl", tmp_path / "manifest.json"
+    argv, outputs = {
+        "forge": (
+            ["forge", "--tasks", str(tasks), "--out", str(out), "--manifest", str(manifest)],
+            [out, manifest],
+        ),
+        "eval": (
+            ["eval", "--pred", str(pred), "--gold", str(gold), "--out", str(out)], [out]
+        ),
+    }[command]
+    renamed = []
+    rename = os.rename
+
+    def checked_rename(src, dst):
+        assert not os.path.lexists(dst), f"renamed over an existing {dst}"
+        renamed.append(Path(dst))
+        rename(src, dst)
+
+    monkeypatch.setattr(os, "rename", checked_rename)
+    written = []
+    for _ in range(3):
+        assert main(argv) == 0
+        written.append([path.read_bytes() for path in outputs])
+    capsys.readouterr()
+    assert renamed == outputs * 3
+    assert written[0] == written[1] == written[2]
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def run_fresh(code: str) -> subprocess.CompletedProcess:
     """Run ``code`` in a fresh interpreter that imports this source tree."""
     source_root = Path(reaper.__file__).parents[1]

@@ -920,16 +920,37 @@ def test_a_negative_count_is_named_with_its_value(field):
         ForgeConfig(**{field: -3})
 
 
-def test_write_records_removes_partial_output(tmp_path):
-    class Boom:
-        def to_json(self):
-            raise RuntimeError("mid-write failure")
+class Boom:
+    def to_json(self):
+        raise RuntimeError("mid-write failure")
 
+
+def test_write_records_removes_partial_output(tmp_path):
     out = tmp_path / "data.jsonl"
     with pytest.raises(RuntimeError):
         write_records([make_record(0), Boom()], out)
     assert not out.exists()
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failing_write_records_keeps_the_existing_output(tmp_path):
+    out = tmp_path / "data.jsonl"
+    write_records([make_record(0)], out)
+    before = out.read_bytes()
+    with pytest.raises(RuntimeError):
+        write_records([make_record(1), Boom()], out)
+    assert out.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [out]  # no .tmp file
+
+
+def test_rewriting_an_output_gives_the_new_bytes(tmp_path):
+    out = tmp_path / "data.jsonl"
+    for i in range(3):
+        write_records([make_record(i), make_record(i + 1)], out)
+        assert out.read_bytes() == (
+            make_record(i).to_json() + "\n" + make_record(i + 1).to_json() + "\n"
+        ).encode("utf-8")
+        assert list(tmp_path.iterdir()) == [out]  # no .tmp file
 
 
 @pytest.mark.parametrize(
